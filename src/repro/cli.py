@@ -54,7 +54,7 @@ def _cmd_collect(args: argparse.Namespace) -> int:
                                args.retention_hours * 3600.0
                                if args.retention_hours else None))
     service = SpotLakeService(config)
-    if args.workers is not None:
+    if args.workers > 1:
         print(f"parallel collection engine: {args.workers} worker(s)")
     if args.plan_cache:
         from .core.plan_cache import PlanCache
@@ -473,10 +473,10 @@ def build_parser() -> argparse.ArgumentParser:
     collect.add_argument("--checkpoint-every", type=int, default=4,
                          help="fold the WAL into segments every N rounds "
                               "(default 4; 0 = only at exit)")
-    collect.add_argument("--workers", type=int, default=None,
-                         help="SPS materialization worker threads (default: "
-                              "legacy serial collector; any count is "
-                              "byte-identical to serial)")
+    collect.add_argument("--workers", type=int, default=1,
+                         help="SPS materialization worker threads (default "
+                              "1: inline, no thread pool; archives are "
+                              "byte-identical for every count)")
     collect.add_argument("--plan-cache", default=True,
                          action=argparse.BooleanOptionalAction,
                          help="reuse solved query packings across rounds "

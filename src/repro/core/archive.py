@@ -19,20 +19,21 @@ paper's core contribution -- are plain time-range reads.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..lake import (
     ADVISOR_TABLE,
+    DATASETS,
     DIM_REGION,
     DIM_TYPE,
     DIM_ZONE,
     FederatedHistory,
     IF_SCORE_MEASURE,
     INTERRUPTION_RATIO_MEASURE,
+    KeyMemo,
     LAKE_DIR_NAME,
     MERGED_TABLES,
     PRICE_MEASURE,
@@ -95,7 +96,7 @@ class SpotLakeArchive:
             self.store = self.engine.recovered.store
         else:
             self.store = TimeSeriesStore()
-        for name in (SPS_TABLE, ADVISOR_TABLE, PRICE_TABLE):
+        for name in MERGED_TABLES:
             self._ensure_table(name, retention)
         if self.engine is not None:
             self.engine.attach(self.store)
@@ -135,13 +136,10 @@ class SpotLakeArchive:
         #: vectorized aggregation engine (lazily created under the same
         #: guard as the query caches so serving workers share one)
         self._analytics: Optional[AnalyticsRuntime] = None
-        # SeriesKey caches for the batched write path: every collection
-        # round touches the same (type, region, zone) coordinates, so the
-        # keys (and their cached hashes) are built once and reused
-        self._sps_keys: Dict[Tuple[str, str, str], SeriesKey] = {}
-        self._price_keys: Dict[Tuple[str, str, str], SeriesKey] = {}
-        self._advisor_keys: Dict[Tuple[str, str],
-                                 Tuple[SeriesKey, SeriesKey, SeriesKey]] = {}
+        #: per dataset: ``coords -> SeriesKeys``, so the keys (and their
+        #: hashes) of the pools every round touches are built once
+        self._key_memos = {table: KeyMemo(dataset)
+                           for table, dataset in DATASETS.items()}
 
     # -- durability ---------------------------------------------------------
 
@@ -153,12 +151,6 @@ class SpotLakeArchive:
         if self.engine is not None:
             self.engine.log_create_table(name, retention)
         return self.store.create_table(name, retention)
-
-    def _write(self, table_name: str, record: Record) -> None:
-        """Log-then-apply: the WAL sees every record before the table."""
-        if self.engine is not None:
-            self.engine.log_record(table_name, record)
-        self.store.table(table_name).write(record)
 
     def apply_retention(self, now: float) -> Dict[str, int]:
         """Run the retention sweep, WAL-logging each eviction."""
@@ -203,13 +195,9 @@ class SpotLakeArchive:
         diff = self._differ.diff(merged)
         self.rows_merged += diff.rows_seen
         self.rows_ingested += diff.rows_changed
-        # same fixed table order as RecordBatch.flush
-        if diff.sps:
-            self.put_sps_batch(diff.sps)
-        if diff.advisor:
-            self.put_advisor_batch(diff.advisor)
-        if diff.price:
-            self.put_price_batch(diff.price)
+        for table, rows in diff.rows.items():
+            if rows:
+                self._put_rows(table, rows)
 
     def checkpoint(self, time: float) -> None:
         """Force a checkpoint now (used at shutdown)."""
@@ -289,122 +277,34 @@ class SpotLakeArchive:
         return self.store.table(GAPS_TABLE)
 
     # -- writes (used by collectors) ------------------------------------------
-    # In lake mode the pointwise puts (and RecordBatch.flush) hand rows
-    # to the round merger instead of the hot engine; commit_round lands
-    # the merged round cold and ingests only the diff.  The put_*_batch
-    # writers below always write hot: they are the diff's landing path
-    # (and bulk_backfill's, which bypasses the merge stage by design --
-    # backfilled history predates the lake).
 
-    def put_sps(self, instance_type: str, region: str, zone: str,
-                score: int, time: float) -> None:
+    def append(self, dataset: str, rows: Sequence[tuple]) -> int:
+        """Land one collector's rows; returns the archive records written.
+
+        ``dataset`` names an entry of :data:`repro.lake.schema.DATASETS`,
+        which fixes the row layout and the series each row fans out to.
+        In lake mode the rows go to the round merger instead (the count
+        then reflects records captured for the merge): ``commit_round``
+        lands the merged round cold and ingests only the diff.
+        """
         if self._merger is not None:
-            self._merger.add_sps(instance_type, region, zone, score, time)
-            return
-        self._write(SPS_TABLE, Record.make(
-            {DIM_TYPE: instance_type, DIM_REGION: region, DIM_ZONE: zone},
-            SPS_MEASURE, int(score), time))
+            self._merger.add(dataset, rows)
+            return len(DATASETS[dataset].measures) * len(rows)
+        return self._put_rows(dataset, rows)
 
-    def put_advisor(self, instance_type: str, region: str,
-                    interruption_ratio: float, if_score: float,
-                    savings_percent: int, time: float) -> None:
-        if self._merger is not None:
-            self._merger.add_advisor(instance_type, region,
-                                     interruption_ratio, if_score,
-                                     savings_percent, time)
-            return
-        dims = {DIM_TYPE: instance_type, DIM_REGION: region}
-        self._write(ADVISOR_TABLE, Record.make(
-            dims, INTERRUPTION_RATIO_MEASURE, float(interruption_ratio), time))
-        self._write(ADVISOR_TABLE, Record.make(
-            dims, IF_SCORE_MEASURE, float(if_score), time))
-        self._write(ADVISOR_TABLE, Record.make(
-            dims, SAVINGS_MEASURE, int(savings_percent), time))
-
-    def put_price(self, instance_type: str, region: str, zone: str,
-                  price: float, time: float) -> None:
-        if self._merger is not None:
-            self._merger.add_price(instance_type, region, zone, price, time)
-            return
-        self._write(PRICE_TABLE, Record.make(
-            {DIM_TYPE: instance_type, DIM_REGION: region, DIM_ZONE: zone},
-            PRICE_MEASURE, float(price), time))
-
-    # -- bulk writes (the batched ingest path) --------------------------------
+    def _put_rows(self, dataset: str, rows: Sequence[tuple]) -> int:
+        """Fan ``rows`` out to their series and write them hot."""
+        return self._put_points(dataset, DATASETS[dataset].points(
+            rows, self._key_memos[dataset].__getitem__))
 
     def _put_points(self, table_name: str,
-                    points: List[Tuple[SeriesKey, float, Value]]) -> int:
-        """Log-then-apply a batch: WAL first (in order), then the table.
-
-        One :meth:`Table.append_many` call replaces N ``write`` calls;
-        byte-identical archive state and WAL lines to the pointwise path
-        because record order, encodings and the log-before-apply protocol
-        are all preserved.
-        """
+                    points: Iterable[Tuple[SeriesKey, float, Value]]) -> int:
+        """Log-then-apply a batch: WAL first (in order), then the table."""
+        points = list(points)
         if self.engine is not None:
             self.engine.log_points(table_name, points)
         self.store.table(table_name).append_many(points)
         return len(points)
-
-    def put_sps_batch(self, rows: Sequence[Tuple[str, str, str, int, float]]
-                      ) -> int:
-        """Bulk :meth:`put_sps`: rows of (type, region, zone, score, time)."""
-        keys = self._sps_keys
-        points: List[Tuple[SeriesKey, float, Value]] = []
-        for instance_type, region, zone, score, time in rows:
-            coords = (instance_type, region, zone)
-            key = keys.get(coords)
-            if key is None:
-                key = SeriesKey(SPS_MEASURE, dimension_key(
-                    {DIM_TYPE: instance_type, DIM_REGION: region,
-                     DIM_ZONE: zone}))
-                keys[coords] = key
-            points.append((key, float(time), int(score)))
-        return self._put_points(SPS_TABLE, points)
-
-    def put_price_batch(self, rows: Sequence[Tuple[str, str, str, float, float]]
-                        ) -> int:
-        """Bulk :meth:`put_price`: rows of (type, region, zone, price, time)."""
-        keys = self._price_keys
-        points: List[Tuple[SeriesKey, float, Value]] = []
-        for instance_type, region, zone, price, time in rows:
-            coords = (instance_type, region, zone)
-            key = keys.get(coords)
-            if key is None:
-                key = SeriesKey(PRICE_MEASURE, dimension_key(
-                    {DIM_TYPE: instance_type, DIM_REGION: region,
-                     DIM_ZONE: zone}))
-                keys[coords] = key
-            points.append((key, float(time), float(price)))
-        return self._put_points(PRICE_TABLE, points)
-
-    def put_advisor_batch(self,
-                          rows: Sequence[Tuple[str, str, float, float, int,
-                                               float]]) -> int:
-        """Bulk :meth:`put_advisor`: rows of (type, region, ratio, if_score,
-        savings, time); emits the same three records per row, in the same
-        order."""
-        keys = self._advisor_keys
-        points: List[Tuple[SeriesKey, float, Value]] = []
-        for instance_type, region, ratio, if_score, savings, time in rows:
-            coords = (instance_type, region)
-            triple = keys.get(coords)
-            if triple is None:
-                dims = dimension_key(
-                    {DIM_TYPE: instance_type, DIM_REGION: region})
-                triple = (SeriesKey(INTERRUPTION_RATIO_MEASURE, dims),
-                          SeriesKey(IF_SCORE_MEASURE, dims),
-                          SeriesKey(SAVINGS_MEASURE, dims))
-                keys[coords] = triple
-            stamp = float(time)
-            points.append((triple[0], stamp, float(ratio)))
-            points.append((triple[1], stamp, float(if_score)))
-            points.append((triple[2], stamp, int(savings)))
-        return self._put_points(ADVISOR_TABLE, points)
-
-    def record_batch(self) -> "RecordBatch":
-        """A fresh per-round buffer feeding the batch writers above."""
-        return RecordBatch(self)
 
     def put_gap(self, source: str, key: str, reason: str,
                 attempts: int, time: float) -> None:
@@ -417,9 +317,9 @@ class SpotLakeArchive:
         either a dataset record or exactly one of these.
         """
         self._ensure_table(GAPS_TABLE)
-        self._write(GAPS_TABLE, Record.make(
-            {DIM_SOURCE: source, DIM_KEY: key, DIM_REASON: reason},
-            GAP_MEASURE, int(attempts), time))
+        series = SeriesKey(GAP_MEASURE, dimension_key(
+            {DIM_SOURCE: source, DIM_KEY: key, DIM_REASON: reason}))
+        self._put_points(GAPS_TABLE, [(series, float(time), int(attempts))])
 
     # -- reads ------------------------------------------------------------------
 
@@ -555,86 +455,3 @@ class SpotLakeArchive:
                 "rows_ingested": self.rows_ingested,
             }
         return out
-
-
-class RecordBatch:
-    """One round's buffered rows, flushed through the archive's batch APIs.
-
-    Collectors accumulate typed rows during a round and land them with a
-    single :meth:`flush` -- one ``append_many`` per touched table, one
-    group-committed WAL run per table, instead of one call per point.
-    Row order within each kind is preserved, so flushing a batch is
-    byte-identical to issuing the same ``put_*`` calls pointwise.
-    """
-
-    def __init__(self, archive: SpotLakeArchive):
-        self.archive = archive
-        self._sps: List[Tuple[str, str, str, int, float]] = []
-        self._price: List[Tuple[str, str, str, float, float]] = []
-        self._advisor: List[Tuple[str, str, float, float, int, float]] = []
-
-    def add_sps(self, instance_type: str, region: str, zone: str,
-                score: int, time: float) -> None:
-        self._sps.append((instance_type, region, zone, score, time))
-
-    def add_sps_rows(self,
-                     rows: Sequence[Tuple[str, str, str, int, float]]) -> None:
-        self._sps.extend(rows)
-
-    def add_price(self, instance_type: str, region: str, zone: str,
-                  price: float, time: float) -> None:
-        self._price.append((instance_type, region, zone, price, time))
-
-    def add_price_rows(self,
-                       rows: Sequence[Tuple[str, str, str, float, float]]
-                       ) -> None:
-        self._price.extend(rows)
-
-    def add_advisor(self, instance_type: str, region: str,
-                    interruption_ratio: float, if_score: float,
-                    savings_percent: int, time: float) -> None:
-        self._advisor.append((instance_type, region, interruption_ratio,
-                              if_score, savings_percent, time))
-
-    def add_advisor_rows(self,
-                         rows: Sequence[Tuple[str, str, float, float, int,
-                                              float]]) -> None:
-        self._advisor.extend(rows)
-
-    def __len__(self) -> int:
-        """Archive records this batch will write (advisor rows count 3)."""
-        return len(self._sps) + len(self._price) + 3 * len(self._advisor)
-
-    def flush(self) -> int:
-        """Write every buffered row and empty the batch.
-
-        Tables flush in a fixed order (sps, advisor, price) so the WAL
-        sequence is independent of buffering order; returns the number of
-        archive records written.  In lake mode the rows go to the round
-        merger instead (the count then reflects rows captured for the
-        merge; the diff decides at commit what the hot engine stores).
-        """
-        merger = self.archive._merger
-        if merger is not None:
-            captured = len(self)
-            if self._sps:
-                merger.add_sps_rows(self._sps)
-                self._sps = []
-            if self._advisor:
-                merger.add_advisor_rows(self._advisor)
-                self._advisor = []
-            if self._price:
-                merger.add_price_rows(self._price)
-                self._price = []
-            return captured
-        written = 0
-        if self._sps:
-            written += self.archive.put_sps_batch(self._sps)
-            self._sps = []
-        if self._advisor:
-            written += self.archive.put_advisor_batch(self._advisor)
-            self._advisor = []
-        if self._price:
-            written += self.archive.put_price_batch(self._price)
-            self._price = []
-        return written

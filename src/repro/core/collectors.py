@@ -31,7 +31,8 @@ from ..cloudsim import (
     make_query_key,
 )
 from ..scoring import score_from_bucket
-from .archive import SpotLakeArchive
+from .archive import ADVISOR_TABLE, PRICE_TABLE, SpotLakeArchive
+from .parallel import Admitted, ParallelCollectionEngine
 from .query_planner import QueryPlan, SpsQuery, plan_for_catalog
 from .resilience import CallOutcome, ResilientExecutor
 
@@ -106,20 +107,26 @@ class SpotInfoScraper:
 
 
 class SpsCollector:
-    """Collects placement scores per the packed query plan."""
+    """Collects placement scores per the packed query plan.
+
+    The collector owns the serial admission pass (:meth:`admit_queries`:
+    accounts, quota charges, fault draws, retries, gap records -- all in
+    canonical plan order); the
+    :class:`~repro.core.parallel.ParallelCollectionEngine` runs the round
+    around it (see :mod:`repro.core.parallel` for the three phases).
+    """
 
     def __init__(self, cloud: SimulatedCloud, archive: SpotLakeArchive,
                  accounts: AccountPool, plan: Optional[QueryPlan] = None,
                  resilience: Optional[ResilientExecutor] = None,
-                 engine: Optional["object"] = None):
+                 engine: Optional[ParallelCollectionEngine] = None):
         self.cloud = cloud
         self.archive = archive
         self.accounts = accounts
         self.plan = plan or plan_for_catalog(cloud.catalog)
         self.resilience = resilience
-        #: optional ParallelCollectionEngine; when set, ``collect`` routes
-        #: the round through its sharded deferred-materialization path
-        self.engine = engine
+        #: runs the round; the default materializes inline (no threads)
+        self.engine = engine or ParallelCollectionEngine()
 
     @staticmethod
     def query_fingerprint(query: SpsQuery) -> str:
@@ -127,35 +134,17 @@ class SpsCollector:
         return (f"{query.instance_type}@{'+'.join(query.regions)}"
                 f"/cap={query.target_capacity}")
 
-    def _attempt(self, query: SpsQuery):
+    def attempt_deferred(self, query: SpsQuery):
         """One try of one planned query: acquire an account, call the API.
 
         Re-acquires on every try, so a retry may land on a different
         account; an expired token is refreshed before the error surfaces
         to the retry loop (re-auth is cheap, the retry backoff models it).
-        """
-        key = make_query_key([query.instance_type], query.regions,
-                             query.target_capacity,
-                             query.single_availability_zone)
-        account = self.accounts.acquire(key, self.cloud.clock.now())
-        client = self.cloud.client(account)
-        try:
-            return client.get_spot_placement_scores(
-                [query.instance_type], list(query.regions),
-                target_capacity=query.target_capacity,
-                single_availability_zone=query.single_availability_zone)
-        except CredentialExpiredError:
-            account.refresh_credentials()
-            raise
-
-    def attempt_deferred(self, query: SpsQuery):
-        """One try of one planned query via the deferred SPS entry point.
-
-        Identical account/credential/fault/quota behavior to
-        :meth:`_attempt` -- the full admission gauntlet runs here, on the
-        caller's (serial) thread -- but the score computation is deferred:
-        the returned :class:`~repro.cloudsim.ec2_api.DeferredScoreCall` is
-        pure and can be materialized on any worker thread.
+        The full admission gauntlet (account, credentials, fault hook,
+        quota charge) runs here, on the caller's thread; only the score
+        computation is deferred: the returned
+        :class:`~repro.cloudsim.ec2_api.DeferredScoreCall` is pure and
+        can be materialized on any worker thread.
         """
         key = make_query_key([query.instance_type], query.regions,
                              query.target_capacity,
@@ -171,40 +160,42 @@ class SpsCollector:
             account.refresh_credentials()
             raise
 
-    def run_query(self, query: SpsQuery) -> CollectionReport:
-        """Issue one planned query; a terminal failure archives a gap.
+    def admit_queries(self) -> Tuple[List[Admitted], CollectionReport]:
+        """The serial control pass over the plan, in canonical order.
 
-        The query is *issued* exactly once however many attempts it takes,
-        and it is *failed* only when it ends as a gap -- a query that
-        exhausts one account's quota but succeeds on another (or succeeds
-        on a retry) contributes zero to ``queries_failed``.
+        Each query is *issued* exactly once however many attempts it
+        takes, and it is *failed* only when it ends as a gap -- a query
+        that exhausts one account's quota but succeeds on another (or
+        succeeds on a retry) contributes zero to ``queries_failed``.
         """
-        report = CollectionReport(queries_issued=1)
-        if self.resilience is None:
-            try:
-                rows = self._attempt(query)
-            except QuotaExceededError:
-                report.queries_failed = 1
-                return report
-        else:
-            outcome = self.resilience.call(
-                (self.query_fingerprint(query),), lambda: self._attempt(query))
-            report.apply_outcome(outcome)
-            if not outcome.ok:
-                self.archive.put_gap(
-                    "sps", self.query_fingerprint(query), outcome.gap_reason,
-                    outcome.attempts, self.cloud.clock.now())
-                return report
-            rows = outcome.value
-        now = self.cloud.clock.now()
-        for row in rows:
-            zone = row["AvailabilityZoneId"]
-            if zone is None:
-                continue
-            self.archive.put_sps(query.instance_type, row["Region"], zone,
-                                 row["Score"], now)
-            report.records_written += 1
-        return report
+        clock = self.cloud.clock
+        if self.resilience is not None:
+            self.resilience.start_round()
+        report = CollectionReport()
+        admitted: List[Admitted] = []
+        for query in self.plan.queries:
+            report.queries_issued += 1
+            if self.resilience is None:
+                try:
+                    deferred = self.attempt_deferred(query)
+                except QuotaExceededError:
+                    report.queries_failed += 1
+                    continue
+            else:
+                outcome = self.resilience.call(
+                    (self.query_fingerprint(query),),
+                    lambda q=query: self.attempt_deferred(q))
+                report.apply_outcome(outcome)
+                if not outcome.ok:
+                    self.archive.put_gap(
+                        "sps", self.query_fingerprint(query),
+                        outcome.gap_reason, outcome.attempts, clock.now())
+                    continue
+                deferred = outcome.value
+            # rows are stamped with the clock as of the successful
+            # attempt, however late they are materialized
+            admitted.append((query, deferred, clock.now()))
+        return admitted, report
 
     def accounts_used_now(self) -> int:
         """Accounts with in-window charges -- the round-end authoritative
@@ -215,16 +206,7 @@ class SpsCollector:
 
     def collect(self) -> CollectionReport:
         """Run the full plan once (one collection round)."""
-        if self.engine is not None:
-            return self.engine.run_sps_round(self)
-        if self.resilience is not None:
-            self.resilience.start_round()
-        total = CollectionReport()
-        for query in self.plan.queries:
-            result = self.run_query(query)
-            total = total.merge(result)
-        total.accounts_used = self.accounts_used_now()
-        return total
+        return self.engine.run_sps_round(self)
 
 
 class AdvisorCollector:
@@ -253,17 +235,17 @@ class AdvisorCollector:
                 return report
             entries = outcome.value
         now = self.cloud.clock.now()
-        batch = self.archive.record_batch()
+        rows = []
         for entry in entries:
             # spotlint: disable=QUO001 -- the advisor is web-only (paper
             # Section 3.1): there is no API surface to route through; the
             # scraper's snapshot carries buckets, the raw ratio is archived
             ratio = self.cloud.advisor.interruption_ratio(
                 entry.instance_type, entry.region, now)
-            batch.add_advisor(entry.instance_type, entry.region, ratio,
-                              score_from_bucket(entry.interruption_bucket),
-                              entry.savings_percent, now)
-        report.records_written += batch.flush()
+            rows.append((entry.instance_type, entry.region, ratio,
+                         score_from_bucket(entry.interruption_bucket),
+                         entry.savings_percent, now))
+        report.records_written += self.archive.append(ADVISOR_TABLE, rows)
         return report
 
 
@@ -314,7 +296,5 @@ class PriceCollector:
                                      self.cloud.clock.now())
                 return report
             rows = outcome.value
-        batch = self.archive.record_batch()
-        batch.add_price_rows(rows)
-        report.records_written += batch.flush()
+        report.records_written += self.archive.append(PRICE_TABLE, rows)
         return report

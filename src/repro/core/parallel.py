@@ -3,14 +3,14 @@
 The packed SPS plan (~2,200 queries per round) is embarrassingly parallel
 in its *score arithmetic* but strictly ordered in its *control effects*:
 account acquisition, quota charges, fault draws and retry backoffs must
-happen in canonical plan order or determinism (and quota parity with the
-serial collector) is lost.  The engine therefore splits every round into
-three phases:
+happen in canonical plan order or determinism is lost.  The engine
+therefore splits every round into three phases:
 
-1. **Admission (serial).**  Walk the plan in order on the calling thread,
-   running each query's full control gauntlet -- account acquire,
-   credential check, fault hook, quota charge, resilient retries, gap
-   archival -- through the *deferred* SPS entry point
+1. **Admission (serial).**  :meth:`SpsCollector.admit_queries` walks the plan in
+   order on the calling thread, running each query's full control
+   gauntlet -- account acquire, credential check, fault hook, quota
+   charge, resilient retries, gap archival -- through the *deferred* SPS
+   entry point
    (:meth:`~repro.cloudsim.ec2_api.Ec2Client.get_spot_placement_scores_deferred`),
    which performs admission but returns a pure, unevaluated
    :class:`~repro.cloudsim.ec2_api.DeferredScoreCall` instead of rows.
@@ -18,36 +18,35 @@ three phases:
 
 2. **Materialization (parallel).**  Shard the admitted queries into
    contiguous runs and evaluate ``rows_at(t)`` on a
-   :class:`~concurrent.futures.ThreadPoolExecutor`.  Evaluation touches no
-   shared simulation state (scores are a pure function of the compiled
-   query and the timestamp), so workers race nothing.
+   :class:`~concurrent.futures.ThreadPoolExecutor` (inline when
+   ``workers=1``).  Evaluation touches no shared simulation state
+   (scores are a pure function of the compiled query and the timestamp),
+   so workers race nothing.
 
-3. **Merge + batched write (serial).**  Concatenate the per-shard row
-   buffers in shard order -- which *is* plan order, shards are contiguous
-   -- and hand the archive a single :meth:`put_sps_batch`.
+3. **Merge + write (serial).**  Concatenate the per-shard row buffers in
+   shard order -- which *is* plan order, shards are contiguous -- and
+   hand the archive a single ``append``.
 
-Because phase 1 is byte-for-byte the serial collector's control sequence
-and phases 2-3 are pure and order-preserving, the archive bytes, gap
-records, fault schedule, and per-account quota counts are identical for
-every worker count (``--workers 1`` included) -- the property the
+Because phase 1 is serial and phases 2-3 are pure and order-preserving,
+the archive bytes, gap records, fault schedule, and per-account quota
+counts are identical for every worker count -- the property the
 ``doublerun --workers-sweep`` harness and ``tests/core/test_parallel.py``
-pin down.
+(against a row-at-a-time reference collector) pin down.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from ..cloudsim import QuotaExceededError
-from .collectors import CollectionReport, SpsCollector
+from ..lake.schema import SPS_TABLE, SpsRow
 
-#: A materialized archive row: (type, region, zone, score, time).
-SpsRow = Tuple[str, str, str, int, float]
+if TYPE_CHECKING:
+    from .collectors import CollectionReport, SpsCollector
 
 #: One admitted query awaiting materialization: (query, deferred call,
 #: admission timestamp).
-_Admitted = Tuple[object, object, float]
+Admitted = Tuple[object, object, float]
 
 
 def shard_ranges(count: int, shards: int) -> List[Tuple[int, int]]:
@@ -86,8 +85,6 @@ class ParallelCollectionEngine:
             raise ValueError("workers must be >= 1")
         self.workers = workers
         self._executor: Optional[ThreadPoolExecutor] = None
-        #: rounds executed through this engine (introspection/bench)
-        self.rounds = 0
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -111,64 +108,16 @@ class ParallelCollectionEngine:
 
     # -- round execution -----------------------------------------------------
 
-    def run_sps_round(self, collector: SpsCollector) -> CollectionReport:
-        """One collection round; drop-in for ``SpsCollector.collect``.
-
-        The archive's record batch is the row sink either way: in tiered-
-        lake mode its flush captures the rows into the round merger (the
-        commit lands them cold and ingests only the diff); otherwise it
-        writes the hot engine directly.  Materialization stays on the
-        workers in both modes.
-        """
-        admitted, report = self._admit(collector)
-        batch = collector.archive.record_batch()
-        batch.add_sps_rows(self._materialize(admitted))
-        report.records_written += batch.flush()
+    def run_sps_round(self, collector: "SpsCollector") -> "CollectionReport":
+        """One collection round: admit, materialize, append."""
+        admitted, report = collector.admit_queries()
+        report.records_written += collector.archive.append(
+            SPS_TABLE, self._materialize(admitted))
         report.accounts_used = collector.accounts_used_now()
-        self.rounds += 1
         return report
 
-    def _admit(self, collector: SpsCollector
-               ) -> Tuple[List[_Admitted], CollectionReport]:
-        """Phase 1: the serial control pass, in canonical plan order.
-
-        Replicates ``SpsCollector.run_query``'s control flow exactly --
-        same resilience keys, same gap records, same clock reads -- with
-        the score computation deferred.
-        """
-        clock = collector.cloud.clock
-        resilience = collector.resilience
-        if resilience is not None:
-            resilience.start_round()
-        report = CollectionReport()
-        admitted: List[_Admitted] = []
-        for query in collector.plan.queries:
-            report.queries_issued += 1
-            if resilience is None:
-                try:
-                    deferred = collector.attempt_deferred(query)
-                except QuotaExceededError:
-                    report.queries_failed += 1
-                    continue
-            else:
-                outcome = resilience.call(
-                    (collector.query_fingerprint(query),),
-                    lambda q=query: collector.attempt_deferred(q))
-                report.apply_outcome(outcome)
-                if not outcome.ok:
-                    collector.archive.put_gap(
-                        "sps", collector.query_fingerprint(query),
-                        outcome.gap_reason, outcome.attempts, clock.now())
-                    continue
-                deferred = outcome.value
-            # the serial collector stamps rows with the clock as of the
-            # successful attempt; the admission pass records that instant
-            # so late materialization reproduces it
-            admitted.append((query, deferred, clock.now()))
-        return admitted, report
-
     @staticmethod
-    def _materialize_span(admitted: Sequence[_Admitted], start: int,
+    def _materialize_span(admitted: Sequence[Admitted], start: int,
                           end: int) -> List[SpsRow]:
         """Phase 2 worker body: pure, shared-state-free row evaluation."""
         rows: List[SpsRow] = []
@@ -181,7 +130,7 @@ class ParallelCollectionEngine:
                              row["Score"], stamp))
         return rows
 
-    def _materialize(self, admitted: List[_Admitted]) -> List[SpsRow]:
+    def _materialize(self, admitted: List[Admitted]) -> List[SpsRow]:
         """Phases 2+3: evaluate shards, merge buffers in plan order."""
         if not admitted:
             return []

@@ -143,15 +143,24 @@ class CollectionScheduler:
             count += 1
         return count
 
-    def run_for(self, duration: float, step: float = DEFAULT_INTERVAL_SECONDS) -> int:
+    def run_for(self, duration: float, step: float = DEFAULT_INTERVAL_SECONDS,
+                after_tick: Optional[Callable[[], None]] = None) -> int:
         """Advance the clock in ``step`` increments for ``duration`` seconds,
-        firing due jobs after each advance.  Returns total job runs."""
+        firing due jobs after each advance.  ``after_tick`` runs after every
+        tick that fired at least one job (the service commits the round
+        there).  Returns total job runs."""
         if step <= 0:
             raise ValueError("step must be positive")
-        runs = self.run_due()
+
+        def tick() -> int:
+            fired = self.run_due()
+            if fired and after_tick is not None:
+                after_tick()
+            return fired
+
+        runs = tick()
         end = self.clock.now() + duration
         while self.clock.now() < end:
-            hop = min(step, end - self.clock.now())
-            self.clock.advance(hop)
-            runs += self.run_due()
+            self.clock.advance(min(step, end - self.clock.now()))
+            runs += tick()
         return runs

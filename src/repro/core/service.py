@@ -29,7 +29,7 @@ from ..cloudsim import (
 )
 from ..scoring import interruption_free_score
 from ..timeseries import RetentionPolicy
-from .archive import SpotLakeArchive
+from .archive import ADVISOR_TABLE, PRICE_TABLE, SPS_TABLE, SpotLakeArchive
 from .collectors import (
     AdvisorCollector,
     CollectionReport,
@@ -95,9 +95,9 @@ class ServiceConfig:
     retention_max_age: Optional[float] = None
     #: storage crash-hook (doublerun --durability installs a CrashInjector).
     storage_crash_hook: Optional[object] = None
-    #: SPS materialization worker threads (None = legacy serial collector;
-    #: 1 = engine path with inline materialization -- byte-identical).
-    workers: Optional[int] = None
+    #: SPS materialization worker threads (1 = inline, no thread pool;
+    #: archives are byte-identical for every count).
+    workers: int = 1
     #: reuse solved query packings via the content-addressed plan cache
     #: (in-memory always; persisted under ``data_dir`` when durable).
     plan_cache: bool = True
@@ -161,9 +161,7 @@ class SpotLakeService:
                                    self.config.breaker_threshold,
                                    self.config.breaker_reset))
 
-        self.engine: Optional[ParallelCollectionEngine] = None
-        if self.config.workers is not None:
-            self.engine = ParallelCollectionEngine(self.config.workers)
+        self.engine = ParallelCollectionEngine(self.config.workers)
 
         self.sps_collector = SpsCollector(
             self.cloud, self.archive, self.accounts, self.plan,
@@ -222,8 +220,7 @@ class SpotLakeService:
 
     def close(self) -> None:
         """Release the worker pool and the archive's storage engine."""
-        if self.engine is not None:
-            self.engine.close()
+        self.engine.close()
         self.archive.close()
 
     # -- faithful collection ---------------------------------------------------
@@ -246,26 +243,14 @@ class SpotLakeService:
     def run_collection(self, duration: float) -> int:
         """Advance time for ``duration`` seconds, firing due collectors.
 
-        With durable storage enabled, every scheduler tick that fired at
-        least one collector ends in a round commit (mirroring
-        :meth:`collect_once`); the in-memory path delegates to the
-        scheduler untouched.
+        Every scheduler tick that fired at least one collector ends in a
+        round commit (mirroring :meth:`collect_once`), durable or not --
+        the commit is also where hot-tier retention is enforced.
         """
-        step = self.config.collection_interval
-        if self.archive.engine is None:
-            return self.scheduler.run_for(duration, step)
         clock = self.cloud.clock
-        runs = self.scheduler.run_due()
-        if runs:
-            self.archive.commit_round(clock.now())
-        end = clock.now() + duration
-        while clock.now() < end:
-            clock.advance(min(step, end - clock.now()))
-            fired = self.scheduler.run_due()
-            if fired:
-                self.archive.commit_round(clock.now())
-            runs += fired
-        return runs
+        return self.scheduler.run_for(
+            duration, self.config.collection_interval,
+            after_tick=lambda: self.archive.commit_round(clock.now()))
 
     # -- resilience accounting -------------------------------------------------
 
@@ -363,19 +348,22 @@ class SpotLakeService:
         # both paths read the same deterministic engines, only the API
         # quota accounting is skipped (covers the engine reads below)
         for ts in sample_times:
+            sps, price, advisor = [], [], []
             for itype, region, zone in pool_list:
-                score = cloud.placement.zone_score(itype, region, zone, ts)  # spotlint: disable=QUO001
-                archive.put_sps(itype, region, zone, score, ts)
-                written += 1
+                sps.append((itype, region, zone,
+                            cloud.placement.zone_score(itype, region, zone, ts),  # spotlint: disable=QUO001
+                            ts))
                 if include_price:
-                    price = cloud.pricing.spot_price(itype, region, ts, zone)  # spotlint: disable=QUO001
-                    archive.put_price(itype, region, zone, price, ts)
-                    written += 1
+                    price.append((itype, region, zone,
+                                  cloud.pricing.spot_price(itype, region, ts, zone),  # spotlint: disable=QUO001
+                                  ts))
             for itype, region in pairs:
                 ratio = cloud.advisor.interruption_ratio(itype, region, ts)  # spotlint: disable=QUO001
                 savings = cloud.advisor.savings_percent(itype, region, ts)  # spotlint: disable=QUO001
-                archive.put_advisor(
-                    itype, region, ratio, interruption_free_score(ratio),
-                    savings, ts)
-                written += 3
+                advisor.append((itype, region, ratio,
+                                interruption_free_score(ratio), savings, ts))
+            # one batch per dataset, in the collectors' fixed order
+            written += archive.append(SPS_TABLE, sps)
+            written += archive.append(ADVISOR_TABLE, advisor)
+            written += archive.append(PRICE_TABLE, price)
         return written

@@ -489,12 +489,11 @@ def _bench_rollup() -> dict:
     for d in range(ROLLUP_DAYS):
         for s in range(ROLLUP_SAMPLES_PER_DAY):
             t = EPOCH + d * DAY + s * (DAY / ROLLUP_SAMPLES_PER_DAY)
-            for p in range(ROLLUP_TYPES):
-                for z in range(DEFAULT_ZONES):
-                    pool = p * DEFAULT_ZONES + z
-                    archive.put_sps(f"bench{p}.large", BENCH_REGION,
-                                    f"{BENCH_REGION}{chr(ord('a') + z)}",
-                                    (d + s + pool) % 3 + 1, t)
+            archive.append("sps", [
+                (f"bench{p}.large", BENCH_REGION,
+                 f"{BENCH_REGION}{chr(ord('a') + z)}",
+                 (d + s + p * DEFAULT_ZONES + z) % 3 + 1, t)
+                for p in range(ROLLUP_TYPES) for z in range(DEFAULT_ZONES)])
     end = EPOCH + ROLLUP_DAYS * DAY
     spec = AggSpec.make(SPS_TABLE, SPS_MEASURE, EPOCH, end,
                         bucket_seconds=DAY, group_by=(DIM_TYPE,),
@@ -512,8 +511,8 @@ def _bench_rollup() -> dict:
 
     # one appended round invalidates the result memo; day partials for
     # the untouched days must be reused
-    archive.put_sps("bench0.large", BENCH_REGION, f"{BENCH_REGION}a",
-                    9, end - 1.0)
+    archive.append("sps", [("bench0.large", BENCH_REGION,
+                            f"{BENCH_REGION}a", 9, end - 1.0)])
     wider = AggSpec.make(SPS_TABLE, SPS_MEASURE, EPOCH, end,
                          bucket_seconds=DAY, group_by=(DIM_TYPE,),
                          aggregates=spec.aggregates)

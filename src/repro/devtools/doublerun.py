@@ -78,7 +78,7 @@ def snapshot_digests(seed: int = 0,
                      chaos_profile: str = "none",
                      chaos_seed: Optional[int] = None,
                      include_serving: bool = False,
-                     workers: Optional[int] = None) -> Dict[str, str]:
+                     workers: int = 1) -> Dict[str, str]:
     """Run one fresh service for ``rounds`` collection rounds; hash tables.
 
     Returns ``{table_name: sha256_of_snapshot_file}``.  The service, cloud
@@ -88,8 +88,8 @@ def snapshot_digests(seed: int = 0,
     With ``include_serving``, a ``"serving"`` pseudo-table digests the
     canonical API battery (see :func:`serving_digest`), extending the
     byte-determinism contract over the cached read path.  ``workers``
-    routes SPS collection through the parallel engine (None = the legacy
-    serial collector) -- the digests must not depend on it.
+    sizes the SPS materialization pool -- the digests must not depend on
+    it.
     """
     config = ServiceConfig(
         seed=seed,
@@ -152,9 +152,8 @@ class WorkerSweepResult:
     """Byte-identity verdict of the worker-count sweep."""
 
     identical: bool
-    worker_counts: List[Optional[int]] = field(default_factory=list)
-    #: per-worker-count table digests, keyed by str(workers) ("serial"
-    #: for the legacy collector)
+    worker_counts: List[int] = field(default_factory=list)
+    #: per-worker-count table digests, keyed by "workers=N"
     digests: Dict[str, Dict[str, str]] = field(default_factory=dict)
     mismatched: List[str] = field(default_factory=list)
 
@@ -163,7 +162,7 @@ class WorkerSweepResult:
         if self.identical:
             return (f"deterministic: identical snapshots across worker "
                     f"counts ({labels})")
-        return ("NONDETERMINISTIC: worker counts diverge from serial: "
+        return ("NONDETERMINISTIC: worker counts diverge from workers=1: "
                 + ", ".join(self.mismatched))
 
 
@@ -174,18 +173,20 @@ def worker_sweep(worker_counts: Sequence[int],
                  interval_minutes: float = 10.0,
                  chaos_profile: str = "none",
                  chaos_seed: Optional[int] = None) -> WorkerSweepResult:
-    """Byte-compare the legacy serial collector against every worker count.
+    """Byte-compare inline materialization against every worker count.
 
     The parallel collection engine's contract is that archive bytes (gap
     records included) are a function of the configuration alone, never of
-    the worker count; the sweep runs the identical schedule serially and
-    at each requested ``--workers N`` and diffs every table digest.
+    the worker count; the sweep runs the identical schedule at
+    ``workers=1`` (inline, no threads -- the in-tree reference; the
+    row-at-a-time oracle lives in ``tests/core``) and at each requested
+    ``--workers N`` and diffs every table digest.
     """
     kwargs = dict(seed=seed, instance_types=instance_types, rounds=rounds,
                   interval_minutes=interval_minutes,
                   chaos_profile=chaos_profile, chaos_seed=chaos_seed)
-    reference = snapshot_digests(workers=None, **kwargs)
-    digests: Dict[str, Dict[str, str]] = {"serial": reference}
+    reference = snapshot_digests(workers=1, **kwargs)
+    digests: Dict[str, Dict[str, str]] = {"workers=1": reference}
     mismatched: List[str] = []
     for workers in worker_counts:
         got = snapshot_digests(workers=workers, **kwargs)
@@ -411,8 +412,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:  # pragma: no cover
                              "and extend the crash matrix to the lake "
                              "publish windows")
     parser.add_argument("--workers-sweep", default=None, metavar="N,N,...",
-                        help="worker-sweep mode: byte-compare the serial "
-                             "collector against each listed --workers count "
+                        help="worker-sweep mode: byte-compare workers=1 "
+                             "against each listed --workers count "
                              "(e.g. \"1,4,8\")")
     args = parser.parse_args(argv)
     if args.workers_sweep:

@@ -79,21 +79,25 @@ def _drive_churn_round(archive: SpotLakeArchive, r: int, types: int,
     byte-identical data.
     """
     t = EPOCH + r * interval
+    sps, advisor, price = [], [], []
     for p in range(types):
         itype = f"bench{p}.large"
         a_epoch = (r + p) // churn
-        archive.put_advisor(itype, BENCH_REGION,
-                            round(0.05 + 0.01 * ((a_epoch + p) % 5), 4),
-                            float((a_epoch + p) % 4),
-                            ((a_epoch + p) % 10) * 10, t)
+        advisor.append((itype, BENCH_REGION,
+                        round(0.05 + 0.01 * ((a_epoch + p) % 5), 4),
+                        float((a_epoch + p) % 4),
+                        ((a_epoch + p) % 10) * 10, t))
         for z in range(zones):
             pool = p * zones + z
             epoch = (r + pool) // churn
-            archive.put_sps(itype, BENCH_REGION, _zone(z),
-                            (epoch + pool) % 3 + 1, t)
-            archive.put_price(itype, BENCH_REGION, _zone(z),
-                              round(1.0 + 0.0001 * ((epoch + pool) % 200), 4),
-                              t)
+            sps.append((itype, BENCH_REGION, _zone(z),
+                        (epoch + pool) % 3 + 1, t))
+            price.append((itype, BENCH_REGION, _zone(z),
+                          round(1.0 + 0.0001 * ((epoch + pool) % 200), 4),
+                          t))
+    archive.append("sps", sps)
+    archive.append("advisor", advisor)
+    archive.append("price", price)
     archive.commit_round(t)
     return t
 
@@ -129,19 +133,22 @@ COLD_INTERVAL = 1800.0
 
 def _dense_round(merger: RoundMerger, r: int, types: int,
                  zones: int) -> None:
+    t = EPOCH + r * COLD_INTERVAL
+    sps, advisor, price = [], [], []
     for p in range(types):
         itype = f"bench{p}.large"
-        merger.add_advisor(itype, BENCH_REGION,
-                           round(0.05 + 0.01 * ((r + p) % 17), 4),
-                           float((r + p) % 7), ((r + p) % 9) * 10,
-                           EPOCH + r * COLD_INTERVAL)
+        advisor.append((itype, BENCH_REGION,
+                        round(0.05 + 0.01 * ((r + p) % 17), 4),
+                        float((r + p) % 7), ((r + p) % 9) * 10, t))
         for z in range(zones):
             pool = p * zones + z
-            merger.add_sps(itype, BENCH_REGION, _zone(z),
-                           (r + pool) % 3 + 1, EPOCH + r * COLD_INTERVAL)
-            merger.add_price(itype, BENCH_REGION, _zone(z),
-                             round(1.0 + 0.0001 * ((r + pool) % 500), 4),
-                             EPOCH + r * COLD_INTERVAL)
+            sps.append((itype, BENCH_REGION, _zone(z),
+                        (r + pool) % 3 + 1, t))
+            price.append((itype, BENCH_REGION, _zone(z),
+                          round(1.0 + 0.0001 * ((r + pool) % 500), 4), t))
+    merger.add("sps", sps)
+    merger.add("advisor", advisor)
+    merger.add("price", price)
 
 
 def _bench_cold_scan(base: Path, repeats: int) -> dict:

@@ -9,7 +9,7 @@ and flags any argument expression that contains a wall-clock read.
 Heuristic: the timestamp cannot be tracked through arbitrary dataflow
 statically, so the rule scans the *call's argument subtrees* for
 wall-clock calls -- the common failure shape is inline
-(``put_price(..., time.time())``).  Wall-clock values laundered through a
+(``archive.append("price", [(..., time.time())])``).  Wall-clock values laundered through a
 variable in a clocked package are still caught by DET001.
 """
 
@@ -23,9 +23,7 @@ from ..findings import Finding
 from ..registry import FileContext, Rule, rule
 
 #: Archive / timeseries write entry points (method-name suffix match).
-_WRITE_SINKS = frozenset({
-    "put_sps", "put_advisor", "put_price", "write", "ingest",
-})
+_WRITE_SINKS = frozenset({"append", "write", "ingest"})
 
 
 @rule
@@ -42,9 +40,9 @@ class ClockFlowRule(Rule):
             chain = dotted_chain(node.func)
             if chain is None or chain[-1] not in _WRITE_SINKS:
                 continue
-            # plain ``write(...)`` on a non-attribute (e.g. file.write)
-            # only counts when it looks like a table/archive write
-            if chain[-1] == "write" and not self._table_like(chain):
+            # ``write`` / ``append`` are everyday method names (file.write,
+            # list.append): they only count on a table/archive receiver
+            if chain[-1] != "ingest" and not self._table_like(chain):
                 continue
             for arg in list(node.args) + [kw.value for kw in node.keywords]:
                 clock_call = contains_wall_clock_call(arg)
@@ -58,7 +56,7 @@ class ClockFlowRule(Rule):
 
     @staticmethod
     def _table_like(chain) -> bool:
-        """Does a bare ``.write`` call target a table/archive object?"""
+        """Does the call's receiver look like a table/archive object?"""
         bases = set(chain[:-1])
         return bool(bases & {"table", "archive", "store", "series",
                              "sps", "price", "advisor"})

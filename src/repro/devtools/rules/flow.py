@@ -3,16 +3,16 @@
 The storage engine's crash-recovery contract (PR 4) is that the WAL sees
 every record before the in-memory table does -- otherwise a crash between
 apply and log silently loses acknowledged data.  The archive honors it by
-routing all writes through the two gate methods (``_write``,
-``_put_points``) that log first.  FLOW001 pins the contract: any function
-reachable from collection entry points that applies records to a table
-(``append_many`` / ``append_point`` / ``write_records`` /
-``table(...).write``) must itself call a WAL logging method
-(``log_points`` / ``log_record`` / ...) earlier in its body.
+routing all writes through one gate method (``_put_points``) that logs
+first.  FLOW001 pins the contract: any function reachable from collection
+entry points that applies records to a table (``append_many`` /
+``write_records`` / ``table(...).write``) must itself call a WAL logging
+method (``log_points`` / ...) earlier in its body.
 
 The check is per *gate function*, not per path: a new call path that
-bypasses ``_write`` and hits ``Table.write`` directly introduces a new
-applying function with no logging call, which is exactly what fires.
+bypasses ``_put_points`` and hits ``Table.append_many`` directly
+introduces a new applying function with no logging call, which is exactly
+what fires.
 """
 
 from __future__ import annotations
@@ -28,20 +28,18 @@ from ..registry import FileContext, Rule, rule
 #: as produced by astutil.deep_chain).
 APPLY_SUFFIXES: Tuple[Tuple[str, ...], ...] = (
     ("append_many",),
-    ("append_point",),
     ("write_records",),
     ("table", "()", "write"),
 )
 
 #: WAL logging methods that establish the gate.
-WAL_GATES = frozenset({
-    "log_points", "log_point", "log_record", "log_create_table",
-    "log_eviction",
-})
+WAL_GATES = frozenset({"log_points", "log_create_table", "log_eviction"})
 
-#: Qualname suffixes marking collection-side entry points.
+#: Qualname suffixes marking collection-side entry points.  The archive's
+#: ``append`` is named explicitly: the call graph never resolves a bare
+#: ``.append(`` (a builtin-collection method name) through a receiver.
 DEFAULT_ENTRIES: Tuple[str, ...] = (
-    "collect", "collect_once", "run_sps_round", "flush",
+    "collect", "collect_once", "run_sps_round", "SpotLakeArchive.append",
 )
 
 

@@ -38,9 +38,9 @@ from ..storage import (
     scan_segment,
     write_segment,
 )
-from ..timeseries import Record, RetentionPolicy, TimeSeriesStore, dump_store
+from ..timeseries import RetentionPolicy, TimeSeriesStore, dump_store
 from ..timeseries.compression import ChangePointSeries
-from ..timeseries.record import SeriesKey
+from ..timeseries.record import SeriesKey, dimension_key
 
 #: Workload shape: enough records that per-record costs dominate setup,
 #: small enough for a CI smoke run.
@@ -52,21 +52,23 @@ DEFAULT_REPEATS = 3
 
 
 def _pools(types: int = DEFAULT_TYPES,
-           zones: int = DEFAULT_ZONES) -> List[Tuple[str, str]]:
+           zones: int = DEFAULT_ZONES) -> List[Tuple[str, str, str]]:
+    """(type, region, zone) coordinates of the bench's SPS rows."""
     zone_names = [chr(ord("a") + z) for z in range(zones)]
-    return [(f"bench{i}.large", f"us-bench-1{zone_names[i % zones]}")
+    return [(f"bench{i}.large", "us-bench-1",
+             f"us-bench-1{zone_names[i % zones]}")
             for i in range(types)]
 
 
 def _ingest_archive(archive: SpotLakeArchive, records: int,
                     commit_every: int,
-                    pools: List[Tuple[str, str]]) -> float:
-    """Drive the archive's ingest path; returns elapsed seconds."""
+                    pools: List[Tuple[str, str, str]]) -> float:
+    """Drive the archive's ingest path one record per ``append`` (the
+    costliest caller shape); returns elapsed seconds."""
     n_pools = len(pools)
     started = time.perf_counter()
     for i in range(records):
-        itype, zone = pools[i % n_pools]
-        archive.put_sps(itype, "us-bench-1", zone, (i % 3) + 1, float(i))
+        archive.append("sps", [(*pools[i % n_pools], (i % 3) + 1, float(i))])
         if (i + 1) % commit_every == 0:
             archive.commit_round(float(i))
     return time.perf_counter() - started
@@ -117,25 +119,27 @@ def _bench_ingest(base: Path, records: int, commit_every: int,
 
 def _bench_engine_micro(records: int, commit_every: int,
                         repeats: int) -> dict:
-    """Engine-level floor: bare ``Table.write`` vs ``log_record`` + write.
+    """Engine-level floor: bare ``Table.append_many`` vs ``log_points`` +
+    append, one batch per committed round.
 
     Stricter than the archive-level ratio (no shared ingest overhead to
     dilute the WAL cost); reported for trend-watching, not gated."""
-    pools = _pools()
+    keys = [SeriesKey("sps", dimension_key(
+        {"it": itype, "region": region, "zone": zone}))
+        for itype, region, zone in _pools()]
 
-    def stream():
-        for i in range(records):
-            itype, zone = pools[i % len(pools)]
-            yield Record.make({"it": itype, "region": "us-bench-1",
-                               "zone": zone}, "sps", (i % 3) + 1, float(i))
+    def batches():
+        for first in range(0, records, commit_every):
+            yield [(keys[i % len(keys)], float(i), (i % 3) + 1)
+                   for i in range(first, min(first + commit_every, records))]
 
     base_seconds = float("inf")
     for _ in range(repeats):
         store = TimeSeriesStore()
         table = store.create_table("t", RetentionPolicy(None))
         started = time.perf_counter()
-        for record in stream():
-            table.write(record)
+        for points in batches():
+            table.append_many(points)
         base_seconds = min(base_seconds, time.perf_counter() - started)
 
     wal_seconds = float("inf")
@@ -148,13 +152,10 @@ def _bench_engine_micro(records: int, commit_every: int,
             engine.log_create_table("t", policy)
             table = store.create_table("t", policy)
             started = time.perf_counter()
-            rounds = 0
-            for i, record in enumerate(stream()):
-                engine.log_record("t", record)
-                table.write(record)
-                if (i + 1) % commit_every == 0:
-                    rounds += 1
-                    engine.commit_round(float(rounds))
+            for rounds, points in enumerate(batches(), 1):
+                engine.log_points("t", points)
+                table.append_many(points)
+                engine.commit_round(float(rounds))
             wal_seconds = min(wal_seconds, time.perf_counter() - started)
             engine.close()
     return {

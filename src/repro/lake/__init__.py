@@ -14,11 +14,14 @@ from .merge import MergedRound, RoundMerger
 from .schema import (
     ADVISOR_TABLE,
     AdvisorRow,
+    DATASETS,
+    Dataset,
     DIM_REGION,
     DIM_TYPE,
     DIM_ZONE,
     IF_SCORE_MEASURE,
     INTERRUPTION_RATIO_MEASURE,
+    KeyMemo,
     MERGED_TABLES,
     PRICE_MEASURE,
     PRICE_TABLE,
@@ -40,11 +43,13 @@ from .store import (
 )
 
 __all__ = [
-    "ADVISOR_TABLE", "AdvisorRow", "DIM_REGION", "DIM_TYPE", "DIM_ZONE",
-    "FederatedHistory", "FederatedPlan", "IF_SCORE_MEASURE",
-    "INTERRUPTION_RATIO_MEASURE", "LAKE_CRASH_WINDOWS", "LAKE_DIR_NAME",
-    "LAKE_FORMAT", "LAKE_MANIFEST_NAME", "LakeFormatError", "LakePartition",
+    "ADVISOR_TABLE", "AdvisorRow", "DATASETS", "DIM_REGION", "DIM_TYPE",
+    "DIM_ZONE", "Dataset", "FederatedHistory", "FederatedPlan",
+    "IF_SCORE_MEASURE", "INTERRUPTION_RATIO_MEASURE", "KeyMemo",
+    "LAKE_CRASH_WINDOWS", "LAKE_DIR_NAME", "LAKE_FORMAT",
+    "LAKE_MANIFEST_NAME", "LakeFormatError", "LakePartition",
     "MERGED_TABLES", "MergedRound", "PRICE_MEASURE", "PRICE_TABLE",
-    "PriceRow", "RoundDiff", "RoundDiffer", "RoundMerger", "SAVINGS_MEASURE",
-    "SPS_MEASURE", "SPS_TABLE", "SpotDataLake", "SpsRow", "lake_day",
+    "PriceRow", "RoundDiff", "RoundDiffer", "RoundMerger",
+    "SAVINGS_MEASURE", "SPS_MEASURE", "SPS_TABLE", "SpotDataLake",
+    "SpsRow", "lake_day",
 ]

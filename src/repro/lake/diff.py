@@ -11,8 +11,8 @@ byte-identical change-point history to feeding them everything -- the
 property the federated-query identity tests pin.
 
 Comparison semantics are :func:`~repro.timeseries.compression.values_equal`
-(type- and NaN-aware), matching the store's own dedup rule.  An advisor
-row is emitted when *any* of its three measures changed (the unchanged
+(type- and NaN-aware), matching the store's own dedup rule.  A row is
+emitted when *any* of its measures changed (an advisor row's unchanged
 measures ride along; the table absorbs them without new change points).
 
 ``full_refresh_every`` is the cadence knob from the production pipeline:
@@ -30,40 +30,22 @@ from typing import Dict, List, Sequence, Tuple
 from ..timeseries.compression import values_equal
 from ..timeseries.record import SeriesKey, Value
 from .merge import MergedRound
-from .schema import (
-    AdvisorRow,
-    DIM_REGION,
-    DIM_TYPE,
-    DIM_ZONE,
-    IF_SCORE_MEASURE,
-    INTERRUPTION_RATIO_MEASURE,
-    PRICE_MEASURE,
-    PriceRow,
-    SAVINGS_MEASURE,
-    SPS_MEASURE,
-    SpsRow,
-)
-
-#: Component order of the advisor value triple.
-_ADVISOR_MEASURES = (INTERRUPTION_RATIO_MEASURE, IF_SCORE_MEASURE,
-                     SAVINGS_MEASURE)
+from .schema import DATASETS, MEASURE_SLOTS, Row, empty_rows
 
 
 @dataclass
 class RoundDiff:
-    """The changed-rows subset of one merged round."""
+    """The changed-rows subset of one merged round, per dataset."""
 
     time: float
     full_refresh: bool
-    sps: List[SpsRow] = field(default_factory=list)
-    advisor: List[AdvisorRow] = field(default_factory=list)
-    price: List[PriceRow] = field(default_factory=list)
+    rows: Dict[str, List[Row]] = field(default_factory=empty_rows)
     #: source rows the differ examined (the pre-diff volume)
     rows_seen: int = 0
 
     @property
     def rows_changed(self) -> int:
-        return len(self.sps) + len(self.advisor) + len(self.price)
+        return sum(len(rows) for rows in self.rows.values())
 
 
 class RoundDiffer:
@@ -77,9 +59,10 @@ class RoundDiffer:
         #: restarted differ is re-seeded to the lake's round count, so
         #: the refresh schedule survives crash recovery unchanged.
         self.rounds = 0
-        self._sps: Dict[Tuple[str, str, str], Value] = {}
-        self._price: Dict[Tuple[str, str, str], Value] = {}
-        self._advisor: Dict[Tuple[str, str], List[Value]] = {}
+        #: per dataset: coords -> the previous round's values, one per
+        #: measure (None where a restart seed had no archived value)
+        self._previous: Dict[str, Dict[Tuple[str, ...], Sequence[Value]]] = {
+            table: {} for table in DATASETS}
 
     # -- restart seeding -----------------------------------------------------
 
@@ -93,18 +76,15 @@ class RoundDiffer:
         """
         self.rounds = rounds
         for key, value in items:
+            slot = MEASURE_SLOTS.get(key.measure_name)
+            if slot is None:
+                continue
+            dataset, index = slot
             dims = key.dimension_dict
-            measure = key.measure_name
-            if measure == SPS_MEASURE:
-                self._sps[(dims[DIM_TYPE], dims[DIM_REGION],
-                           dims[DIM_ZONE])] = value
-            elif measure == PRICE_MEASURE:
-                self._price[(dims[DIM_TYPE], dims[DIM_REGION],
-                             dims[DIM_ZONE])] = value
-            elif measure in _ADVISOR_MEASURES:
-                triple = self._advisor.setdefault(
-                    (dims[DIM_TYPE], dims[DIM_REGION]), [None, None, None])
-                triple[_ADVISOR_MEASURES.index(measure)] = value
+            values = self._previous[dataset.table].setdefault(
+                tuple(dims[d] for d in dataset.dims),
+                [None] * len(dataset.measures))
+            values[index] = value
 
     # -- the diff ------------------------------------------------------------
 
@@ -119,47 +99,25 @@ class RoundDiffer:
                    and self.rounds % self.full_refresh_every == 0)
         out = RoundDiff(time=merged.time, full_refresh=refresh,
                         rows_seen=merged.row_count)
-
-        sps_prev = self._sps
-        for row in merged.sps:
-            coords = (row[0], row[1], row[2])
-            previous = sps_prev.get(coords)
-            changed = (coords not in sps_prev
-                       or not values_equal(previous, row[3]))
-            if changed or refresh:
-                out.sps.append(row)
-            sps_prev[coords] = row[3]
-
-        advisor_prev = self._advisor
-        for row in merged.advisor:
-            pair = (row[0], row[1])
-            triple = [row[2], row[3], row[4]]
-            previous = advisor_prev.get(pair)
-            changed = (previous is None
-                       or not all(values_equal(a, b)
-                                  for a, b in zip(previous, triple)))
-            if changed or refresh:
-                out.advisor.append(row)
-            advisor_prev[pair] = triple
-
-        price_prev = self._price
-        for row in merged.price:
-            coords = (row[0], row[1], row[2])
-            previous = price_prev.get(coords)
-            changed = (coords not in price_prev
-                       or not values_equal(previous, row[3]))
-            if changed or refresh:
-                out.price.append(row)
-            price_prev[coords] = row[3]
-
+        for table, rows in merged.rows.items():
+            width = len(DATASETS[table].dims)
+            previous = self._previous[table]
+            emit = out.rows[table].append
+            for row in rows:
+                coords = row[:width]
+                values = row[width:-1]
+                before = previous.get(coords)
+                if refresh or before is None or not all(
+                        map(values_equal, before, values)):
+                    emit(row)
+                previous[coords] = values
         self.rounds += 1
         return out
 
     def stats(self) -> dict:
         return {
             "rounds": self.rounds,
-            "tracked_pools": len(self._sps),
-            "tracked_pairs": len(self._advisor),
-            "tracked_priced_pools": len(self._price),
+            "tracked": {table: len(previous)
+                        for table, previous in self._previous.items()},
             "full_refresh_every": self.full_refresh_every,
         }

@@ -13,7 +13,7 @@ and attaches to a *live* store (the archive's in-memory tables are the
 memtable -- there is no second copy of the data).  The write protocol:
 
 1. every archive mutation is logged first (``log_create_table`` /
-   ``log_record`` / ``log_eviction``) and then applied to the live
+   ``log_points`` / ``log_eviction``) and then applied to the live
    table by the caller;
 2. ``commit_round`` group-commits the round's batch to the WAL -- the
    crash-atomicity unit is the collection round;
@@ -37,7 +37,7 @@ from math import isfinite
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from ..timeseries.record import Record, SeriesKey
+from ..timeseries.record import SeriesKey
 from ..timeseries.store import RetentionPolicy, TimeSeriesStore
 from .compaction import DEFAULT_TIER_FANOUT, CompactionStats, compact_table
 from .recovery import RecoveredState, recover
@@ -89,14 +89,13 @@ class StorageEngine:
             name: set(keys) for name, keys in self.recovered.dirty.items()}
         self._pending_evictions: Dict[str, float] = dict(
             self.recovered.replayed_evictions)
-        self._line_templates: Dict[Tuple[str, SeriesKey],
-                                   Tuple[str, str]] = {}
-        # batch-ingest twin of _line_templates: per-table, keyed by the
-        # caller's pre-built SeriesKey (cached hash: no per-point key
-        # construction, no per-point (table, key) tuple).  Entries are
-        # [prefix, mid, dirty_epoch] lists: a key whose entry already
-        # carries the current epoch is known to be in the dirty set, so
-        # repeat points skip the set-add (and its Python-level hash call)
+        # WAL line templates: per table, keyed by the caller's pre-built
+        # SeriesKey (cached hash: no per-point key construction).  A
+        # series' dims/measure/table never change, so the invariant JSON
+        # text around the per-record seq/time/value is encoded once and
+        # spliced thereafter.  Entries are [prefix, mid, dirty_epoch]
+        # lists: a key whose entry already carries the current epoch is
+        # known to be in the dirty set, so repeat points skip the set-add
         self._point_templates: Dict[str, Tuple[Dict[SeriesKey, list],
                                                Set[SeriesKey]]] = {}
         # bumped by checkpoint() when the dirty sets are cleared
@@ -135,54 +134,6 @@ class StorageEngine:
         return self._writer.append(
             {"op": "create", "table": name, "retention": retention})
 
-    def log_record(self, table_name: str, record: Record) -> int:
-        # Hot path: a series' dims/measure/table never change, so the
-        # invariant JSON text around the per-record seq/time/value is
-        # encoded once per (table, series) and spliced thereafter.  The
-        # spliced line is byte-identical to what ``encode_record`` emits
-        # (canonical sorted-key order: dims, measure, op, seq, table,
-        # time, value; scalar formatting matches json's C encoder).  The
-        # cache key avoids constructing/hashing a SeriesKey per record:
-        # its components hash at C speed.
-        entry = self._line_templates.get(
-            (table_name, record.measure_name, record.dimensions))
-        if entry is None:
-            key = SeriesKey.of(record)
-            entry = (
-                '{"dims":%s,"measure":%s,"op":"write","seq":' % (
-                    _ENCODER.encode(record.dimension_dict),
-                    _ENCODER.encode(record.measure_name)),
-                ',"table":%s,"time":' % _ENCODER.encode(table_name),
-                key,
-                self._dirty.setdefault(table_name, set()))
-            self._line_templates[
-                (table_name, record.measure_name, record.dimensions)] = entry
-        prefix, mid, key, dirty = entry
-        # scalar-to-JSON, inlined (this is the single hottest call site):
-        # ``repr`` of a finite float and ``str`` of a non-bool int are
-        # exactly what json's C encoder emits, so splicing them preserves
-        # canonical byte-identity; anything else (bools, strings,
-        # non-finite floats) takes the full encoder below
-        time, value = record.time, record.value
-        kind = type(value)
-        if kind is int:
-            value_text = str(value)
-        elif kind is float and isfinite(value):
-            value_text = repr(value)
-        else:
-            value_text = None
-        if value_text is not None and type(time) is float and isfinite(time):
-            seq = self._writer.append_template(
-                prefix, f'{mid}{time!r},"value":{value_text}}}')
-        else:  # non-finite floats, bools, strings: canonical slow path
-            seq = self._writer.append({
-                "op": "write", "table": table_name,
-                "measure": record.measure_name,
-                "dims": record.dimension_dict,
-                "value": record.value, "time": record.time})
-        dirty.add(key)
-        return seq
-
     def _point_state(self, table_name: str
                      ) -> Tuple[Dict[SeriesKey, list], Set[SeriesKey]]:
         state = self._point_templates.get(table_name)
@@ -203,52 +154,21 @@ class StorageEngine:
         templates[key] = entry
         return entry
 
-    def log_point(self, table_name: str, key: SeriesKey, time: float,
-                  value) -> int:
-        """Log one (key, time, value) point -- :meth:`log_record` for the
-        batched ingest path.
-
-        Emits byte-identical WAL lines to :meth:`log_record` on the same
-        data (same canonical encoding, same template splice), but takes a
-        pre-built :class:`SeriesKey` so batch writers skip the per-record
-        ``Record`` construction and the (table, measure, dims) tuple hash.
-        """
-        templates, dirty = self._point_state(table_name)
-        entry = templates.get(key)
-        if entry is None:
-            entry = self._point_template(table_name, templates, key)
-        prefix, mid = entry[0], entry[1]
-        # same inlined scalar-to-JSON fast path as log_record
-        kind = type(value)
-        if kind is int:
-            value_text = str(value)
-        elif kind is float and isfinite(value):
-            value_text = repr(value)
-        else:
-            value_text = None
-        if value_text is not None and type(time) is float and isfinite(time):
-            seq = self._writer.append_template(
-                prefix, f'{mid}{time!r},"value":{value_text}}}')
-        else:  # non-finite floats, bools, strings: canonical slow path
-            seq = self._writer.append({
-                "op": "write", "table": table_name,
-                "measure": key.measure_name,
-                "dims": key.dimension_dict,
-                "value": value, "time": time})
-        dirty.add(key)
-        return seq
-
     def log_points(self, table_name: str,
                    points: Sequence[Tuple[SeriesKey, float, object]]) -> int:
-        """Bulk :meth:`log_point`: one WAL buffer handoff per batch.
+        """Log a batch of (key, time, value) points, in order.
 
-        Byte- and sequence-identical to looping ``log_point`` over
-        ``points`` (a non-fast-path scalar mid-batch flushes the
-        accumulated run first, preserving record order), but amortizes the
-        per-record dispatch: templates and the dirty set resolve once,
-        spliced lines accumulate into a single
+        Every line is byte-identical to what
+        :func:`~repro.storage.wal.encode_record` emits for the same
+        write (canonical sorted-key order: dims, measure, op, seq, table,
+        time, value), but the per-record work is amortized: templates and
+        the dirty set resolve once, spliced lines accumulate into a single
         :meth:`~repro.storage.wal.WalWriter.append_template_many` call.
-        Returns the last sequence number used.
+        ``repr`` of a finite float and ``str`` of a non-bool int are
+        exactly what json's C encoder emits, so those scalars are
+        spliced; anything else (bools, strings, non-finite floats) takes
+        the canonical encoder, flushing the accumulated run first to
+        keep sequence order.  Returns the last sequence number used.
         """
         templates, dirty = self._point_state(table_name)
         templates_get = templates.get
@@ -406,7 +326,7 @@ class StorageEngine:
         self.crash_hook.before("checkpoint.gc")
         self._collect_garbage(manifest)
         self._manifest = manifest
-        # clear in place: log_record's template cache holds references to
+        # clear in place: log_points' template state holds references to
         # these per-table dirty sets
         for keys in self._dirty.values():
             keys.clear()

@@ -149,30 +149,16 @@ class WalWriter:
         self._buffer.append(encode_record(seq, payload))
         return seq
 
-    def append_template(self, prefix: str, suffix: str) -> int:
-        """Buffer one pre-encoded record, splicing in the sequence number.
-
-        ``prefix`` must end just after a ``"seq":`` key and ``suffix``
-        supply the rest of the canonical JSON body; the caller guarantees
-        ``prefix + str(seq) + suffix`` is exactly what :func:`encode_record`
-        would have produced.  This is the ingest hot path: per-series
-        templates skip re-encoding the invariant dims/measure/table text
-        for every record (see ``StorageEngine.log_record``).
-        """
-        seq = self.next_seq
-        self.next_seq += 1
-        raw = f"{prefix}{seq}{suffix}".encode("utf-8")
-        self._buffer.append(b"%08x " % zlib.crc32(raw) + raw + b"\n")
-        return seq
-
     def append_template_many(self, parts: List[Tuple[str, str]]) -> int:
         """Buffer a run of pre-encoded records; returns the last seq used.
 
-        The bulk form of :meth:`append_template`: sequence numbers are
-        assigned in list order and every line is byte-identical to what N
-        single appends would have buffered.  One call per ingest batch
-        replaces N Python-level method dispatches -- the batched-ingest
-        path's hottest win.
+        Each part's ``prefix`` must end just after a ``"seq":`` key and
+        its ``suffix`` supply the rest of the canonical JSON body; the
+        caller guarantees ``prefix + str(seq) + suffix`` is exactly what
+        :func:`encode_record` would have produced.  Sequence numbers are
+        assigned in list order.  This is the ingest hot path: per-series
+        templates skip re-encoding the invariant dims/measure/table text
+        for every record (see ``StorageEngine.log_points``).
         """
         seq = self.next_seq
         buffer_append = self._buffer.append

@@ -126,41 +126,15 @@ class Table:
                                            series.values[-1], series.times[-1])
             self._touch(key)
 
-    def append_point(self, key: SeriesKey, time: float, value: Value) -> bool:
-        """Ingest one point addressed by a pre-built :class:`SeriesKey`.
-
-        Semantically identical to :meth:`write`, minus constructing a
-        :class:`Record` and re-deriving its key per point -- batch writers
-        that reuse keys across rounds (every series gets one point per
-        collection round) skip that allocation entirely.
-        """
-        with self.lock:
-            series = self._series.get(key)
-            if series is None:
-                series = ChangePointSeries()
-                self._series[key] = series
-                self._measures[key.measure_name].add(key)
-                for dim in key.dimensions:
-                    self._index[dim].add(key)
-                self.stats.series_count += 1
-            changed = series.append(time, value)
-            self.stats.records_written += 1
-            if changed:
-                self.stats.change_points_stored += 1
-                self._latest[key] = Record(key.dimensions, key.measure_name,
-                                           value, time)
-                self._touch(key)
-            return changed
-
     def append_many(self,
                     points: Iterable[Tuple[SeriesKey, float, Value]]) -> int:
         """Bulk ingest of (key, time, value) points.
 
         Returns the number of change points created.  Equivalent to
-        calling :meth:`append_point` per point, in order -- same series
-        state, same stats, same generation stamps, same latest-value
-        view -- with the per-point lookups and method dispatches hoisted
-        out of the loop.  The change-point test mirrors
+        calling :meth:`write` per point, in order -- same series state,
+        same stats, same generation stamps, same latest-value view --
+        minus the per-point :class:`Record` and key construction, with
+        the lookups and method dispatches hoisted out of the loop.  The change-point test mirrors
         :meth:`ChangePointSeries.append` and the stamp bump mirrors
         :meth:`_touch`; the latest-value :class:`Record` is materialized
         once per touched series after the loop (only the last change

@@ -45,10 +45,10 @@ class TestScoreDifference:
 
     def test_known_construction(self):
         archive = SpotLakeArchive()
-        archive.put_sps("a.large", "r1", "r1a", 3, 0)
-        archive.put_advisor("a.large", "r1", 0.3, 1.0, 60, 0)  # full clash
-        archive.put_sps("b.large", "r1", "r1a", 2, 0)
-        archive.put_advisor("b.large", "r1", 0.12, 2.0, 60, 0)  # agree
+        archive.append("sps", [("a.large", "r1", "r1a", 3, 0)])
+        archive.append("advisor", [("a.large", "r1", 0.3, 1.0, 60, 0)])  # full clash
+        archive.append("sps", [("b.large", "r1", "r1a", 2, 0)])
+        archive.append("advisor", [("b.large", "r1", 0.12, 2.0, 60, 0)])  # agree
         histogram = score_difference_histogram(archive, [10.0])
         assert histogram == {0.0: 50.0, 2.0: 50.0}
 

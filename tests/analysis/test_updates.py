@@ -35,6 +35,6 @@ class TestUpdateFrequencyStudy:
     def test_known_construction(self):
         archive = SpotLakeArchive()
         for t, v in [(0, 3), (3600, 2), (7200, 3)]:
-            archive.put_sps("a.large", "r1", "r1a", v, t)
+            archive.append("sps", [("a.large", "r1", "r1a", v, t)])
         study = update_frequency_study(archive)
         assert study.median_hours("sps") == 1.0

@@ -83,8 +83,9 @@ class TestSnapshot:
         t = cloud.clock.start + 10 * 86400.0
         pool = cloud.catalog.all_pools()[0]
         archive = SpotLakeArchive()
-        archive.put_sps(*pool, 2, t - 20 * 86400.0)
-        archive.put_advisor(pool[0], pool[1], 0.12, 2.0, 70, t - 20 * 86400.0)
+        archive.append("sps", [(*pool, 2, t - 20 * 86400.0)])
+        archive.append("advisor", [(pool[0], pool[1], 0.12, 2.0, 70,
+                                    t - 20 * 86400.0)])
         views = snapshot_pools(cloud, [pool], t, archive)
         assert views[0].sps_mean_30d == 2.0
         assert views[0].if_mean_30d == 2.0

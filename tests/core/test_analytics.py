@@ -30,8 +30,8 @@ def _fill(archive: SpotLakeArchive, days: int = DAYS) -> float:
         for s in range(PER_DAY):
             t = EPOCH + d * DAY + s * (DAY / PER_DAY)
             for p in range(TYPES):
-                archive.put_sps(f"pool{p}.large", "r1", "r1a",
-                                (d + s + p) % 3 + 1, t)
+                archive.append("sps", [(f"pool{p}.large", "r1", "r1a",
+                                        (d + s + p) % 3 + 1, t)])
             last = t
     return last
 
@@ -103,7 +103,7 @@ class TestRollupGenerationStamps:
             # one new observation on the last day bumps every touched
             # series' generation, so the result memo must NOT serve the
             # stale result -- but day partials before the frontier stay
-            archive.put_sps("pool0.large", "r1", "r1a", 9, last + 1.0)
+            archive.append("sps", [("pool0.large", "r1", "r1a", 9, last + 1.0)])
             result = archive.analytics.run(spec)
             stats = archive.analytics.stats()
             assert stats["result_hits"] == baseline["result_hits"]
@@ -169,7 +169,7 @@ class TestEvictionInvalidation:
             # another write plus a retention sweep advances the cutoff,
             # evicting rows and bumping the eviction generation
             t2 = last + 2 * DAY
-            archive.put_sps("pool0.large", "r1", "r1a", 2, t2)
+            archive.append("sps", [("pool0.large", "r1", "r1a", 2, t2)])
             archive.commit_round(t2)
             assert archive.store.table("sps").eviction_generation > 0
 

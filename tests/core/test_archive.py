@@ -1,19 +1,25 @@
 """Tests for the SpotLake archive facade."""
 
-import numpy as np
+import math
+
 import pytest
 
 from repro.core import SpotLakeArchive
+from repro.lake import DATASETS
+from repro.storage import recover
+from repro.storage.wal import encode_record
+from repro.timeseries import Record, Table
+from repro.timeseries.compression import values_equal
 
 
 @pytest.fixture()
 def archive():
     a = SpotLakeArchive()
-    a.put_sps("m5.large", "us-east-1", "us-east-1a", 3, 0)
-    a.put_sps("m5.large", "us-east-1", "us-east-1a", 2, 100)
-    a.put_advisor("m5.large", "us-east-1", 0.03, 3.0, 70, 0)
-    a.put_advisor("m5.large", "us-east-1", 0.12, 2.0, 72, 100)
-    a.put_price("m5.large", "us-east-1", "us-east-1a", 0.035, 0)
+    a.append("sps", [("m5.large", "us-east-1", "us-east-1a", 3, 0),
+                     ("m5.large", "us-east-1", "us-east-1a", 2, 100)])
+    a.append("advisor", [("m5.large", "us-east-1", 0.03, 3.0, 70, 0),
+                         ("m5.large", "us-east-1", 0.12, 2.0, 72, 100)])
+    a.append("price", [("m5.large", "us-east-1", "us-east-1a", 0.035, 0)])
     return a
 
 
@@ -64,71 +70,112 @@ class TestBulkReads:
         assert set(stats) == {"sps", "advisor", "price", "analytics"}
 
 
+NAN, INF = float("nan"), float("inf")
+
+#: per dataset: rows whose values include what the schema's casts must
+#: normalise (bool, numeric str, int-for-float) and non-finite floats
+ROWS = {
+    "sps": [("m5.large", "r1", "r1a", 3, 10.0),
+            ("m5.large", "r1", "r1b", True, 10.0),
+            ("c5.xlarge", "r2", "r2a", "2", 10.0),
+            ("m5.large", "r1", "r1a", 3, 20.0),
+            ("m5.large", "r1", "r1b", 1, 20)],
+    "advisor": [("m5.large", "r1", 0.04, 3.0, 60, 10.0),
+                ("c5.xlarge", "r2", INF, 2, "55", 10.0),
+                ("m5.large", "r1", 0.04, 3.0, True, 20.0),
+                ("c5.xlarge", "r2", INF, 2.0, 55, 20.0)],
+    "price": [("m5.large", "r1", "r1a", 0.12, 10.0),
+              ("c5.xlarge", "r2", "r2a", NAN, 10.0),
+              ("m5.large", "r1", "r1a", "0.12", 20.0),
+              ("c5.xlarge", "r2", "r2a", NAN, 20.0)],
+}
+
+
+def _finite(rows):
+    return [row for row in rows
+            if not any(isinstance(v, float) and not math.isfinite(v)
+                       for v in row)]
+
+
+def _records(dataset, rows):
+    """The records ``rows`` stand for, one per (row, measure), in order."""
+    width = len(dataset.dims)
+    for row in rows:
+        dims = dict(zip(dataset.dims, row[:width]))
+        for (measure, cast), value in zip(dataset.measures, row[width:-1]):
+            yield Record.make(dims, measure, cast(value), row[-1])
+
+
+def _reference_table(dataset, rows):
+    """The rows written one record at a time: the pointwise semantics."""
+    table = Table(dataset.table)
+    for record in _records(dataset, rows):
+        table.write(record)
+    return table
+
+
+def _assert_tables_equal(got, want):
+    assert got.series_keys() == want.series_keys()
+    for key in want.series_keys():
+        a, b = got.series(key), want.series(key)
+        assert a.times == b.times
+        assert len(a.values) == len(b.values) and all(
+            values_equal(x, y) for x, y in zip(a.values, b.values))
+        assert a.observation_count == b.observation_count
+    assert got.stats == want.stats
+    assert got.generation == want.generation
+
+
 class TestBatchedWrites:
-    """The bulk writers must be byte-equivalent to their pointwise twins."""
+    """``append`` must be equivalent to writing its records pointwise."""
 
-    SPS_ROWS = [("m5.large", "r1", "r1a", 3, 10.0),
-                ("m5.large", "r1", "r1b", 2, 10.0),
-                ("c5.xlarge", "r2", "r2a", 1, 10.0)]
-    PRICE_ROWS = [("m5.large", "r1", "r1a", 0.12, 10.0),
-                  ("c5.xlarge", "r2", "r2a", 0.31, 10.0)]
-    ADVISOR_ROWS = [("m5.large", "r1", 0.04, 3.0, 60, 10.0),
-                    ("c5.xlarge", "r2", 0.17, 2.0, 55, 10.0)]
-
-    def _pointwise(self):
+    @pytest.mark.parametrize("name", list(DATASETS))
+    def test_append_matches_pointwise_table_writes(self, name, tmp_path):
+        dataset, rows = DATASETS[name], ROWS[name]
         archive = SpotLakeArchive()
-        for row in self.SPS_ROWS:
-            archive.put_sps(*row)
-        for row in self.ADVISOR_ROWS:
-            archive.put_advisor(*row)
-        for row in self.PRICE_ROWS:
-            archive.put_price(*row)
-        return archive
+        assert archive.append(name, rows) == \
+            len(dataset.measures) * len(rows)
+        _assert_tables_equal(archive.store.table(dataset.table),
+                             _reference_table(dataset, rows))
 
-    def _dump(self, archive):
-        import hashlib
-        import tempfile
-        from pathlib import Path
-        from repro.timeseries import dump_store
-        with tempfile.TemporaryDirectory() as tmp:
-            dump_store(archive.store, Path(tmp))
-            return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                    for p in sorted(Path(tmp).glob("*.jsonl"))}
+        # durable: the WAL holds exactly the canonical record lines, in
+        # order, and recovery reproduces the pointwise table
+        finite = _finite(rows)
+        durable = SpotLakeArchive(data_dir=tmp_path / "d",
+                                  checkpoint_every=0)
+        base_seq = durable.engine._writer.next_seq
+        durable.append(name, finite)
+        reference = _reference_table(dataset, finite)
+        canonical = [
+            encode_record(base_seq + i, {
+                "op": "write", "table": dataset.table,
+                "measure": r.measure_name, "dims": r.dimension_dict,
+                "value": r.value, "time": r.time})
+            for i, r in enumerate(_records(dataset, finite))]
+        assert durable.engine._writer._buffer[-len(canonical):] == canonical
+        durable.commit_round(20.0)
+        durable.close()
+        _assert_tables_equal(
+            recover(tmp_path / "d").store.table(dataset.table), reference)
 
-    def test_batch_apis_match_pointwise_writes(self):
-        batched = SpotLakeArchive()
-        assert batched.put_sps_batch(self.SPS_ROWS) == len(self.SPS_ROWS)
-        assert batched.put_advisor_batch(self.ADVISOR_ROWS) == \
-            3 * len(self.ADVISOR_ROWS)
-        assert batched.put_price_batch(self.PRICE_ROWS) == \
-            len(self.PRICE_ROWS)
-        assert self._dump(batched) == self._dump(self._pointwise())
-
-    def test_record_batch_buffers_then_flushes_once(self):
-        archive = SpotLakeArchive()
-        batch = archive.record_batch()
-        batch.add_sps_rows(self.SPS_ROWS)
-        for row in self.ADVISOR_ROWS:
-            batch.add_advisor(*row)
-        batch.add_price_rows(self.PRICE_ROWS)
-        expected = len(self.SPS_ROWS) + 3 * len(self.ADVISOR_ROWS) \
-            + len(self.PRICE_ROWS)
-        assert len(batch) == expected
-        # nothing lands until flush
-        assert archive.stats()["sps"]["records_written"] == 0
-        assert batch.flush() == expected
-        assert len(batch) == 0
-        assert self._dump(archive) == self._dump(self._pointwise())
-        # a flushed batch is reusable and an empty flush is a no-op
-        assert batch.flush() == 0
+    @pytest.mark.parametrize("name", ["advisor", "price"])
+    def test_nonfinite_value_is_refused_before_the_table(self, name,
+                                                         tmp_path):
+        """A non-finite float mid-batch takes the WAL's canonical slow
+        path, which refuses it (strict JSON) -- log-then-apply means the
+        live table is never touched."""
+        durable = SpotLakeArchive(data_dir=tmp_path / "d")
+        with pytest.raises(ValueError):
+            durable.append(name, ROWS[name])
+        assert durable.store.table(name).stats.records_written == 0
+        durable.close()
 
     def test_batches_are_durably_logged(self, tmp_path):
         durable = SpotLakeArchive(data_dir=tmp_path / "d", checkpoint_every=0)
-        batch = durable.record_batch()
-        batch.add_sps_rows(self.SPS_ROWS)
-        batch.flush()
-        durable.commit_round(10.0)
+        durable.append("sps", _finite(ROWS["sps"]))
+        durable.commit_round(20.0)
         durable.close()
         reopened = SpotLakeArchive(data_dir=tmp_path / "d")
         assert reopened.sps_at("m5.large", "r1", "r1a", 10.0) == 3
+        assert reopened.sps_at("m5.large", "r1", "r1b", 10.0) == 1
         reopened.close()

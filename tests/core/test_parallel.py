@@ -2,10 +2,11 @@
 
 The engine's whole value proposition is "faster, but indistinguishable":
 for every worker count the archive bytes, collection reports and
-per-account quota charges must match the legacy serial collector
-exactly, with and without fault injection.  These tests pin that down on
-a small catalog (the full-catalog version runs in
-``doublerun --workers-sweep`` and the collection bench).
+per-account quota charges must match the row-at-a-time reference
+collector (``serial_reference.py``, the original serial collector kept
+as a test oracle) exactly, with and without fault injection.  These
+tests pin that down on a small catalog (``doublerun --workers-sweep``
+repeats the worker-count half on the doublerun slice).
 """
 
 import dataclasses
@@ -22,15 +23,22 @@ from repro.core.parallel import ParallelCollectionEngine, shard_ranges
 from repro.core.plan_cache import PlanCache
 from repro.timeseries import dump_store
 
+from .serial_reference import use_serial_collector
+
 TYPES = ["m5.large", "c5.xlarge", "p3.2xlarge", "i3.large", "t3.micro"]
 
 
 def _run_service(workers, chaos="none", rounds=3, seed=11):
-    """Collect ``rounds`` rounds; returns (digest, reports, quota map)."""
+    """Collect ``rounds`` rounds; returns (digest, reports, quota map).
+
+    ``workers=None`` collects through the serial reference collector.
+    """
     PlanCache.reset_shared()
     service = SpotLakeService(ServiceConfig(
-        seed=seed, instance_types=TYPES, workers=workers,
+        seed=seed, instance_types=TYPES, workers=workers or 1,
         chaos_profile=chaos))
+    if workers is None:
+        use_serial_collector(service)
     reports = []
     try:
         for _ in range(rounds):
@@ -62,11 +70,13 @@ class TestWorkerCountInvariance:
                 f"workers={workers} diverged from the serial collector"
 
     def test_archive_bytes_identical_under_chaos(self):
-        serial_digest, serial_reports, _ = _run_service(None, chaos="moderate")
-        digest, reports, _ = _run_service(4, chaos="moderate")
+        serial_digest, serial_reports, serial_quotas = \
+            _run_service(None, chaos="moderate")
+        digest, reports, quotas = _run_service(4, chaos="moderate")
         assert digest == serial_digest
         assert [dataclasses.asdict(r) for r in reports] == \
             [dataclasses.asdict(r) for r in serial_reports]
+        assert quotas == serial_quotas
 
     def test_reports_equal_the_serial_collectors(self):
         _, serial_reports, _ = _run_service(None)

@@ -4,6 +4,8 @@ import pytest
 
 from repro import ServiceConfig, SpotLakeService
 
+from tests.chaos.conftest import build_tiny_cloud
+
 
 class TestWiring:
     def test_plan_restricted_to_configured_types(self, small_service):
@@ -35,6 +37,39 @@ class TestCollection:
         runs = small_service.run_collection(1800)
         assert small_service.cloud.clock.now() == before + 1800
         assert runs >= 3  # each collector fires at least once
+
+    def test_run_collection_enforces_retention_in_memory(self):
+        """Regression: ``run_collection`` on an in-memory archive used to
+        skip ``commit_round``, so ``retention_max_age`` was honoured by
+        ``collect_once`` and silently ignored here."""
+        def build():
+            return SpotLakeService(
+                ServiceConfig(seed=5, retention_max_age=1200.0),
+                cloud=build_tiny_cloud(seed=5))
+
+        rounds, step = 48, 600.0
+        scheduled = build()
+        scheduled.run_collection((rounds - 1) * step)
+        stepped = build()
+        for index in range(rounds):
+            stepped.collect_once()
+            if index < rounds - 1:
+                stepped.cloud.clock.advance(step)
+
+        def stored(service):
+            return {name: sum(len(table.series(key))
+                              for key in table.series_keys())
+                    for name, table in (
+                        (n, service.archive.store.table(n))
+                        for n in ("sps", "advisor", "price"))}
+
+        assert scheduled.cloud.clock.now() == stepped.cloud.clock.now()
+        assert stored(scheduled) == stored(stepped)
+        cutoff = scheduled.cloud.clock.now() - 1200.0
+        price = scheduled.archive.price
+        assert all(len(price.series(key)) <= 1
+                   or price.series(key).times[1] > cutoff
+                   for key in price.series_keys())
 
     def test_served_data_matches_engine(self, small_service):
         small_service.collect_once()

@@ -227,6 +227,17 @@ class TestFlow001LogThenApply:
             """, ["FLOW001"])
         assert result.findings == []
 
+    def test_archive_append_is_an_entry_point(self):
+        # ``x.append(...)`` never resolves through the call graph (it is
+        # a builtin-collection method name), so the archive's write API
+        # is rooted by qualname
+        result = lint("""
+            class SpotLakeArchive:
+                def append(self, dataset, rows):
+                    self.store.table(dataset).append_many(rows)
+            """, ["FLOW001"])
+        assert [f.rule for f in result.findings] == ["FLOW001"]
+
     def test_apply_through_helper_checked(self):
         result = lint("""
             class Collector:

@@ -254,11 +254,11 @@ class TestCLK001ClockFlow:
             import time
 
             def archive_now(archive):
-                archive.put_price("m5.large", "us-east-1", "use1-az1",
-                                  1.0, time.time())
+                archive.append("price", [("m5.large", "us-east-1",
+                                          "use1-az1", 1.0, time.time())])
             """, package="apps", codes=["CLK001"])
         assert codes_of(result) == ["CLK001"]
-        assert "put_price" in result.findings[0].message
+        assert "append" in result.findings[0].message
 
     def test_positive_nested_in_record_write(self):
         result = lint("""
@@ -274,9 +274,18 @@ class TestCLK001ClockFlow:
         result = lint("""
             def good(archive, clock):
                 now = clock.now()
-                archive.put_price("m5.large", "us-east-1", "use1-az1",
-                                  1.0, now)
+                archive.append("price", [("m5.large", "us-east-1",
+                                          "use1-az1", 1.0, now)])
             """, package="core", codes=["CLK001"])
+        assert codes_of(result) == []
+
+    def test_negative_list_append_is_not_an_archive(self):
+        result = lint("""
+            import time
+
+            def stamp(samples):
+                samples.append(time.time())
+            """, package="analysis", codes=["CLK001"])
         assert codes_of(result) == []
 
     def test_negative_file_write_is_not_a_table(self):

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro import SimulatedCloud
 from repro.cloudsim import ALLOWED_TRANSITIONS, RequestState
 from repro.core import SpotLakeArchive
-from repro.timeseries import Record, Table
+from repro.timeseries import Record, SeriesKey, Table
 
 #: One shared world for the property tests (hypothesis re-runs are cheap
 #: against the lazily evaluated market).
@@ -91,7 +91,7 @@ class TestArchiveInvariants:
         archive = SpotLakeArchive()
         writes = sorted(writes, key=lambda wv: wv[0])
         for t, v in writes:
-            archive.put_sps("a.large", "r1", "r1a", v, float(t))
+            archive.append("sps", [("a.large", "r1", "r1a", v, float(t))])
         for t, _ in writes:
             expected = [v for (wt, v) in writes if wt <= t][-1]
             assert archive.sps_at("a.large", "r1", "r1a", float(t)) == expected
@@ -153,7 +153,8 @@ class TestDurabilityInvariants:
                 for series, value, time in writes[start:start + per_round]:
                     record = Record.make({"k": f"s{series}"}, "m", value,
                                          float(time))
-                    engine.log_record("t", record)
+                    engine.log_points("t", [
+                        (SeriesKey.of(record), record.time, record.value)])
                     store.table("t").write(record)
                 round_index += 1
                 engine.commit_round(float(round_index))

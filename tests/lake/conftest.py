@@ -22,20 +22,23 @@ def drive_round(archive: SpotLakeArchive, r: int, types: int = 6,
                 churn: int = 4) -> float:
     """One synthetic collection round; returns the committed time."""
     t = EPOCH + r * interval
+    sps, advisor, price = [], [], []
     for p in range(types):
         itype = f"pool{p}.large"
         a_epoch = (r + p) // churn
-        archive.put_advisor(itype, REGION,
-                            round(0.05 + 0.01 * ((a_epoch + p) % 5), 4),
-                            float((a_epoch + p) % 4),
-                            ((a_epoch + p) % 10) * 10, t)
+        advisor.append((itype, REGION,
+                        round(0.05 + 0.01 * ((a_epoch + p) % 5), 4),
+                        float((a_epoch + p) % 4),
+                        ((a_epoch + p) % 10) * 10, t))
         for z in range(zones):
             zone = f"{REGION}{chr(ord('a') + z)}"
             pool = p * zones + z
             epoch = (r + pool) // churn
-            archive.put_sps(itype, REGION, zone, (epoch + pool) % 3 + 1, t)
-            archive.put_price(itype, REGION, zone,
-                              round(1.0 + 0.0001 * ((epoch + pool) % 50), 4),
-                              t)
+            sps.append((itype, REGION, zone, (epoch + pool) % 3 + 1, t))
+            price.append((itype, REGION, zone,
+                          round(1.0 + 0.0001 * ((epoch + pool) % 50), 4), t))
+    archive.append("sps", sps)
+    archive.append("advisor", advisor)
+    archive.append("price", price)
     archive.commit_round(t)
     return t

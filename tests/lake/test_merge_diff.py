@@ -18,25 +18,26 @@ T0 = 1640995200.0
 
 def _round(time, sps=(), advisor=(), price=()):
     merger = RoundMerger()
-    merger.add_sps_rows(list(sps))
-    merger.add_advisor_rows(list(advisor))
-    merger.add_price_rows(list(price))
+    merger.add("sps", sps)
+    merger.add("advisor", advisor)
+    merger.add("price", price)
     return merger.take_round(time)
 
 
 class TestMerger:
     def test_take_round_snapshots_and_clears(self):
         merger = RoundMerger()
-        merger.add_sps("a.large", "r1", "r1a", 3, T0)
-        merger.add_price("a.large", "r1", "r1a", 1.5, T0)
-        merger.add_advisor("a.large", "r1", 0.05, 2.0, 60, T0)
-        assert merger.pending_rows == 3
+        merger.add("sps", [("a.large", "r1", "r1a", 3, T0)])
+        merger.add("price", [("a.large", "r1", "r1a", 1.5, T0)])
+        merger.add("advisor", [("a.large", "r1", 0.05, 2.0, 60, T0)])
         merged = merger.take_round(T0)
-        assert merger.pending_rows == 0
         assert merged.row_count == 3
+        # datasets come back in schema order, whatever the add order
+        assert [t for t, rows in merged.rows.items() if rows] == \
+            ["sps", "advisor", "price"]
         # an advisor row fans out to its three measures in record terms
-        assert merged.record_count == 5
-        assert merged.tables_touched() == ["sps", "advisor", "price"]
+        assert sum(len(s.times) for _, s in merged.items()) == 5
+        assert merger.take_round(T0 + 600).row_count == 0
 
     def test_items_are_canonical_and_fan_out_advisor(self):
         merged = _round(T0,
@@ -83,7 +84,7 @@ class TestDiffer:
         assert same.rows_changed == 0
         one_component = differ.diff(_round(
             T0 + 1200, advisor=[("a.large", "r1", 0.05, 2.5, 60, T0 + 1200)]))
-        assert [r[:5] for r in one_component.advisor] == \
+        assert [r[:5] for r in one_component.rows["advisor"]] == \
             [("a.large", "r1", 0.05, 2.5, 60)]
 
     def test_type_strict_comparison(self):

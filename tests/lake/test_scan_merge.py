@@ -26,9 +26,9 @@ def _fill(lake: SpotDataLake, rounds: int, per_day: int = 6) -> list:
         merger = RoundMerger()
         for p in range(3):
             itype = f"pool{p}.large"
-            merger.add_sps(itype, "r1", "r1a", (r + p) % 3 + 1, t)
-            merger.add_price(itype, "r1", "r1a",
-                             round(1.0 + 0.01 * ((r + p) % 5), 4), t)
+            merger.add("sps", [(itype, "r1", "r1a", (r + p) % 3 + 1, t)])
+            merger.add("price", [(itype, "r1", "r1a",
+                                  round(1.0 + 0.01 * ((r + p) % 5), 4), t)])
         lake.append_round(merger.take_round(t))
         times.append(t)
     return times

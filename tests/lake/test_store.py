@@ -20,8 +20,8 @@ DAY = 86400.0
 
 def _merged(time, score=3, price=1.5, itype="a.large"):
     merger = RoundMerger()
-    merger.add_sps(itype, "r1", "r1a", score, time)
-    merger.add_price(itype, "r1", "r1a", price, time)
+    merger.add("sps", [(itype, "r1", "r1a", score, time)])
+    merger.add("price", [(itype, "r1", "r1a", price, time)])
     return merger.take_round(time)
 
 
@@ -162,10 +162,10 @@ def test_latest_values_and_census(tmp_path):
 def test_rounds_on_and_round_snapshot(tmp_path):
     lake = SpotDataLake(tmp_path)
     merger = RoundMerger()
-    merger.add_sps("a.large", "r1", "r1a", 3, T0)
-    merger.add_price("a.large", "r1", "r1a", 1.5, T0)
-    merger.add_advisor("a.large", "r1", 0.05, 2.0, 60, T0)
-    merger.add_advisor("b.large", "r1", 0.10, 1.0, 50, T0)  # pair, no zone
+    merger.add("sps", [("a.large", "r1", "r1a", 3, T0)])
+    merger.add("price", [("a.large", "r1", "r1a", 1.5, T0)])
+    merger.add("advisor", [("a.large", "r1", 0.05, 2.0, 60, T0)])
+    merger.add("advisor", [("b.large", "r1", 0.10, 1.0, 50, T0)])  # pair, no zone
     lake.append_round(merger.take_round(T0))
     assert lake.rounds_on("2022-01-01") == [T0]
     assert lake.rounds_on("2022/01/01") == [T0]

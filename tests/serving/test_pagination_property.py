@@ -81,9 +81,9 @@ def test_paginated_walk_consistent_under_interleaved_writes(
                 for _ in range(min(writes_per_page, writes_left)):
                     writes_left -= 1
                     itype, region, zone = rng.choice(pools)
-                    service.archive.put_sps(itype, region, zone,
-                                            score=rng.randint(0, 10),
-                                            time=write_time)
+                    service.archive.append("sps", [
+                        (itype, region, zone, rng.randint(0, 10),
+                         write_time)])
                     write_time += 30.0
                 if token is None:
                     break

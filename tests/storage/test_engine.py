@@ -9,6 +9,7 @@ from repro.storage.wal import wal_file_name
 from repro.timeseries import (
     Record,
     RetentionPolicy,
+    SeriesKey,
     TimeSeriesStore,
     dump_store,
 )
@@ -37,7 +38,8 @@ def build_engine(data_dir, **kwargs):
 
 def write(engine, store, table, value, time, series="s0"):
     record = Record.make({"k": series}, "m", value, time)
-    engine.log_record(table, record)
+    engine.log_points(
+        table, [(SeriesKey.of(record), record.time, record.value)])
     store.table(table).write(record)
 
 
@@ -181,8 +183,10 @@ class TestRestart:
 
 class TestEngineContract:
     def test_templated_wal_lines_match_canonical_encoding(self, tmp_path):
-        """log_record's per-series template splice must emit the exact
-        bytes encode_record would (the fast path is invisible on disk)."""
+        """log_points' per-series template splice must emit the exact
+        bytes encode_record would (the fast path is invisible on disk),
+        with the canonical-encoder scalars (bool, str) landing mid-batch
+        in sequence order."""
         from repro.storage.wal import encode_record
 
         engine, store = build_engine(tmp_path / "data")
@@ -193,10 +197,12 @@ class TestEngineContract:
             Record.make({"b": "x"}, "price", 0.123, 7.0),
             Record.make({"b": "x"}, "price", True, 8.0),  # slow path
             Record.make({"b": "x"}, "price", "s", 9.0),   # slow path
+            Record.make({"b": "x"}, "price", 0.5, 9.5),   # fast again
         ]
         base_seq = engine._writer.next_seq
+        engine.log_points("t", [(SeriesKey.of(r), r.time, r.value)
+                                for r in records])
         for record in records:
-            engine.log_record("t", record)
             store.table("t").write(record)
         canonical = [
             encode_record(base_seq + i, {

@@ -45,7 +45,8 @@ def run_rounds(engine, store, rounds, start_round=0, checkpoint=True):
         for i in range(3):
             record = Record.make({"k": f"s{i % 2}"}, "m", (r + i) % 3,
                                  t0 + i)
-            engine.log_record("t", record)
+            engine.log_points(
+                "t", [(SeriesKey.of(record), record.time, record.value)])
             store.table("t").write(record)
         engine.commit_round(t0 + 3)
         if checkpoint:

@@ -29,7 +29,7 @@ def _points():
 def _by_pointwise(points):
     table = Table("t")
     for key, time, value in points:
-        table.append_point(key, time, value)
+        table.write(Record(key.dimensions, key.measure_name, value, time))
     return table
 
 
@@ -64,17 +64,6 @@ class TestBatchPointwiseParity:
                 pointwise.series_generation(key)
         assert batched.generation_stamp("sps") == \
             pointwise.generation_stamp("sps")
-
-    def test_append_point_matches_write(self):
-        record = Record.make({"Region": "r1", "AZ": "r1a"}, "sps", 3, 5.0)
-        via_write = Table("t")
-        via_write.write(record)
-        via_point = Table("t")
-        via_point.append_point(SeriesKey.of(record), 5.0, 3)
-        key = via_write.series_keys()[0]
-        assert via_point.series(key).times == via_write.series(key).times
-        assert via_point.latest("sps") == via_write.latest("sps")
-        assert via_point.generation == via_write.generation
 
     def test_out_of_order_batch_raises_like_pointwise(self):
         key = _key("r0")

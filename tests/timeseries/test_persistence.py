@@ -124,8 +124,8 @@ class TestStoreRoundTrip:
         """A SpotLake archive survives dump/load through its store."""
         from repro.core import SpotLakeArchive
         archive = SpotLakeArchive()
-        archive.put_sps("m5.large", "us-east-1", "us-east-1a", 3, 0)
-        archive.put_advisor("m5.large", "us-east-1", 0.03, 3.0, 70, 0)
+        archive.append("sps", [("m5.large", "us-east-1", "us-east-1a", 3, 0)])
+        archive.append("advisor", [("m5.large", "us-east-1", 0.03, 3.0, 70, 0)])
         dump_store(archive.store, tmp_path / "arch")
 
         restored = SpotLakeArchive()
