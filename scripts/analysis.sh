@@ -1,11 +1,10 @@
 #!/usr/bin/env bash
 # Vectorized-analytics gate: the engine parity suite (vector == row
-# oracle across hot/cold/federated splits), the rollup generation-stamp
-# suite, and the /analytics route suite must pass with the runtime
-# sanitizer armed; the analysis bench gates (>=5x cold, >=3x heatmap,
-# >=10x rollup-warm, worker byte-identity) must pass; spotlint must stay
-# clean (DET001 keeps host-clock reads out of the serving path); and
-# BENCH_analysis.json must carry the recorded verdicts.
+# oracle across hot/cold/federated splits, zone-map pruning included),
+# the rollup generation-stamp suite, and the /analytics route suite must
+# pass with the runtime sanitizer armed; and spotlint must stay clean
+# (DET001 keeps host-clock reads out of the serving path).  Analytics
+# latency and rollup hit rates are measured by benchmarks/e2e.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -20,23 +19,3 @@ SPOTCONC_SANITIZE=1 python -m pytest \
 
 echo "== spotlint invariants (layering + determinism) =="
 python -m repro.cli lint src/repro
-
-echo "== analysis bench gates (pushdown, rollups, worker identity) =="
-python benchmarks/bench_analysis.py
-
-echo "== BENCH_analysis.json carries the verdicts =="
-python - <<'EOF'
-import json
-
-report = json.load(open("BENCH_analysis.json", encoding="utf-8"))
-cold = report["cold_aggregation"]
-assert cold["speedup"] >= 5.0 and cold["identical"], cold
-assert cold["narrow_pruned"] > 0 and cold["narrow_identical"], cold
-heat = report["hot_heatmap"]
-assert heat["speedup"] >= 3.0 and heat["byte_identical"], heat
-roll = report["rollup"]
-assert roll["speedup"] >= 10.0 and roll["identical"], roll
-assert roll["partial_reuse_ratio"] > 0.5, roll
-assert report["worker_identity"]["byte_identical"], report["worker_identity"]
-print("analysis report present; all gates recorded as passing")
-EOF

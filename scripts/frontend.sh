@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Serving-frontend gate: the tests/serving concurrency suite must pass
-# with the runtime sanitizer armed, the SLO-gated concurrent bench must
-# pass, and its section of BENCH_serving.json must carry every SLO key.
+# Serving-frontend gate: the tests/serving concurrency suite (admission,
+# shedding, worker-count byte-identity, closed-loop tenant fairness) must
+# pass with the runtime sanitizer armed.  Latency and throughput under
+# load are measured by benchmarks/e2e (the `mixed` and `serve-*`
+# workloads), not here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -9,20 +11,3 @@ export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
 
 echo "== sanitized serving suite (admission, shedding, worker sweeps) =="
 SPOTCONC_SANITIZE=1 python -m pytest tests/serving -q
-
-echo "== SLO-gated concurrent serving bench =="
-python benchmarks/bench_frontend.py
-
-echo "== BENCH_serving.json carries the concurrent SLO verdicts =="
-python - <<'EOF'
-import json
-
-report = json.load(open("BENCH_serving.json", encoding="utf-8"))
-slo = report["concurrent"]["slo"]
-for key in ("passed", "p99_ok", "error_rate_ok", "fairness_ok",
-            "byte_identical_across_workers", "throttling_exercised",
-            "retry_after_on_rejections"):
-    assert key in slo, f"missing SLO key {key!r}"
-assert slo["passed"], slo
-print(f"all SLO keys present; passed={slo['passed']}")
-EOF

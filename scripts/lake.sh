@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tiered-lake gate: the tests/lake suite (merge/diff, cold store,
 # federated history, lake crash windows) must pass with the runtime
-# sanitizer armed, every lake publish window must recover byte-identical
-# under doublerun --durability --lake, the lake bench gates must pass,
-# and BENCH_storage.json must carry the lake section's verdicts.
+# sanitizer armed, and every lake publish window must recover
+# byte-identical under doublerun --durability --lake.  Ingest reduction,
+# cold-scan and federation cost are measured by benchmarks/e2e.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -14,20 +14,3 @@ SPOTCONC_SANITIZE=1 python -m pytest tests/lake tests/serving/test_rounds_route.
 
 echo "== lake crash windows (doublerun --durability --lake) =="
 python -m repro.devtools.doublerun --durability --lake --rounds 4
-
-echo "== lake bench gates (ingest reduction, cold scan, federation) =="
-python benchmarks/bench_lake.py
-
-echo "== BENCH_storage.json carries the lake verdicts =="
-python - <<'EOF'
-import json
-
-report = json.load(open("BENCH_storage.json", encoding="utf-8"))
-lake = report["lake"]
-assert lake["ingest"]["reduction_ratio"] >= 5.0, lake["ingest"]
-assert lake["cold_scan"]["rows_per_second"] >= 1_000_000, lake["cold_scan"]
-assert lake["federated"]["latency_ratio"] <= 2.0, lake["federated"]
-assert lake["federated"]["byte_identical"], lake["federated"]
-assert lake["determinism"]["identical"], lake["determinism"]
-print("lake section present; all gates recorded as passing")
-EOF

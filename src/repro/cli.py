@@ -7,7 +7,7 @@ collection rounds, query the archive, and run the availability experiment.
     python -m repro.cli collect --types m5.large p3.2xlarge --rounds 3
     python -m repro.cli query --type m5.large --region us-east-1
     python -m repro.cli experiment --per-combo 40
-    python -m repro.cli serve-bench --output BENCH_serving.json
+    python -m repro.cli analyze --dataset sps --group-by region
     python -m repro.cli lint src/repro --format json
 """
 
@@ -226,10 +226,25 @@ def _cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
+def _backfilled_service(seed: int, days: int,
+                        pool_types: int) -> SpotLakeService:
+    """A service whose archive holds ``days`` of twice-daily samples for a
+    deterministic slice of ``pool_types`` instance types."""
+    service = SpotLakeService(ServiceConfig(seed=seed))
+    all_pools = service.cloud.catalog.all_pools()
+    types = set(sorted({p[0] for p in all_pools})[:pool_types])
+    start = service.cloud.clock.start
+    times = [start + d * 86400.0 + half * 43200.0 + 3600.0
+             for d in range(days) for half in (0, 1)]
+    service.bulk_backfill(times, pools=[p for p in all_pools
+                                        if p[0] in types])
+    service.cloud.clock.set(times[-1])
+    return service
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from .analysis import DATASET_MEASURES, AnalyticsEngine
     from .core.archive import DIM_REGION, DIM_TYPE, DIM_ZONE
-    from .devtools.servebench import build_backfilled_service
     from .timeseries import AGGREGATES
 
     aggregates = [a.strip() for a in args.agg.split(",") if a.strip()]
@@ -247,8 +262,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
               f"(known: {', '.join(sorted(dim_of))})", file=sys.stderr)
         return 2
 
-    service = build_backfilled_service(seed=args.seed, days=args.days,
-                                       pool_types=args.pool_types)
+    service = _backfilled_service(args.seed, args.days, args.pool_types)
     engine = AnalyticsEngine(service.archive)
     start = service.cloud.clock.start
     end = service.cloud.clock.now()
@@ -256,20 +270,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     spec = engine.spec(args.dataset, start, end, bucket_seconds=bucket,
                        group_by=[dim_of[g] for g in group_names],
                        aggregates=aggregates)
-    if args.engine == "vector":
-        result = engine.aggregate(spec)
-        labels, edges, tables = result.group_labels, result.edges, \
-            result.tables
-    else:
-        from .devtools.analysisbench import reference_aggregate
-        reference = reference_aggregate(service.archive, spec)
-        labels, edges, tables = reference["labels"], reference["edges"], \
-            reference["tables"]
+    result = engine.aggregate(spec)
+    labels, edges, tables = result.group_labels, result.edges, result.tables
 
     table, measure = DATASET_MEASURES[args.dataset]
     print(f"{args.dataset} ({table}.{measure}), {args.days} day(s), "
-          f"{len(labels) or 1} group(s) x {len(edges) - 1} bucket(s), "
-          f"engine={args.engine}")
+          f"{len(labels) or 1} group(s) x {len(edges) - 1} bucket(s)")
     header = [*(group_names or ()), "bucket_start", *aggregates]
     print("  " + "  ".join(f"{h:>14s}" for h in header))
     printed = 0
@@ -284,13 +290,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 cells.append(f"{value:>14.4f}")
             print("  " + "  ".join(cells))
             printed += 1
-    if args.engine == "vector":
-        stats = engine.stats()
-        print(f"analytics: {stats['queries']} query(ies), "
-              f"{stats['chunks_pruned']} chunks pruned / "
-              f"{stats['chunks_decoded']} decoded, "
-              f"rollup days {stats['rollup_day_hits']} hit / "
-              f"{stats['rollup_day_recomputes']} recomputed")
+    stats = engine.stats()
+    print(f"analytics: {stats['queries']} query(ies), "
+          f"{stats['chunks_pruned']} chunks pruned / "
+          f"{stats['chunks_decoded']} decoded, "
+          f"rollup days {stats['rollup_day_hits']} hit / "
+          f"{stats['rollup_day_recomputes']} recomputed")
     return 0
 
 
@@ -305,72 +310,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     for row in table3(results):
         print(f"{row.combo:6s} {row.not_fulfilled_percent:13.1f}% "
               f"{row.interrupted_percent:11.1f}%")
-    return 0
-
-
-def _cmd_serve_bench_concurrent(args: argparse.Namespace) -> int:
-    """The --concurrent arm: frontend load test with SLO gates."""
-    import json as _json
-
-    from .devtools.frontendbench import (
-        evaluate_slos,
-        run_frontend_bench,
-        summary_lines as frontend_summary,
-    )
-
-    report = run_frontend_bench(seed=args.seed, requests=args.requests,
-                                clients=args.clients,
-                                tenant_count=args.tenants,
-                                workers=args.workers)
-    report["slo"] = slo = evaluate_slos(report)
-    for line in frontend_summary(report):
-        print(line)
-    print(f"SLO: p99={slo['p99_ms']:.2f}ms (limit {slo['p99_limit_ms']}) "
-          f"error_rate={slo['error_rate']:.3f} "
-          f"fairness={slo['fairness']:.2f} passed={slo['passed']}")
-    if args.output:
-        merged = {}
-        try:
-            with open(args.output, "r", encoding="utf-8") as fh:
-                merged = _json.load(fh)
-        except (OSError, ValueError):
-            merged = {}
-        merged["concurrent"] = report
-        with open(args.output, "w", encoding="utf-8") as fh:
-            _json.dump(merged, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"report merged into {args.output}")
-    if not slo["passed"]:
-        print(f"FAIL: SLO gates not met: "
-              f"{_json.dumps(slo, sort_keys=True)}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    if args.concurrent:
-        return _cmd_serve_bench_concurrent(args)
-    from .devtools.servebench import run_serve_bench, summary_lines
-
-    report = run_serve_bench(seed=args.seed, days=args.days,
-                             pool_types=args.pool_types,
-                             repeats=args.repeats,
-                             page_limit=args.page_limit)
-    for line in summary_lines(report):
-        print(line)
-    if args.output:
-        import json as _json
-        with open(args.output, "w", encoding="utf-8") as fh:
-            _json.dump(report, fh, indent=2, sort_keys=True)
-        print(f"report written to {args.output}")
-    if not report["byte_identical"]:
-        print("FAIL: cached responses diverge from uncached responses",
-              file=sys.stderr)
-        return 1
-    if args.min_speedup and report["speedup"] < args.min_speedup:
-        print(f"FAIL: speedup {report['speedup']:.1f}x below required "
-              f"{args.min_speedup:.1f}x", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -542,10 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--agg", default="mean,count",
                          help="comma-separated aggregates (e.g. "
                               "mean,count,std,twa_mean)")
-    analyze.add_argument("--engine", choices=("vector", "rows"),
-                         default="vector",
-                         help="vector: columnar pushdown engine; rows: "
-                              "the row-at-a-time reference")
     analyze.add_argument("--limit", type=int, default=20,
                          help="max result rows printed")
     analyze.set_defaults(func=_cmd_analyze)
@@ -556,39 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--day", type=float, default=35.0,
                             help="submission day inside the window")
     experiment.set_defaults(func=_cmd_experiment)
-
-    serve_bench = sub.add_parser(
-        "serve-bench",
-        help="benchmark the serving read path, cached vs uncached")
-    serve_bench.add_argument("--days", type=int, default=120,
-                             help="backfilled archive window (days)")
-    serve_bench.add_argument("--pool-types", type=int, default=12,
-                             help="instance types in the backfill slice")
-    serve_bench.add_argument("--repeats", type=int, default=40,
-                             help="workload battery repetitions")
-    serve_bench.add_argument("--page-limit", type=int, default=500,
-                             help="page size of the paginated request")
-    serve_bench.add_argument("--output", default=None,
-                             help="write the JSON report here "
-                                  "(e.g. BENCH_serving.json)")
-    serve_bench.add_argument("--min-speedup", type=float, default=0.0,
-                             help="exit 1 when the cache speedup falls "
-                                  "below this factor")
-    serve_bench.add_argument("--concurrent", action="store_true",
-                             help="load-test the threaded admission-"
-                                  "controlled frontend instead (SLO-gated)")
-    serve_bench.add_argument("--workers", type=int, default=4,
-                             help="serving worker threads (--concurrent)")
-    serve_bench.add_argument("--clients", type=int, default=8,
-                             help="closed-loop client threads "
-                                  "(--concurrent)")
-    serve_bench.add_argument("--requests", type=int, default=320,
-                             help="zipf-mixed requests per model "
-                                  "(--concurrent)")
-    serve_bench.add_argument("--tenants", type=int, default=4,
-                             help="tenant API keys in the fleet "
-                                  "(--concurrent)")
-    serve_bench.set_defaults(func=_cmd_serve_bench)
 
     lint = sub.add_parser(
         "lint", help="run the spotlint invariant checks")

@@ -4,7 +4,7 @@ The real SpotLake fronts its archive with API Gateway + Lambda, where
 CloudWatch supplies request counts and latency distributions for free.
 This module is the reproduction's stand-in: the :class:`ApiGateway` feeds
 every dispatched request into a :class:`MetricsRegistry`, and the
-``/metrics`` route (plus ``repro serve-bench``) surfaces the snapshot.
+``/metrics`` route surfaces the snapshot.
 
 Determinism note: latency is measured with an *injectable* timer.  The
 default is ``time.perf_counter`` -- a host clock -- which is fine here

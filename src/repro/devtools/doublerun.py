@@ -15,7 +15,7 @@ import shutil
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.service import ServiceConfig, SpotLakeService
 from ..timeseries.persistence import dump_store
@@ -24,6 +24,40 @@ from ..timeseries.persistence import dump_store
 #: under a second while exercising every engine.
 DEFAULT_TYPES = ("m5.large", "c5.xlarge", "r5.2xlarge", "p3.2xlarge",
                  "i3.large")
+
+RequestSpec = Tuple[str, Dict[str, str]]
+
+
+def build_workload(service: SpotLakeService,
+                   page_limit: int = 500) -> List[RequestSpec]:
+    """The canonical request battery: full-range history scans (the hot
+    dashboard path), filtered drill-downs, paginated pages, and point
+    lookups -- all with deterministic parameters drawn from the catalog."""
+    catalog = service.cloud.catalog
+    pools = sorted(catalog.all_pools())
+    now = service.cloud.clock.now()
+    start = str(service.cloud.clock.start - 1.0)
+    end = str(now + 1.0)
+    requests: List[RequestSpec] = [
+        ("/sps/history", {"start": start, "end": end}),
+        ("/price/history", {"start": start, "end": end}),
+        ("/advisor/history", {"start": start, "end": end}),
+        ("/advisor/history", {"start": start, "end": end,
+                              "measure": "savings"}),
+        ("/sps/history", {"start": start, "end": end,
+                          "limit": str(page_limit)}),
+        ("/stats", {}),
+    ]
+    for itype, region, zone in pools[:3]:
+        requests.append(("/sps/history", {
+            "start": start, "end": end, "instance_type": itype}))
+        requests.append(("/price/history", {
+            "start": start, "end": end, "instance_type": itype,
+            "region": region, "zone": zone}))
+        requests.append(("/latest", {
+            "instance_type": itype, "region": region, "zone": zone,
+            "at": str(now)}))
+    return requests
 
 
 def serving_digest(service: SpotLakeService) -> str:
@@ -34,8 +68,6 @@ def serving_digest(service: SpotLakeService) -> str:
     (the read cache's correctness contract) before contributing to the
     digest.  Any divergence raises ``AssertionError``.
     """
-    from .servebench import build_workload
-
     sha = hashlib.sha256()
     for path, params in build_workload(service, page_limit=100):
         cold = service.gateway.get(path, params).json().encode("utf-8")
@@ -257,7 +289,6 @@ def durability_run(seed: int = 0,
                    checkpoint_every: int = 2,
                    chaos_profile: str = "none",
                    chaos_seed: Optional[int] = None,
-                   legacy_format_rounds: int = 0,
                    lake: bool = False,
                    cloud_factory=None) -> DurabilityResult:
     """Kill the service at every storage crash window; verify recovery.
@@ -270,12 +301,6 @@ def durability_run(seed: int = 0,
     byte-identical to the reference at however many rounds recovery says
     survived.  A crash before the first commit must recover to an empty
     store -- the manifest protocol admits no other states.
-
-    ``legacy_format_rounds`` makes the first N rounds of every run (the
-    reference and each crash victim) flush v1 JSON-lines segments, so the
-    matrix also covers crashing *mid-migration*: later checkpoints rewrite
-    those segments to the columnar format, and a kill in any window must
-    leave a mixed v1/v2 directory that still recovers byte-identically.
 
     ``lake`` runs the matrix in tiered-lake mode: the window list extends
     to the lake's publish protocol (``lake.segment`` / ``lake.manifest``
@@ -290,7 +315,7 @@ def durability_run(seed: int = 0,
         seeded_crash_point,
     )
     from ..lake import LAKE_CRASH_WINDOWS, LAKE_DIR_NAME, SpotDataLake
-    from ..storage import CRASH_WINDOWS, forced_segment_format, recover
+    from ..storage import CRASH_WINDOWS, recover
 
     def build(data_dir: Path, hook=None) -> SpotLakeService:
         return SpotLakeService(ServiceConfig(
@@ -304,13 +329,6 @@ def durability_run(seed: int = 0,
             lake=lake),
             cloud=cloud_factory() if cloud_factory is not None else None)
 
-    def run_round(service: SpotLakeService, index: int) -> None:
-        if index < legacy_format_rounds:
-            with forced_segment_format(1):
-                service.collect_once()
-        else:
-            service.collect_once()
-
     base = Path(tempfile.mkdtemp(prefix="spotlake-durability-"))
     try:
         # -- reference: uninterrupted, digested at every round boundary ----
@@ -320,7 +338,7 @@ def durability_run(seed: int = 0,
         if lake:
             ref_lake[0] = reference.archive.lake.digest()
         for committed in range(1, rounds + 1):
-            run_round(reference, committed - 1)
+            reference.collect_once()
             ref[committed] = _store_digests(reference.archive.store)
             if lake:
                 ref_lake[committed] = reference.archive.lake.digest()
@@ -353,8 +371,8 @@ def durability_run(seed: int = 0,
             victim = build(crash_dir, injector)
             crashed = False
             try:
-                for index in range(rounds):
-                    run_round(victim, index)
+                for _ in range(rounds):
+                    victim.collect_once()
                     victim.cloud.clock.advance_minutes(interval_minutes)
             except SimulatedCrash:
                 crashed = True
@@ -403,10 +421,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:  # pragma: no cover
     parser.add_argument("--checkpoint-every", type=int, default=2,
                         help="checkpoint cadence of the durability run "
                              "(rounds; default 2)")
-    parser.add_argument("--mixed-format", action="store_true",
-                        help="durability mode only: flush the first half of "
-                             "each run's rounds as legacy v1 segments so "
-                             "crashes land mid columnar migration")
     parser.add_argument("--lake", action="store_true",
                         help="durability mode only: run in tiered-lake mode "
                              "and extend the crash matrix to the lake "
@@ -426,12 +440,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:  # pragma: no cover
     if args.lake and not args.durability:
         parser.error("--lake requires --durability")
     if args.durability:
-        legacy_rounds = max(1, args.rounds // 2) if args.mixed_format else 0
         result = durability_run(seed=args.seed, rounds=args.rounds,
                                 checkpoint_every=args.checkpoint_every,
                                 chaos_profile=args.chaos_profile,
                                 chaos_seed=args.chaos_seed,
-                                legacy_format_rounds=legacy_rounds,
                                 lake=args.lake)
         for case in result.cases:
             print(case.summary())

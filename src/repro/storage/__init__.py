@@ -2,8 +2,8 @@
 
 Write-ahead log (group commits, CRC-protected, torn-tail tolerant),
 immutable sorted segments (binary columnar v2 with zone-map predicate
-pushdown; legacy JSON-lines v1 readable and migrated in place) behind
-an atomically-published MANIFEST, size-tiered compaction with retention
+pushdown; any other format version is refused) behind an
+atomically-published MANIFEST, size-tiered compaction with retention
 folded into merges, and crash recovery that reconstructs byte-identical
 ``Table`` state.
 """
@@ -13,20 +13,18 @@ from .compaction import (
     CompactionStats,
     DEFAULT_TIER_FANOUT,
     compact_table,
-    migrate_formats,
     trim_series,
 )
 from .engine import CRASH_WINDOWS, StorageEngine
 from .recovery import RecoveredState, recover
 from .segments import (
+    CorruptManifestError,
     CorruptSegmentError,
     MANIFEST_NAME,
     Manifest,
     SEGMENT_FORMAT,
-    SUPPORTED_SEGMENT_FORMATS,
     SegmentMeta,
     TableManifest,
-    forced_segment_format,
     load_manifest,
     read_segment,
     sanitize_table_component,
@@ -47,12 +45,12 @@ from .wal import (
 __all__ = [
     "ColumnarFormatError", "SegmentCursor", "encode_segment",
     "CompactionStats", "DEFAULT_TIER_FANOUT", "compact_table",
-    "migrate_formats", "trim_series",
+    "trim_series",
     "CRASH_WINDOWS", "StorageEngine",
     "RecoveredState", "recover",
-    "CorruptSegmentError", "MANIFEST_NAME", "Manifest", "SEGMENT_FORMAT",
-    "SUPPORTED_SEGMENT_FORMATS", "SegmentMeta", "TableManifest",
-    "forced_segment_format", "load_manifest", "read_segment",
+    "CorruptManifestError", "CorruptSegmentError", "MANIFEST_NAME",
+    "Manifest", "SEGMENT_FORMAT", "SegmentMeta", "TableManifest",
+    "load_manifest", "read_segment",
     "sanitize_table_component", "scan_segment", "segment_file_name",
     "store_manifest", "write_segment",
     "CorruptWalError", "DEFAULT_SEGMENT_BYTES", "NoopCrashHook", "WalReplay",

@@ -29,7 +29,6 @@ from ..timeseries.record import SeriesKey
 from .segments import (
     SegmentMeta,
     TableManifest,
-    current_write_format,
     read_segment,
     write_segment,
 )
@@ -45,8 +44,6 @@ class CompactionStats:
     merges: int = 0
     segments_merged: int = 0
     segments_created: int = 0
-    #: old-format segments rewritten in place to the current format
-    segments_migrated: int = 0
     bytes_written: int = 0
     points_dropped: int = 0
     #: files superseded by merges, deleted after the manifest publishes
@@ -56,7 +53,6 @@ class CompactionStats:
         self.merges += other.merges
         self.segments_merged += other.segments_merged
         self.segments_created += other.segments_created
-        self.segments_migrated += other.segments_migrated
         self.bytes_written += other.bytes_written
         self.points_dropped += other.points_dropped
         self.obsolete_files.extend(other.obsolete_files)
@@ -100,35 +96,6 @@ def merge_tier(directory: Path, table: str, metas: List[SegmentMeta],
     return new_meta, stats
 
 
-def migrate_formats(directory: Path, table: str,
-                    manifest: TableManifest) -> CompactionStats:
-    """Rewrite segments whose body format is not the current write format.
-
-    The segment *content* is unchanged -- same series, same state -- and
-    the segment keeps its id and level, so the "higher id => newer data"
-    ordering recovery relies on is untouched.  The old file gets a
-    different extension than the new one, so the rewrite never clobbers
-    it: until the manifest publishes, recovery still sees the original,
-    and afterwards the orphaned file is garbage-collected like any other
-    superseded segment.  This is how a pre-columnar data directory
-    converges to v2 without a stop-the-world rewrite: every checkpoint
-    migrates whatever old-format segments its tables still reference.
-    """
-    stats = CompactionStats()
-    fmt = current_write_format()
-    for index, meta in enumerate(manifest.segments):
-        if meta.format == fmt:
-            continue
-        items = read_segment(directory, meta)
-        new_meta = write_segment(directory, meta.segment_id, table,
-                                 meta.level, items)
-        manifest.segments[index] = new_meta
-        stats.segments_migrated += 1
-        stats.bytes_written += new_meta.bytes
-        stats.obsolete_files.append(meta.file)
-    return stats
-
-
 def compact_table(directory: Path, table: str, manifest: TableManifest,
                   next_segment_id, tier_fanout: int = DEFAULT_TIER_FANOUT,
                   ) -> CompactionStats:
@@ -138,8 +105,6 @@ def compact_table(directory: Path, table: str, manifest: TableManifest,
     segment ids (shared across tables by the engine).  The table's
     segment list is rewritten in place; superseded files are reported in
     the returned stats for post-publish deletion, not deleted here.
-    Segments that survive merging but carry an outdated body format are
-    migrated in place afterwards (see :func:`migrate_formats`).
     """
     total = CompactionStats()
     while True:
@@ -162,5 +127,4 @@ def compact_table(directory: Path, table: str, manifest: TableManifest,
         survivors = [m for m in manifest.segments if m not in victims]
         manifest.segments = sorted(survivors + [new_meta],
                                    key=lambda m: m.segment_id)
-    total.merge_into(migrate_formats(directory, table, manifest))
     return total

@@ -6,8 +6,7 @@ The engine owns a data directory laid out as::
       MANIFEST              # atomically-published root of trust
       wal-00000001.log      # segmented write-ahead log (group commits)
       seg-00000001-sps-L0.seg     # immutable sorted segment files
-      seg-00000002-sps-L0.jsonl   # (legacy v1 bodies, until compaction
-      ...                         #  migrates them to columnar v2)
+      ...                         # (binary columnar, see columnar.py)
 
 and attaches to a *live* store (the archive's in-memory tables are the
 memtable -- there is no second copy of the data).  The write protocol:
@@ -31,7 +30,6 @@ the last committed round (see ``recovery.py``).
 
 from __future__ import annotations
 
-import json
 import os
 from math import isfinite
 from pathlib import Path
@@ -261,8 +259,6 @@ class StorageEngine:
     def _collect_garbage(self, manifest: Manifest) -> None:
         live = set(manifest.live_files())
         for entry in sorted(os.listdir(self.data_dir)):
-            # both body formats (.jsonl v1, .seg v2): a mixed-format
-            # directory mid-migration sheds superseded files of either
             if is_segment_file_name(entry) and entry not in live:
                 os.unlink(self.data_dir / entry)
             elif entry.startswith("wal-") and entry.endswith(".log") and \
@@ -362,37 +358,10 @@ class StorageEngine:
             return durable
         return max(durable, pending)
 
-    def lake_census(self) -> Optional[dict]:
-        """Cold-tier census read straight off the lake manifest, or None.
-
-        The storage layer sits below the lake package, so the manifest
-        JSON (format 1: ``{"format", "version", "partitions"}``) is
-        parsed directly rather than through :class:`SpotDataLake`.
-        """
-        path = self.data_dir / "lake" / "LAKE_MANIFEST"
-        if not path.exists():
-            return None
-        try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-            parts = raw["partitions"]
-            return {
-                "format": raw["format"],
-                "manifest_version": raw["version"],
-                "partitions": len(parts),
-                "rounds": sum(len(p["rounds"]) for p in parts),
-                "days": len({p["path"].rsplit("/", 1)[0] for p in parts}),
-                "bytes": sum(p["bytes"] for p in parts),
-                "rows": sum(p["rows"] for p in parts),
-                "start": min((p["start"] for p in parts), default=None),
-                "end": max((p["end"] for p in parts), default=None),
-            }
-        except (ValueError, KeyError, TypeError):
-            return {"error": "undecodable lake manifest"}
-
     def stats(self) -> dict:
         """Durability counters (the ``repro recover`` / bench payload)."""
         live_bytes = self._manifest.live_bytes()
-        out = {
+        return {
             "rounds_committed": self.rounds_committed,
             "last_seq": self._writer.next_seq - 1,
             "checkpoints": self.checkpoints,
@@ -403,14 +372,6 @@ class StorageEngine:
             "live_segment_bytes": live_bytes,
             "compaction_merges": self.compaction_stats.merges,
             "compaction_points_dropped": self.compaction_stats.points_dropped,
-            "segments_migrated": self.compaction_stats.segments_migrated,
-            "segment_formats": {
-                str(fmt): count for fmt, count
-                in sorted(self._manifest.format_census().items())},
             "write_amplification": (
                 self.segment_bytes_written / live_bytes if live_bytes else 0.0),
         }
-        lake = self.lake_census()
-        if lake is not None:
-            out["lake"] = lake
-        return out

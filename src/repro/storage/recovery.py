@@ -7,10 +7,9 @@ Opening a data directory replays three layers, each validated:
 2. segments install series state via ``Table.install_series`` --
    newest-wins per series key, then the manifest's ``evicted_through``
    retention cutoff is re-applied (eviction ops already folded into the
-   horizon may have been garbage-collected from the WAL); the segment
-   reader dispatches per file on the manifest's recorded body format,
-   so a mixed v1/v2 directory (an in-flight columnar migration) recovers
-   exactly like a homogeneous one;
+   horizon may have been garbage-collected from the WAL); a corrupt
+   manifest (``CorruptManifestError``) or a segment in any format but
+   the current one (``CorruptSegmentError``) is refused, not guessed at;
 3. the WAL tail (``seq > last_applied_seq``) replays committed batches
    through the ordinary ``Table.write`` / ``evict_before`` path,
    discarding a torn final record and any batch without a commit marker.

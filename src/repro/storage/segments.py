@@ -7,20 +7,14 @@ once published; newer segments shadow older ones series-by-series
 (newest wins), which is what lets compaction merge them without
 replaying the log.
 
-Two segment body formats exist behind one read API:
-
-* **v1** -- JSON-lines (``.jsonl``): a JSON header line followed by one
-  JSON object per series.  Still fully readable; no longer written.
-* **v2** -- binary columnar (``.seg``): dictionary-encoded dimensions
-  and values, delta-packed timestamps, per-chunk zone maps for
-  time-range predicate pushdown, optionally mmap-backed so scans decode
-  only the blocks overlapping the query window (see
-  :mod:`repro.storage.columnar`).
-
-``SEGMENT_FORMAT`` names the *write* format; readers accept every format
-in ``SUPPORTED_SEGMENT_FORMATS`` and compaction migrates old segments
-forward in place, so a data directory may legally hold a mix while an
-upgrade is in flight.
+The segment body is binary columnar (``.seg``): dictionary-encoded
+dimensions and values, delta-packed timestamps, per-chunk zone maps for
+time-range predicate pushdown, optionally mmap-backed so scans decode
+only the blocks overlapping the query window (see
+:mod:`repro.storage.columnar`).  ``SEGMENT_FORMAT`` (2) is the only
+format written or read: every manifest entry records its format, and an
+entry naming any other version (or none, which means the retired
+JSON-lines v1) is refused as corrupt before a byte is decoded.
 
 The ``MANIFEST`` names the live segment set (per table, with retention
 configuration and ingestion counters) plus the log horizon
@@ -39,10 +33,9 @@ import hashlib
 import json
 import mmap
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .._util import atomic_open, fsync_directory
 from ..timeseries.compression import ChangePointSeries
@@ -53,47 +46,14 @@ from .wal import NoopCrashHook
 MANIFEST_NAME = "MANIFEST"
 MANIFEST_FORMAT = 1
 
-#: The format new segments are written in.
+#: The one segment body format, written and read.
 SEGMENT_FORMAT = 2
-#: Every format the reader (and therefore recovery) accepts.
-SUPPORTED_SEGMENT_FORMATS = (1, 2)
-
-#: body-format -> file extension (v1 kept its historical name)
-_SEGMENT_EXTENSIONS = {1: "jsonl", 2: "seg"}
-SEGMENT_EXTENSIONS = tuple(_SEGMENT_EXTENSIONS.values())
 
 #: Characters embedded verbatim in segment file names; everything else
 #: is percent-escaped.  Deliberately excludes ``-`` (the file-name field
 #: separator), ``/`` and ``%`` (the escape char itself).
 _SAFE_TABLE_CHARS = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.")
-
-#: Module default write format; tests and the mixed-format durability
-#: harness override it via :func:`forced_segment_format`.
-_write_format = [SEGMENT_FORMAT]
-
-
-@contextmanager
-def forced_segment_format(fmt: int) -> Iterator[None]:
-    """Temporarily force the default segment write format.
-
-    Exists for the upgrade-path tests and benchmarks: a directory
-    seeded under ``forced_segment_format(1)`` behaves exactly like one
-    written by a pre-columnar build, so mixed-format recovery and the
-    in-place migration can be exercised without checked-in fixtures.
-    """
-    if fmt not in SUPPORTED_SEGMENT_FORMATS:
-        raise ValueError(f"unsupported segment format {fmt!r}")
-    _write_format.append(fmt)
-    try:
-        yield
-    finally:
-        _write_format.pop()
-
-
-def current_write_format() -> int:
-    """The segment format new segment files are being written in."""
-    return _write_format[-1]
 
 
 def sanitize_table_component(table: str) -> str:
@@ -112,19 +72,14 @@ def sanitize_table_component(table: str) -> str:
                    for c in table)
 
 
-def segment_file_name(segment_id: int, table: str, level: int,
-                      fmt: Optional[int] = None) -> str:
-    if fmt is None:
-        fmt = _write_format[-1]
-    ext = _SEGMENT_EXTENSIONS[fmt]
+def segment_file_name(segment_id: int, table: str, level: int) -> str:
     return (f"seg-{segment_id:08d}-{sanitize_table_component(table)}"
-            f"-L{level}.{ext}")
+            f"-L{level}.seg")
 
 
 def is_segment_file_name(name: str) -> bool:
-    """True for any (live or orphaned) segment file of either format."""
-    return name.startswith("seg-") and \
-        name.rsplit(".", 1)[-1] in SEGMENT_EXTENSIONS
+    """True for any (live or orphaned) segment file."""
+    return name.startswith("seg-") and name.endswith(".seg")
 
 
 @dataclass(frozen=True)
@@ -139,7 +94,7 @@ class SegmentMeta:
     bytes: int
     sha256: str
     #: body format of the file; manifests written before the columnar
-    #: codec lack the key and deserialize as v1
+    #: codec lack the key and deserialize as v1, which readers refuse
     format: int = SEGMENT_FORMAT
 
     def as_dict(self) -> dict:
@@ -159,43 +114,26 @@ class CorruptSegmentError(ValueError):
     """A manifest-referenced segment failed validation."""
 
 
+class CorruptManifestError(ValueError):
+    """The published ``MANIFEST`` is undecodable or not a manifest."""
+
+
 def write_segment(directory: Path, segment_id: int, table: str, level: int,
                   items: Sequence[Tuple[SeriesKey, ChangePointSeries]],
-                  fmt: Optional[int] = None) -> SegmentMeta:
+                  ) -> SegmentMeta:
     """Publish one segment file; ``items`` must be sorted by series key.
 
-    ``fmt`` selects the body codec (default: the current write format,
-    normally ``SEGMENT_FORMAT``).  Either way the file is published
-    atomically with a directory fsync, and the returned meta carries the
-    SHA-256 over the exact bytes on disk.
+    The file is published atomically with a directory fsync, and the
+    returned meta carries the SHA-256 over the exact bytes on disk.
     """
     directory = Path(directory)
-    if fmt is None:
-        fmt = _write_format[-1]
-    name = segment_file_name(segment_id, table, level, fmt)
-    if fmt == 1:
-        header = {"format": 1, "table": table, "level": level,
-                  "id": segment_id, "series": len(items)}
-        lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
-        for key, series in items:
-            lines.append(json.dumps({
-                "measure": key.measure_name,
-                "dims": dict(key.dimensions),
-                "times": series.times,
-                "values": series.values,
-                "observed_until": series.observed_until,
-                "observations": series.observation_count,
-            }, sort_keys=True, separators=(",", ":")))
-        raw = ("\n".join(lines) + "\n").encode("utf-8")
-    elif fmt == 2:
-        raw = encode_segment(table, segment_id, level, items)
-    else:
-        raise ValueError(f"unsupported segment format {fmt!r}")
+    name = segment_file_name(segment_id, table, level)
+    raw = encode_segment(table, segment_id, level, items)
     with atomic_open(directory / name, binary=True,
                      sync_directory=True) as fh:
         fh.write(raw)
     return SegmentMeta(name, segment_id, table, level, len(items),
-                       len(raw), hashlib.sha256(raw).hexdigest(), fmt)
+                       len(raw), hashlib.sha256(raw).hexdigest())
 
 
 def _segment_bytes(directory: Path, meta: SegmentMeta,
@@ -220,50 +158,23 @@ def _check_header(meta: SegmentMeta, header: dict) -> None:
             f"segment {meta.file} header does not match its manifest entry")
 
 
-def _decode_v1(meta: SegmentMeta,
-               raw: bytes) -> List[Tuple[SeriesKey, ChangePointSeries]]:
-    try:
-        lines = raw.decode("utf-8").splitlines()
-        header = json.loads(lines[0])
-        _check_header(meta, header)
-        items: List[Tuple[SeriesKey, ChangePointSeries]] = []
-        for raw_line in lines[1:]:
-            line = json.loads(raw_line)
-            key = SeriesKey(line["measure"],
-                            tuple(sorted(line["dims"].items())))
-            items.append((key, ChangePointSeries(
-                times=[float(t) for t in line["times"]],
-                values=line["values"],
-                observed_until=float(line["observed_until"]),
-                observation_count=int(line["observations"]),
-            )))
-        return items
-    except CorruptSegmentError:
-        raise
-    except (IndexError, KeyError, TypeError, ValueError,
-            UnicodeDecodeError) as exc:
-        # json.JSONDecodeError is a ValueError; an empty or truncated
-        # file must surface as segment corruption, never as a raw
-        # decoder exception recovery's corruption path cannot route
+def _check_format(meta: SegmentMeta) -> None:
+    """The version gate: refuse any body format but the current one."""
+    if meta.format != SEGMENT_FORMAT:
         raise CorruptSegmentError(
-            f"segment {meta.file} body is undecodable: {exc}") from None
+            f"segment {meta.file} has unsupported format {meta.format!r}")
 
 
 def read_segment(directory: Path, meta: SegmentMeta, verify: bool = True,
                  ) -> List[Tuple[SeriesKey, ChangePointSeries]]:
     """Load a segment's series, validating checksum and header.
 
-    Dispatches on the manifest's recorded body format; every decode
-    failure -- wrong magic, truncated body, malformed JSON, bad column
-    bytes -- raises :class:`CorruptSegmentError` so recovery handles all
-    corruption uniformly.
+    Every decode failure -- unsupported format, wrong magic, truncated
+    body, bad column bytes -- raises :class:`CorruptSegmentError` so
+    recovery handles all corruption uniformly.
     """
-    if meta.format not in SUPPORTED_SEGMENT_FORMATS:
-        raise CorruptSegmentError(
-            f"segment {meta.file} has unsupported format {meta.format!r}")
+    _check_format(meta)
     raw = _segment_bytes(directory, meta, verify)
-    if meta.format == 1:
-        return _decode_v1(meta, raw)
     try:
         cursor = SegmentCursor(raw)
         _check_header(meta, cursor.header)
@@ -281,23 +192,12 @@ def scan_segment(directory: Path, meta: SegmentMeta,
                  ) -> List[Tuple[SeriesKey, List[Tuple[float, Value]]]]:
     """Change points inside ``[start, end]``, per series.
 
-    The time-range read path.  For v2 segments the chunk zone maps prune
-    the decode to the blocks overlapping the window, and with
-    ``use_mmap`` (the default) the skipped blocks are never paged in --
-    which is why ``verify`` defaults off here: checksumming would force
-    a full read.  v1 segments have no zone maps; they are fully parsed
-    and filtered per series (bisect on the sorted times).
+    The time-range read path.  The chunk zone maps prune the decode to
+    the blocks overlapping the window, and with ``use_mmap`` (the
+    default) the skipped blocks are never paged in -- which is why
+    ``verify`` defaults off here: checksumming would force a full read.
     """
-    if meta.format not in SUPPORTED_SEGMENT_FORMATS:
-        raise CorruptSegmentError(
-            f"segment {meta.file} has unsupported format {meta.format!r}")
-    if meta.format == 1:
-        out = []
-        for key, series in read_segment(directory, meta, verify=verify):
-            rows = series.change_points(start, end)
-            if rows:
-                out.append((key, rows))
-        return out
+    _check_format(meta)
     path = Path(directory) / meta.file
     try:
         with path.open("rb") as fh:
@@ -400,21 +300,22 @@ class Manifest:
         return sum(meta.bytes for name in sorted(self.tables)
                    for meta in self.tables[name].segments)
 
-    def format_census(self) -> Dict[int, int]:
-        """Live segment count per body format (migration progress)."""
-        census: Dict[int, int] = {}
-        for name in sorted(self.tables):
-            for meta in self.tables[name].segments:
-                census[meta.format] = census.get(meta.format, 0) + 1
-        return census
-
 
 def load_manifest(directory: Path) -> Optional[Manifest]:
     """The published manifest, or None for a fresh data directory."""
     path = Path(directory) / MANIFEST_NAME
     if not path.exists():
         return None
-    return Manifest.from_dict(json.loads(path.read_text(encoding="utf-8")))
+    try:
+        return Manifest.from_dict(
+            json.loads(path.read_text(encoding="utf-8")))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        # JSONDecodeError/UnicodeDecodeError are ValueErrors; a missing
+        # key or a non-object where an object belongs must surface as
+        # manifest corruption, never as a raw decoder exception
+        raise CorruptManifestError(
+            f"manifest {path} is corrupt: {type(exc).__name__}: {exc}"
+        ) from None
 
 
 def store_manifest(directory: Path, manifest: Manifest,

@@ -1,6 +1,6 @@
 """Vectorized analytics engine == row-at-a-time reference (issue satellite).
 
-The oracle is :func:`repro.devtools.analysisbench.reference_aggregate`, a
+The oracle is :func:`tests.analysis.reference.reference_aggregate`, a
 pure-Python left-to-right fold over ``archive.history`` rows.  The engine
 must match it for every aggregate across hot-only, cold-only, and
 federated tier splits -- exactly for the integer/extremal aggregates
@@ -23,12 +23,12 @@ from repro.core.archive import (
     DIM_ZONE,
     SpotLakeArchive,
 )
-from repro.devtools.analysisbench import compare_aggregates, reference_aggregate
 from repro.lake import IF_SCORE_MEASURE, PRICE_MEASURE, SPS_MEASURE
 from repro.timeseries import RetentionPolicy
 from repro.timeseries.vector import AGGREGATES, AggSpec
 
 from ..lake.conftest import EPOCH, drive_round
+from .reference import compare_aggregates, reference_aggregate
 
 INTERVAL = 600.0
 ROUNDS = 12
@@ -146,6 +146,34 @@ class TestTieredParity:
                     "sps", SPS_MEASURE, EPOCH - 1.0, boundary,
                     bucket_seconds=bucket, group_by=(DIM_TYPE, DIM_ZONE),
                     aggregates=ALL_AGGS))
+        finally:
+            archive.close()
+
+    def test_narrow_cold_window_is_pruned_not_decoded(self, tmp_path):
+        """A narrow interior window over compacted day partitions: the
+        zone maps must skip what lies wholly outside it -- the two later
+        day files unopened, and in the first the chunks of series that
+        only changed at midnight -- and the pruned answer must still
+        match the row fold."""
+        six_hours = 21600.0
+        archive = SpotLakeArchive(
+            data_dir=tmp_path, lake=True,
+            retention=RetentionPolicy(max_age_seconds=2 * six_hours))
+        try:
+            for r in range(ROUNDS):  # three UTC days
+                drive_round(archive, r, interval=six_hours, churn=4)
+            assert archive.lake.compact(include_active=True)
+            assert len(archive.lake.partitions) == 3
+            before = archive.analytics.stats()
+            _assert_parity(archive, AggSpec.make(
+                "sps", SPS_MEASURE, EPOCH + six_hours, EPOCH + 3 * six_hours,
+                bucket_seconds=six_hours, group_by=(DIM_TYPE,),
+                aggregates=ALL_AGGS))
+            after = archive.analytics.stats()
+            assert after["partitions_pruned"] \
+                == before["partitions_pruned"] + 2
+            assert after["chunks_pruned"] > before["chunks_pruned"]
+            assert after["rows_decoded"] > before["rows_decoded"]
         finally:
             archive.close()
 

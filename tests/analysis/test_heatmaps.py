@@ -1,12 +1,19 @@
 """Tests for the temporal/spatial heatmap aggregations."""
 
 import numpy as np
+import pytest
 
 from repro.analysis import (
     Heatmap,
     spatial_heatmap,
     spatial_vs_temporal_variation,
     temporal_heatmap,
+)
+
+from .reference import (
+    _reference_row_means,
+    _reference_temporal_heatmap,
+    _reference_temporal_std,
 )
 
 
@@ -38,8 +45,25 @@ class TestTemporal:
         finite = hm.values[~np.isnan(hm.values)]
         assert len(finite) > 0
 
+    @pytest.mark.parametrize("dataset", ["sps", "if_score"])
+    def test_byte_identical_to_day_at_a_time_reference(
+            self, filled_service, sample_times, dataset):
+        """Figure 3 through the single-resample engine path must equal
+        the old day-at-a-time, value-at-a-time loop bit for bit."""
+        catalog = filled_service.cloud.catalog
+        day_times = [sample_times[d * 2:(d + 1) * 2] for d in range(40)]
+        new = temporal_heatmap(filled_service.archive, catalog, day_times,
+                               dataset)
+        old = _reference_temporal_heatmap(filled_service.archive, catalog,
+                                          day_times, dataset)
+        assert new.row_labels == old.row_labels
+        assert new.col_labels == old.col_labels
+        assert new.values.tobytes() == old.values.tobytes()
+        assert new.row_means() == _reference_row_means(old)
+        np.testing.assert_array_equal(new.temporal_std(),
+                                      _reference_temporal_std(old))
+
     def test_unknown_dataset(self, filled_service, sample_times):
-        import pytest
         catalog = filled_service.cloud.catalog
         with pytest.raises(ValueError):
             temporal_heatmap(filled_service.archive, catalog,

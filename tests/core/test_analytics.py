@@ -12,10 +12,11 @@ cross-checked against the row-at-a-time reference oracle.
 import pytest
 
 from repro.core.archive import DIM_TYPE, SpotLakeArchive
-from repro.devtools.analysisbench import compare_aggregates, reference_aggregate
 from repro.lake import SPS_MEASURE
 from repro.timeseries import RetentionPolicy
 from repro.timeseries.vector import AggSpec
+
+from ..analysis.reference import compare_aggregates, reference_aggregate
 
 DAY = 86400.0
 EPOCH = 1640995200.0  # 2022-01-01 UTC, day-aligned

@@ -12,9 +12,27 @@ import threading
 import pytest
 
 from repro.core import ACCEPTING, SHEDDING, ServingFrontend, Tenant
-from repro.devtools.servebench import build_workload
+from repro.devtools.doublerun import build_workload
 
 from .conftest import build_serving_service, full_range, generous_tenant
+
+
+def analytics_mix(service):
+    """Grouped/bucketed ``/analytics`` requests over every dataset."""
+    base = full_range(service)
+    return [
+        ("/analytics", {**base, "dataset": "sps", "bucket": "7200.0",
+                        "group_by": "region", "agg": "count,mean,std"}),
+        ("/analytics", {**base, "dataset": "advisor",
+                        "agg": "mean,min,max"}),
+        ("/analytics", {**base, "dataset": "price", "bucket": "14400.0",
+                        "group_by": "instance_type,region",
+                        "agg": "mean,last,twa_mean"}),
+        ("/analytics", {**base, "dataset": "sps", "bucket": "7200.0",
+                        "group_by": "instance_type",
+                        "agg": "change_count,mean_interval",
+                        "limit": "7"}),
+    ]
 
 
 class TestEnvelopes:
@@ -122,22 +140,29 @@ class TestShedStateMachine:
 
 class TestWorkerPool:
     def test_responses_byte_identical_across_worker_counts(self, service):
-        requests = build_workload(service)
-        digests = {}
-        for workers in (1, 2, 4):
-            service.metrics.reset()
-            frontend = service.frontend(tenants=[generous_tenant()],
-                                        workers=workers)
-            with frontend:
-                tickets = [frontend.submit("key-dash", path, params,
-                                           arrival_time=float(i))
-                           for i, (path, params) in enumerate(requests)]
-                records = [(i, t.result(30.0).status, t.result(30.0).json())
-                           for i, t in enumerate(tickets)]
-            assert all(status == 200 for _, status, _ in records), records
-            digest = hashlib.sha256(repr(records).encode()).hexdigest()
-            digests[workers] = digest
-        assert len(set(digests.values())) == 1, digests
+        # two batteries, swept separately (/stats reports the analytics
+        # counters the second one moves): the history/latest workload,
+        # then repeated /analytics requests whose result memo and rollup
+        # caches the workers race on
+        for requests in (build_workload(service),
+                         analytics_mix(service) * 6):
+            digests = {}
+            for workers in (1, 2, 4):
+                service.metrics.reset()
+                frontend = service.frontend(tenants=[generous_tenant()],
+                                            workers=workers)
+                with frontend:
+                    tickets = [frontend.submit("key-dash", path, params,
+                                               arrival_time=float(i))
+                               for i, (path, params) in enumerate(requests)]
+                    records = [(i, t.result(30.0).status,
+                                t.result(30.0).json())
+                               for i, t in enumerate(tickets)]
+                assert all(status == 200 for _, status, _ in records), \
+                    records
+                digest = hashlib.sha256(repr(records).encode()).hexdigest()
+                digests[workers] = digest
+            assert len(set(digests.values())) == 1, digests
 
     def test_cold_cache_race_renders_once(self, conc_sanitizer):
         # built after the sanitizer installs so every lock is tracked
@@ -182,7 +207,12 @@ class TestWorkerPool:
         assert frontend.stats.served == 10
 
     def test_concurrent_submitters_all_get_served(self, service):
-        frontend = service.frontend(tenants=[generous_tenant()], workers=4,
+        # a closed-loop fleet: each client issues its next request only
+        # after the previous one resolves, rotating over four tenants
+        # whose limits never bind -- so every tenant must be served
+        # evenly and nothing may be rejected
+        tenants = [generous_tenant(f"t{i}") for i in range(4)]
+        frontend = service.frontend(tenants=tenants, workers=4,
                                     queue_depth=1024)
         params = full_range(service)
         statuses = []
@@ -193,9 +223,10 @@ class TestWorkerPool:
             barrier.wait()
             mine = []
             for i in range(20):
+                seq = cid * 20 + i
                 response = frontend.request(
-                    "key-dash", "/sps/history", params,
-                    arrival_time=float(cid * 20 + i), timeout=30.0)
+                    tenants[seq % 4].api_key, "/sps/history", params,
+                    arrival_time=float(seq), timeout=30.0)
                 mine.append(response.status)
             with lock:
                 statuses.extend(mine)
@@ -209,6 +240,9 @@ class TestWorkerPool:
                 thread.join()
         assert statuses == [200] * 120
         assert frontend.stats.served == 120
+        served = service.metrics.snapshot()["tenants"]
+        assert {t.name: served[t.name]["succeeded"] for t in tenants} == \
+            {t.name: 30 for t in tenants}
 
 
 class TestTenantAccounting:

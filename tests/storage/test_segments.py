@@ -7,14 +7,15 @@ import pytest
 
 from repro.cloudsim import CrashInjector, CrashPoint, SimulatedCrash
 from repro.storage import (
+    CorruptManifestError,
     CorruptSegmentError,
     MANIFEST_NAME,
     Manifest,
     SegmentMeta,
     TableManifest,
-    forced_segment_format,
     load_manifest,
     read_segment,
+    recover,
     sanitize_table_component,
     scan_segment,
     segment_file_name,
@@ -85,18 +86,15 @@ class TestSegmentFiles:
 
     @pytest.mark.parametrize("verify", [True, False])
     def test_empty_file_is_corrupt_not_index_error(self, tmp_path, verify):
-        # regression: an empty v1 body used to escape as raw IndexError
-        # when checksum verification was skipped
-        with forced_segment_format(1):
-            meta = write_segment(tmp_path, 1, "t", 0, build_items())
+        # an empty body must never escape as a raw decoder exception,
+        # even when checksum verification is skipped
+        meta = write_segment(tmp_path, 1, "t", 0, build_items())
         (tmp_path / meta.file).write_bytes(b"")
         with pytest.raises(CorruptSegmentError):
             read_segment(tmp_path, meta, verify=verify)
 
-    @pytest.mark.parametrize("fmt", [1, 2])
-    def test_truncated_file_is_corrupt_without_verify(self, tmp_path, fmt):
-        with forced_segment_format(fmt):
-            meta = write_segment(tmp_path, 1, "t", 0, build_items())
+    def test_truncated_file_is_corrupt_without_verify(self, tmp_path):
+        meta = write_segment(tmp_path, 1, "t", 0, build_items())
         path = tmp_path / meta.file
         path.write_bytes(path.read_bytes()[:meta.bytes // 2])
         with pytest.raises(CorruptSegmentError):
@@ -109,47 +107,53 @@ class TestSegmentFiles:
             read_segment(tmp_path, meta, verify=False)
 
 
+def v1_entries(meta):
+    """Manifest entries as a pre-columnar build wrote them: the retired
+    format named explicitly, and the key absent altogether."""
+    explicit = dict(meta.as_dict(), format=1)
+    absent = meta.as_dict()
+    del absent["format"]
+    return [SegmentMeta.from_dict(explicit), SegmentMeta.from_dict(absent)]
+
+
 class TestLegacyFormat:
-    def test_v1_write_read_round_trip(self, tmp_path):
-        items = build_items()
-        with forced_segment_format(1):
-            meta = write_segment(tmp_path, 1, "t", 0, items)
-        assert meta.format == 1
-        assert meta.file == "seg-00000001-t-L0.jsonl"
-        loaded = read_segment(tmp_path, meta)
-        assert [key for key, _ in loaded] == [key for key, _ in items]
-
-    def test_v1_and_v2_agree_on_content_and_scans(self, tmp_path):
-        items = build_items()
-        meta2 = write_segment(tmp_path, 1, "t", 0, items)
-        with forced_segment_format(1):
-            meta1 = write_segment(tmp_path, 2, "t", 0, items)
-
-        def norm(pairs):
-            return [(k, s.times, s.values, s.observed_until,
-                     s.observation_count) for k, s in pairs]
-
-        assert norm(read_segment(tmp_path, meta2)) == \
-            norm(read_segment(tmp_path, meta1))
-        for window in [(float("-inf"), float("inf")), (10.0, 20.0),
-                       (35.0, 99.0)]:
-            assert scan_segment(tmp_path, meta1, *window) == \
-                scan_segment(tmp_path, meta2, *window)
+    """v2 is the only format; the version gate refuses everything else."""
 
     def test_manifest_without_format_key_deserializes_as_v1(self, tmp_path):
-        with forced_segment_format(1):
-            meta = write_segment(tmp_path, 1, "t", 0, build_items())
+        meta = write_segment(tmp_path, 1, "t", 0, build_items())
+        assert meta.as_dict()["format"] == 2
         raw = meta.as_dict()
         del raw["format"]  # manifests from pre-columnar builds
         assert SegmentMeta.from_dict(raw).format == 1
-        assert read_segment(tmp_path, SegmentMeta.from_dict(raw))
+
+    def test_v1_entries_refused_before_a_byte_is_decoded(self, tmp_path):
+        meta = write_segment(tmp_path, 1, "t", 0, build_items())
+        # the gate fires on the manifest entry alone: with the file gone
+        # the error is still "unsupported format", not "missing segment"
+        (tmp_path / meta.file).unlink()
+        for legacy in v1_entries(meta):
+            for reader in (read_segment, scan_segment):
+                with pytest.raises(CorruptSegmentError,
+                                   match="unsupported format 1"):
+                    reader(tmp_path, legacy)
+
+    def test_recover_surfaces_a_v1_entry(self, tmp_path):
+        manifest = build_manifest(tmp_path)
+        table = manifest.tables["sps"]
+        for legacy in v1_entries(table.segments[0]):
+            table.segments = [legacy]
+            store_manifest(tmp_path, manifest)
+            with pytest.raises(CorruptSegmentError,
+                               match="unsupported format 1"):
+                recover(tmp_path)
 
     def test_unsupported_format_rejected(self, tmp_path):
         meta = write_segment(tmp_path, 1, "t", 0, build_items())
         raw = meta.as_dict()
         raw["format"] = 99
-        with pytest.raises(CorruptSegmentError, match="format"):
-            read_segment(tmp_path, SegmentMeta.from_dict(raw))
+        for reader in (read_segment, scan_segment):
+            with pytest.raises(CorruptSegmentError, match="format"):
+                reader(tmp_path, SegmentMeta.from_dict(raw))
 
 
 class TestTableNameSanitization:
@@ -213,6 +217,24 @@ class TestManifest:
         path.write_text(json.dumps(raw))
         with pytest.raises(ValueError, match="format"):
             load_manifest(tmp_path)
+
+    @pytest.mark.parametrize("body", [
+        '{"format": 1, "version": 3, "last_appl',       # torn mid-write
+        "\x00\xff not json",                            # garbage
+        json.dumps({"format": 99}),                     # wrong format
+        json.dumps({"format": 1, "version": 1}),        # missing keys
+        "[]",                                           # not an object
+        json.dumps(dict(Manifest().as_dict(), tables=[])),  # nested shape
+    ], ids=["torn", "garbage", "wrong-format", "missing-key", "non-object",
+            "tables-not-object"])
+    def test_corrupt_manifest_is_one_typed_error(self, tmp_path, body):
+        # regression: these used to escape load_manifest / recover as raw
+        # JSONDecodeError / KeyError / AttributeError
+        (tmp_path / MANIFEST_NAME).write_text(body, encoding="latin-1")
+        with pytest.raises(CorruptManifestError):
+            load_manifest(tmp_path)
+        with pytest.raises(CorruptManifestError):
+            recover(tmp_path)
 
     def test_crash_before_publish_keeps_old_version(self, tmp_path):
         old = build_manifest(tmp_path)

@@ -43,25 +43,17 @@ class TestCommands:
         assert "sps:" in out
         assert "spot_price:" in out
 
-    def test_serve_bench_small(self, capsys, tmp_path):
-        report_path = tmp_path / "BENCH_serving.json"
-        code = main(["serve-bench", "--days", "10", "--pool-types", "3",
-                     "--repeats", "3", "--output", str(report_path)])
+    def test_analyze_small(self, capsys):
+        code = main(["analyze", "--days", "3", "--pool-types", "2",
+                     "--group-by", "region", "--agg", "mean,count",
+                     "--limit", "4"])
         assert code == 0
-        out = capsys.readouterr().out
-        assert "speedup" in out
-        assert "byte-identical cached vs uncached responses: True" in out
-        report = json.loads(report_path.read_text())
-        assert report["byte_identical"] is True
-        assert report["speedup"] > 1.0
-        assert report["metrics"]["cache"]["hit_rate"] > 0.5
-
-    def test_serve_bench_min_speedup_gate(self, capsys):
-        # an absurd floor must flip the exit code, not crash
-        code = main(["serve-bench", "--days", "5", "--pool-types", "2",
-                     "--repeats", "2", "--min-speedup", "1e9"])
-        assert code == 1
-        assert "below required" in capsys.readouterr().err
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("sps (sps.sps), 3 day(s), ")
+        assert " group(s) x 3 bucket(s)" in lines[0]
+        assert lines[1].split() == ["region", "bucket_start", "mean", "count"]
+        assert len(lines) == 2 + 4 + 1  # header x2, --limit rows, counters
+        assert lines[-1].startswith("analytics: 1 query(ies), ")
 
     def test_collect_with_data_dir_then_recover(self, capsys, tmp_path):
         data_dir = str(tmp_path / "data")
@@ -105,6 +97,14 @@ class TestCommands:
             + encode_record(1, {"op": "commit", "round": 1, "time": 0.0}))
         assert main(["recover", "--data-dir", str(data)]) == 1
         assert "recovery failed" in capsys.readouterr().err
+
+    def test_recover_corrupt_manifest_exits_one(self, capsys, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "MANIFEST").write_text('{"format": 1, "versi')  # torn
+        assert main(["recover", "--data-dir", str(data)]) == 1
+        assert "recovery failed: CorruptManifestError" in \
+            capsys.readouterr().err
 
     def test_query_bad_region(self, capsys):
         assert main(["query", "--type", "m5.large",
