@@ -194,12 +194,11 @@ def _cmd_lake(args: argparse.Namespace) -> int:
               f"{census['rounds']} round(s) over {census['days']} day(s), "
               f"{census['rows']} rows, {census['bytes']} bytes, {span}")
         for day in lake.days():
-            parts = [p for p in lake.partitions if p.day == day]
-            kinds = sorted({p.kind for p in parts})
-            print(f"  {day}: {len(parts)} partition(s) "
-                  f"[{'+'.join(kinds)}], "
-                  f"{sum(len(p.rounds) for p in parts)} round(s), "
-                  f"{sum(p.bytes for p in parts)} bytes")
+            print(f"  {day}: {len(lake.rounds_on(day))} round(s); "
+                  + ", ".join(
+                      f"{len(group)} {kind} ({sum(p.rows for p in group)} "
+                      f"rows, {sum(p.bytes for p in group)} bytes)"
+                      for kind, group in lake.day_parts(day).items()))
         return 0
     summary = lake.compact(include_active=args.include_active)
     print(f"compacted {summary['days_compacted']} day(s): "
@@ -421,9 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="reuse solved query packings across rounds "
                               "and restarts (default on)")
     collect.add_argument("--lake", action="store_true",
-                         help="tiered-lake mode: archive every merged "
-                              "round cold and ingest only changed rows "
-                              "(requires --data-dir)")
+                         help="tiered-lake mode: land only each round's "
+                              "changed rows, hot and cold (a day's first "
+                              "round lands cold whole; requires --data-dir)")
     collect.add_argument("--lake-full-refresh", type=int, default=0,
                          help="emit all rows (not just changes) every Nth "
                               "round (default 0 = never)")

@@ -100,9 +100,10 @@ class SpotLakeArchive:
             self._ensure_table(name, retention)
         if self.engine is not None:
             self.engine.attach(self.store)
-        #: tiered-lake mode: collectors feed a round merger; commits land
-        #: the raw round in the cold tier and only changed rows in the hot
-        #: engine; history queries federate across the eviction boundary
+        #: tiered-lake mode: collectors feed a round merger; commits diff
+        #: the round and land its changed rows in both tiers (the cold one
+        #: also keeps a day's first round whole); history queries federate
+        #: across the eviction boundary
         self.lake: Optional[SpotDataLake] = None
         self._merger: Optional[RoundMerger] = None
         self._differ: Optional[RoundDiffer] = None
@@ -153,16 +154,23 @@ class SpotLakeArchive:
         return self.store.create_table(name, retention)
 
     def apply_retention(self, now: float) -> Dict[str, int]:
-        """Run the retention sweep, WAL-logging each eviction."""
+        """Run the retention sweep, WAL-logging each eviction.
+
+        Only the series a sweep trimmed become dirty: the next checkpoint
+        re-flushes those, not the table.
+        """
         dropped: Dict[str, int] = {}
         for name in self.store.table_names():
             cutoff = self.store.policy(name).cutoff(now)
             if cutoff is None:
                 continue
-            table = self.store.table(name)
             if self.engine is not None:
-                self.engine.log_eviction(name, cutoff, table.series_keys())
-            dropped[name] = table.evict_before(cutoff)
+                self.engine.log_eviction(name, cutoff)
+            trimmed: List[SeriesKey] = []
+            dropped[name] = self.store.table(name).evict_before(cutoff,
+                                                                trimmed)
+            if self.engine is not None:
+                self.engine.mark_dirty(name, trimmed)
         return dropped
 
     def commit_round(self, time: float) -> Dict[str, int]:
@@ -171,10 +179,11 @@ class SpotLakeArchive:
         The collection round is the crash-atomicity unit; every
         ``checkpoint_every`` committed rounds the log is folded into
         segments.  Without a storage engine only the sweep runs.  In lake
-        mode the buffered merged round first lands raw in the cold tier,
-        then only its changed rows are ingested into the hot engine --
-        strictly before the WAL's group commit, so recovery can trim the
-        lake to ``last_commit_time`` and re-collect the tail.
+        mode the buffered merged round is diffed first; its changed rows
+        land in the cold tier (the whole round on a day's first), then in
+        the hot engine -- strictly before the WAL's group commit, so
+        recovery can trim the lake to ``last_commit_time`` and re-collect
+        the tail.
         """
         if self._merger is not None:
             self._commit_lake_round(time)
@@ -187,12 +196,12 @@ class SpotLakeArchive:
         return dropped
 
     def _commit_lake_round(self, time: float) -> None:
-        """Archive the merged round cold, ingest its diff hot."""
+        """Diff the merged round; land what changed cold, then hot."""
         merged = self._merger.take_round(time)
         if merged.row_count == 0:
             return
-        self.lake.append_round(merged)
         diff = self._differ.diff(merged)
+        self.lake.append_round(merged, diff.rows)
         self.rows_merged += diff.rows_seen
         self.rows_ingested += diff.rows_changed
         for table, rows in diff.rows.items():
@@ -285,7 +294,7 @@ class SpotLakeArchive:
         which fixes the row layout and the series each row fans out to.
         In lake mode the rows go to the round merger instead (the count
         then reflects records captured for the merge): ``commit_round``
-        lands the merged round cold and ingests only the diff.
+        diffs the merged round and lands only what changed.
         """
         if self._merger is not None:
             self._merger.add(dataset, rows)

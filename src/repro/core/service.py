@@ -81,10 +81,10 @@ class ServiceConfig:
     data_dir: Optional[str] = None
     #: checkpoint cadence in committed collection rounds (0 = never).
     checkpoint_every: int = 4
-    #: tiered-lake mode: land every merged round in the date-partitioned
-    #: cold tier and ingest only changed rows into the hot engine;
-    #: history queries federate across the retention boundary.  Requires
-    #: ``data_dir``.
+    #: tiered-lake mode: diff every merged round and land only changed
+    #: rows, in the hot engine and in the date-partitioned cold tier (a
+    #: day's first round lands there whole); history queries federate
+    #: across the retention boundary.  Requires ``data_dir``.
     lake: bool = False
     #: emit every row (not just changes) each Nth round (0 = never).
     lake_full_refresh_every: int = 0

@@ -85,6 +85,12 @@ def serving_digest(service: SpotLakeService) -> str:
     return sha.hexdigest()
 
 
+def _mismatches(got: Dict[str, str], want: Dict[str, str]) -> List[str]:
+    """Names present on one side only, or digested differently."""
+    return sorted(set(got) ^ set(want)
+                  | {t for t in set(got) & set(want) if got[t] != want[t]})
+
+
 @dataclass
 class DoubleRunResult:
     """Digest comparison of two identically-seeded collection runs."""
@@ -170,10 +176,7 @@ def double_run(seed: int = 0,
                                  chaos_profile=chaos_profile,
                                  chaos_seed=chaos_seed,
                                  include_serving=include_serving)
-    mismatched = sorted(
-        set(digests_a) ^ set(digests_b)
-        | {t for t in set(digests_a) & set(digests_b)
-           if digests_a[t] != digests_b[t]})
+    mismatched = _mismatches(digests_a, digests_b)
     return DoubleRunResult(identical=not mismatched,
                            digests_a=digests_a, digests_b=digests_b,
                            mismatched_tables=mismatched)
@@ -224,9 +227,7 @@ def worker_sweep(worker_counts: Sequence[int],
         got = snapshot_digests(workers=workers, **kwargs)
         digests[f"workers={workers}"] = got
         if got != reference:
-            bad = sorted(set(got) ^ set(reference)
-                         | {t for t in set(got) & set(reference)
-                            if got[t] != reference[t]})
+            bad = _mismatches(got, reference)
             mismatched.append(f"workers={workers} ({', '.join(bad)})")
     return WorkerSweepResult(identical=not mismatched,
                              worker_counts=list(worker_counts),
@@ -246,7 +247,8 @@ def _store_digests(store) -> Dict[str, str]:
 
 @dataclass
 class CrashCaseResult:
-    """One seeded crash: where it fired and what recovery got back."""
+    """One seeded crash: where it fired, what recovery got back, and
+    whether collection resumed from there ends where the reference did."""
 
     window: str
     hit: int
@@ -254,13 +256,18 @@ class CrashCaseResult:
     rounds_recovered: int
     identical: bool
     data_loss: bool
+    #: tables (``"lake"`` included) that differ right after recovery, and
+    #: ``"resumed <table>"`` for those that differ after the resumed run
     mismatched_tables: List[str] = field(default_factory=list)
+    #: rounds the restarted service collected to reach the last round
+    rounds_resumed: int = 0
 
     def summary(self) -> str:
         status = "ok" if self.crashed and self.identical else "FAIL"
         loss = " torn-tail-discarded" if self.data_loss else ""
         return (f"{status}: crash at {self.window} (hit {self.hit}) -> "
-                f"recovered {self.rounds_recovered} round(s), "
+                f"recovered {self.rounds_recovered} round(s), resumed "
+                f"{self.rounds_resumed}, "
                 + ("byte-identical" if self.identical
                    else "tables differ: " + ", ".join(self.mismatched_tables))
                 + loss)
@@ -300,7 +307,11 @@ def durability_run(seed: int = 0,
     data directory is recovered cold, and the recovered store must be
     byte-identical to the reference at however many rounds recovery says
     survived.  A crash before the first commit must recover to an empty
-    store -- the manifest protocol admits no other states.
+    store -- the manifest protocol admits no other states.  The service
+    is then restarted on the recovered directory and collects the
+    remaining rounds; where it ends must be byte-identical to where the
+    reference ended.  (Not under a chaos profile: the fault schedule
+    counts calls per process, so a restart draws different faults.)
 
     ``lake`` runs the matrix in tiered-lake mode: the window list extends
     to the lake's publish protocol (``lake.segment`` / ``lake.manifest``
@@ -308,7 +319,13 @@ def durability_run(seed: int = 0,
     tier to the hot store's ``last_commit_time`` and byte-compares the
     lake digest (a ``"lake"`` pseudo-table) against the reference at the
     recovered round count -- the lake-ahead-of-WAL protocol's invariant.
+    The lake run crosses a UTC midnight, placed so the seeded
+    ``lake.segment`` crash hits the new day's keyframe round, and keeps
+    two rounds hot, so restarts re-collect a keyframe, re-seed the differ
+    from keyframe + deltas and replay evictions from the WAL tail.
     """
+    from ..cloudsim import SimulatedCloud
+    from ..cloudsim.clock import PAPER_WINDOW_START, SECONDS_PER_DAY
     from ..cloudsim.faults import (
         CrashInjector,
         SimulatedCrash,
@@ -317,7 +334,17 @@ def durability_run(seed: int = 0,
     from ..lake import LAKE_CRASH_WINDOWS, LAKE_DIR_NAME, SpotDataLake
     from ..storage import CRASH_WINDOWS, recover
 
-    def build(data_dir: Path, hook=None) -> SpotLakeService:
+    interval = interval_minutes * 60.0
+    first = PAPER_WINDOW_START
+    if lake:
+        keyframe_hit = seeded_crash_point(seed, "lake.segment", rounds).hit
+        first += SECONDS_PER_DAY - max(1, keyframe_hit) * interval
+
+    def build(data_dir: Path, hook=None, done: int = 0) -> SpotLakeService:
+        """A service on ``data_dir`` about to collect round ``done + 1``."""
+        cloud = cloud_factory() if cloud_factory is not None \
+            else SimulatedCloud(seed=seed)
+        cloud.clock.set(first + done * interval)
         return SpotLakeService(ServiceConfig(
             seed=seed,
             instance_types=list(instance_types) if instance_types else None,
@@ -326,22 +353,22 @@ def durability_run(seed: int = 0,
             data_dir=str(data_dir),
             checkpoint_every=checkpoint_every,
             storage_crash_hook=hook,
-            lake=lake),
-            cloud=cloud_factory() if cloud_factory is not None else None)
+            lake=lake,
+            retention_max_age=2 * interval if lake else None),
+            cloud=cloud)
 
     base = Path(tempfile.mkdtemp(prefix="spotlake-durability-"))
     try:
         # -- reference: uninterrupted, digested at every round boundary ----
         reference = build(base / "reference")
         ref: Dict[int, Dict[str, str]] = {0: {}}
-        ref_lake: Dict[int, str] = {}
         if lake:
-            ref_lake[0] = reference.archive.lake.digest()
+            ref[0]["lake"] = reference.archive.lake.digest()
         for committed in range(1, rounds + 1):
             reference.collect_once()
             ref[committed] = _store_digests(reference.archive.store)
             if lake:
-                ref_lake[committed] = reference.archive.lake.digest()
+                ref[committed]["lake"] = reference.archive.lake.digest()
             reference.cloud.clock.advance_minutes(interval_minutes)
         reference.archive.close()
 
@@ -380,21 +407,32 @@ def durability_run(seed: int = 0,
 
             state = recover(crash_dir)
             got = _store_digests(state.store)
-            want = ref.get(state.rounds_committed, {})
-            mismatched = sorted(
-                set(got) ^ set(want)
-                | {t for t in set(got) & set(want) if got[t] != want[t]})
             if lake:
                 recovered_lake = SpotDataLake(crash_dir / LAKE_DIR_NAME)
                 recovered_lake.trim_to(state.last_commit_time)
-                if recovered_lake.digest() != \
-                        ref_lake.get(state.rounds_committed):
-                    mismatched.append("lake")
+                got["lake"] = recovered_lake.digest()
+                recovered_lake.close()
+            mismatched = _mismatches(got, ref.get(state.rounds_committed, {}))
+
+            resumed_rounds = 0
+            if chaos_profile == "none":
+                resumed_rounds = rounds - state.rounds_committed
+                resumed = build(crash_dir, done=state.rounds_committed)
+                for _ in range(resumed_rounds):
+                    resumed.collect_once()
+                    resumed.cloud.clock.advance_minutes(interval_minutes)
+                final = _store_digests(resumed.archive.store)
+                if lake:
+                    final["lake"] = resumed.archive.lake.digest()
+                resumed.archive.close()
+                mismatched.extend(f"resumed {table}" for table in
+                                  _mismatches(final, ref[rounds]))
             cases.append(CrashCaseResult(
                 window=window, hit=point.hit, crashed=crashed,
                 rounds_recovered=state.rounds_committed,
                 identical=not mismatched, data_loss=state.data_loss,
-                mismatched_tables=mismatched))
+                mismatched_tables=mismatched,
+                rounds_resumed=resumed_rounds))
         passed = all(c.crashed and c.identical for c in cases)
         return DurabilityResult(identical=passed, rounds=rounds, cases=cases)
     finally:

@@ -2,10 +2,11 @@
 
 The package reproduces SpotLake's archival pipeline (paper Section 4):
 each collection round's three per-source outputs are merged into one
-wide per-pool record (:mod:`merge`), landed raw in a date-partitioned
-immutable cold tier (:mod:`store`), then diffed against the previous
-round so only changed rows reach the hot engine (:mod:`diff`); history
-queries federate across the hot/cold boundary (:mod:`federated`).
+wide per-pool record (:mod:`merge`) and diffed against the previous
+round (:mod:`diff`); only the changed rows reach the hot engine and the
+date-partitioned immutable cold tier, which also keeps each day's first
+round whole (:mod:`store`); history queries federate across the
+hot/cold boundary (:mod:`federated`).
 """
 
 from .diff import RoundDiff, RoundDiffer

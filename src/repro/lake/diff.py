@@ -2,11 +2,14 @@
 
 The hot store already deduplicates per series (appending an unchanged
 value stores no new change point), but a full ingest still pays for the
-WAL line of every row, every round.  :class:`RoundDiffer` extends the
+WAL line of every row, every round -- and a cold tier that archives the
+whole round pays for encoding it.  :class:`RoundDiffer` extends the
 dedup to the *whole round*: it keeps the previous round's merged values
 and emits only the rows whose value actually changed, so steady-state
-rounds write a few percent of the raw row volume.  Because the hot
-tables dedup on value anyway, feeding them the diffed subset produces
+rounds write a few percent of the raw row volume.  The one subset feeds
+both tiers: the lake stores it as the round's delta partition (see
+:mod:`repro.lake.store`) and the hot tables ingest it.  Because both
+dedup on value anyway, feeding them the diffed subset produces
 byte-identical change-point history to feeding them everything -- the
 property the federated-query identity tests pin.
 
@@ -80,10 +83,8 @@ class RoundDiffer:
             if slot is None:
                 continue
             dataset, index = slot
-            dims = key.dimension_dict
             values = self._previous[dataset.table].setdefault(
-                tuple(dims[d] for d in dataset.dims),
-                [None] * len(dataset.measures))
+                dataset.coords(key), [None] * len(dataset.measures))
             values[index] = value
 
     # -- the diff ------------------------------------------------------------

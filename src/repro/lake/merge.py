@@ -3,9 +3,10 @@
 The :class:`RoundMerger` is the collectors' *sink* in lake mode: instead
 of writing rows straight into the hot engine, the archive hands each
 collector's rows to the merger, and the round commit takes the whole
-merged round at once -- first landing it raw in the cold tier, then
-diffing it against the previous round so only changed rows reach the hot
-engine (see :mod:`repro.lake.diff`).
+merged round at once -- diffing it against the previous round (see
+:mod:`repro.lake.diff`) and landing the changed rows in both tiers; the
+cold tier additionally keeps the whole round once per UTC day, as that
+day's keyframe (see :mod:`repro.lake.store`).
 
 It is written to by the round's serial control thread only (the SPS
 engine materializes rows on workers but lands them serially), so no
@@ -15,7 +16,7 @@ locking is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..timeseries.compression import ChangePointSeries
 from ..timeseries.record import SeriesKey, Value
@@ -28,8 +29,8 @@ class MergedRound:
 
     ``time`` is the round's commit timestamp; the rows (per dataset, in
     schema order) keep their own per-source observation timestamps (a
-    retried price sweep stamps post-backoff times), which is what makes
-    the cold tier byte-faithful to the hot ingest path.
+    retried price sweep stamps post-backoff times), so a cold row carries
+    exactly the timestamp the hot ingest path stores for it.
     """
 
     time: float
@@ -40,17 +41,20 @@ class MergedRound:
         """Source rows captured (an advisor row counts once here)."""
         return sum(len(rows) for rows in self.rows.values())
 
-    def items(self) -> List[Tuple[SeriesKey, ChangePointSeries]]:
+    def items(self, subset: Optional[Dict[str, List[Row]]] = None,
+              ) -> List[Tuple[SeriesKey, ChangePointSeries]]:
         """The round as canonically-sorted columnar-codec series items.
 
         Every row becomes a point under exactly the series key the hot
-        tables use (advisor rows fan out to their three measures), so a
-        cold partition file is a byte-faithful raw snapshot of what the
-        round *observed* -- the diff stage decides what the hot engine
-        *stores*.
+        tables use (advisor rows fan out to their three measures).
+        ``subset`` narrows the output to some of the round's rows, per
+        dataset (what the lake stores of the round: all of it in a
+        keyframe, the changed rows in a delta); by default the whole
+        round is expanded.
         """
         points: Dict[SeriesKey, List[Tuple[float, Value]]] = {}
-        for table, rows in self.rows.items():
+        source = self.rows if subset is None else subset
+        for table, rows in source.items():
             for key, time, value in DATASETS[table].points(rows):
                 points.setdefault(key, []).append((time, value))
 

@@ -71,6 +71,11 @@ class Dataset:
         return tuple([SeriesKey(measure, dims)
                       for measure, _ in self.measures])
 
+    def coords(self, key: SeriesKey) -> Tuple[str, ...]:
+        """The coordinates of the rows that write ``key`` (see :meth:`keys`)."""
+        dims = key.dimension_dict
+        return tuple(dims[d] for d in self.dims)
+
     def points(self, rows: Iterable[Row],
                keys_of: Optional[KeysOf] = None) -> Iterator[Point]:
         """Fan ``rows`` out to (key, time, value) points, in row order.

@@ -1,19 +1,34 @@
-"""Date-partitioned cold tier: immutable round files + a lake manifest.
+"""Date-partitioned cold tier: keyframe + delta round files + a manifest.
 
 Every committed collection round lands as one immutable columnar file
 
-    data_dir/lake/YYYY/MM/DD/round-<t>.seg        (level 0, raw round)
+    data_dir/lake/YYYY/MM/DD/round-<t>.seg        (level 0)
 
 reusing the v2 segment codec (:mod:`repro.storage.columnar`): zone maps
-and mmap-backed predicate-pushdown scans come for free.  ``repro lake
-compact`` folds a finished day's round files into one
+and mmap-backed predicate-pushdown scans come for free.  What the file
+holds follows one rule, read off the manifest: the rows the differ found
+changed (:mod:`repro.lake.diff`) plus the rows of every series that
+day's partitions do not hold yet.  The first round of a UTC day (no
+partition listed under that day yet) is therefore the day's **keyframe**
+-- the whole merged round -- and every later round is a **delta**, in
+steady state of just the changed rows, possibly none.  A round costs the
+cold tier what it changed, and a day's files read, per series, as "first
+row that day + every value change" -- the layout ``repro lake compact``
+makes explicit when it folds a finished day into
 
-    data_dir/lake/YYYY/MM/DD/day-<t>.seg          (level 1, deduped day)
+    data_dir/lake/YYYY/MM/DD/day-<t>.seg          (level 1, one day)
 
-keeping, per series, the day's first row plus every value change -- a
-windowed history scan then decodes only actual change points, while the
-manifest's per-partition round-time list keeps ``/rounds/<date>``
-serving raw round snapshots via carry-forward.
+Readers never tell the kinds apart: history scans dedup against the
+value in force before each row (a delta's ride-along unchanged measures
+vanish there), and ``/rounds/<date>`` rebuilds any round's snapshot by
+carrying values forward over the day's partitions up to that round.
+Carry-forward repeats a series' last stored value through later rounds
+of the day that did not observe it (a mid-day collection gap); a series
+the keyframe round missed enters with the first round that observes it.
+History queries are exact either way.  In a lake file
+``observation_count`` counts the rows stored for the series and
+``observed_until`` is the time of the last one -- not, as in the hot
+tier, every observation made.
 
 Publish protocol (crash windows mirror the storage engine's checkpoint):
 
@@ -60,12 +75,15 @@ from ..timeseries.vector import TierColumns
 from ..storage.wal import NoopCrashHook
 from .merge import MergedRound
 from .schema import (
+    DATASETS,
     DIM_REGION,
     DIM_TYPE,
     DIM_ZONE,
     IF_SCORE_MEASURE,
     INTERRUPTION_RATIO_MEASURE,
+    MEASURE_SLOTS,
     PRICE_MEASURE,
+    Row,
     SAVINGS_MEASURE,
     SPS_MEASURE,
 )
@@ -166,6 +184,9 @@ class SpotDataLake:
         self._cursors: Dict[Tuple[str, str],
                             Tuple[object, mmap.mmap, SegmentCursor]] = {}
         self._cursor_lock = threading.Lock()
+        #: (day, per dataset the coordinates that day's partitions hold
+        #: rows for): what ``append_round`` need not store again
+        self._held: Tuple[Optional[str], Dict[str, set]] = (None, {})
         self._load_manifest()
 
     # -- manifest ------------------------------------------------------------
@@ -256,6 +277,22 @@ class SpotDataLake:
             seen.setdefault(part.day, None)
         return sorted(seen)
 
+    def day_parts(self, day: str) -> Dict[str, List[LakePartition]]:
+        """One day's partitions by what they are, in manifest order.
+
+        ``keyframe``: a round file that is the day's first partition
+        (:meth:`append_round` wrote it whole); ``delta``: every later
+        round file; ``day``: compacted files.  Read off the order alone,
+        so the whole-round files of an older layout all count as deltas.
+        """
+        made_of: Dict[str, List[LakePartition]] = {
+            "keyframe": [], "delta": [], "day": []}
+        for index, part in enumerate(p for p in self.partitions
+                                     if p.day == day):
+            made_of["day" if part.kind == "day" else
+                    "delta" if index else "keyframe"].append(part)
+        return made_of
+
     def census(self) -> dict:
         """Partition count / bytes / time span (the stats payload)."""
         parts = self.partitions
@@ -300,21 +337,39 @@ class SpotDataLake:
             kept = tuple(p for p in self._partitions
                          if p.rounds and p.rounds[-1] <= cutoff)
             self._partitions = kept
+            self._held = (None, {})
             self._invalidate_cursors()
             return before - sum(len(p.rounds) for p in kept)
 
     # -- writes --------------------------------------------------------------
 
-    def append_round(self, merged: MergedRound) -> LakePartition:
-        """Land one merged round as an immutable date-partitioned file."""
+    def append_round(self, merged: MergedRound,
+                     changed: Dict[str, List[Row]]) -> LakePartition:
+        """Land one merged round as an immutable date-partitioned file.
+
+        The file stores the rows of ``changed`` (the differ's subset of
+        the round) plus every row of a series the day's partitions do not
+        hold yet: all of them in the first round of a UTC day (the
+        keyframe), none in a steady-state round -- an empty file when
+        nothing changed either, so the round is still listed.
+        """
         if merged.row_count == 0:
             raise ValueError("refusing to archive an empty round")
-        items = merged.items()
+        day = lake_day(merged.time)
+        held = self._held_on(day)
+        stored: Dict[str, List[Row]] = {}
+        for table, observed in merged.rows.items():
+            width, seen = len(DATASETS[table].dims), held[table]
+            stored[table] = [r for r in changed[table] if r[:width] in seen]
+            stored[table] += [r for r in observed if r[:width] not in seen]
+        items = merged.items(stored)
         rows = sum(len(series.times) for _, series in items)
-        start = min(series.times[0] for _, series in items)
-        end = max(series.times[-1] for _, series in items)
+        start = min((series.times[0] for _, series in items),
+                    default=merged.time)
+        end = max((series.times[-1] for _, series in items),
+                  default=merged.time)
         blob = encode_segment(LAKE_TABLE, int(merged.time), 0, items)
-        rel = f"{lake_day(merged.time)}/round-{_stamp_text(merged.time)}.seg"
+        rel = f"{day}/round-{_stamp_text(merged.time)}.seg"
         with self._lock:
             self.crash_hook.before("lake.segment")
             target = self.root / rel
@@ -327,7 +382,26 @@ class SpotDataLake:
                 rounds=(float(merged.time),), rows=rows, bytes=len(blob),
                 sha256=hashlib.sha256(blob).hexdigest())
             self._publish([*self._partitions, partition], crash_hooks=True)
+        for table, landed in stored.items():
+            width = len(DATASETS[table].dims)
+            held[table].update(r[:width] for r in landed)
         return partition
+
+    def _held_on(self, day: str) -> Dict[str, set]:
+        """Per dataset, the row coordinates ``day``'s partitions hold.
+
+        Kept across the day's appends; re-read from the partitions' key
+        lists after a re-open or a trim.
+        """
+        if self._held[0] != day:
+            held: Dict[str, set] = {table: set() for table in DATASETS}
+            for part in self.partitions:
+                if part.day == day:
+                    for key in self._cursor(part).keys():
+                        dataset, _ = MEASURE_SLOTS[key.measure_name]
+                        held[dataset.table].add(dataset.coords(key))
+            self._held = (day, held)
+        return self._held[1]
 
     # -- compaction ----------------------------------------------------------
 
@@ -335,11 +409,9 @@ class SpotDataLake:
         """Fold each day's round files into one deduped day file.
 
         Per series the day file keeps the first row plus every value
-        change, so windowed history scans decode only change points
-        while ``round_snapshot`` reconstructs any of the day's rounds by
-        carry-forward (exact as long as a series observed that day was
-        observed from its first round onward -- mid-day collection gaps
-        degrade snapshot reconstruction, never history queries).
+        change -- what the day's keyframe and deltas already hold, minus
+        the unchanged measures that rode along with a changed row -- so
+        every read answers the same before and after.
 
         The newest day keeps receiving rounds and is skipped unless
         ``include_active``.  Returns a summary dict.
@@ -481,10 +553,11 @@ class SpotDataLake:
              ) -> List[Tuple[SeriesKey, List[Tuple[float, Value]]]]:
         """Raw windowed read across partitions, merged per series.
 
-        Rows are whatever the partitions store -- every observation for
-        round files, deduped change rows for compacted day files; use
-        :meth:`change_points` for hot-store-equivalent history.  Series
-        appear in canonical (measure, dimensions) order.
+        Rows are whatever the partitions store -- the whole round for a
+        keyframe, changed rows for deltas, deduped change rows for
+        compacted day files; use :meth:`change_points` for
+        hot-store-equivalent history.  Series appear in canonical
+        (measure, dimensions) order.
         """
         match = self._matcher(measure, filters)
         per_key: Dict[SeriesKey, List[List[Tuple[float, Value]]]] = {}
@@ -587,8 +660,8 @@ class SpotDataLake:
         plus the baseline value in force just before it, assembled from
         ``SegmentCursor.scan_columns`` without building per-row tuples.
         Partitions are time-disjoint, so per-series assembly is pure
-        concatenation in partition-start order; observation streams from
-        round files are deduped in the float domain against the running
+        concatenation in partition-start order; rows from round files
+        are deduped in the float domain against the running
         predecessor (NaN equals NaN, as in ``values_equal``).  Series
         the universe does not list are ignored -- the hot table's key
         set is a superset of the lake's by construction (every lake row
@@ -705,21 +778,22 @@ class SpotDataLake:
         one row per (instance_type, region, zone) carrying sps and
         spot_price, with the pair-level advisor measures broadcast onto
         every zone row (pairs with no zone-level data emit a zone-less
-        row).  For compacted days the values are reconstructed by
-        carry-forward from the day file's change rows.
+        row).  The values are carried forward over the day's partitions
+        (keyframe, deltas, day files alike) up to ``time``; see the
+        module docstring for what that means across a collection gap.
         """
         time = float(time)
-        owner = None
-        for part in self.partitions:
-            if time in part.rounds:
-                owner = part
-                break
-        if owner is None:
+        day = lake_day(time)
+        parts = [p for p in self.partitions if p.day == day]
+        if not any(time in part.rounds for part in parts):
             raise KeyError(f"no archived round at t={time!r}")
         resolved: Dict[SeriesKey, Value] = {}
-        for key, rows in self._partition_scan(owner, float("-inf"),
-                                              time, None):
-            resolved[key] = rows[-1][1]
+        for part in parts:
+            if part.start > time:
+                continue
+            for key, rows in self._partition_scan(part, float("-inf"),
+                                                  time, None):
+                resolved[key] = rows[-1][1]
 
         pools: Dict[Tuple[str, str, str], Dict[str, Value]] = {}
         pairs: Dict[Tuple[str, str], Dict[str, Value]] = {}

@@ -13,7 +13,8 @@ memtable -- there is no second copy of the data).  The write protocol:
 
 1. every archive mutation is logged first (``log_create_table`` /
    ``log_points`` / ``log_eviction``) and then applied to the live
-   table by the caller;
+   table by the caller (an eviction then reports the series it trimmed
+   through ``mark_dirty``);
 2. ``commit_round`` group-commits the round's batch to the WAL -- the
    crash-atomicity unit is the collection round;
 3. every ``checkpoint_every`` rounds (the caller's cadence),
@@ -215,14 +216,19 @@ class StorageEngine:
             last_seq = self._writer.append_template_many(parts)
         return last_seq
 
-    def log_eviction(self, table_name: str, cutoff: float,
-                     touched: Sequence[SeriesKey]) -> int:
+    def log_eviction(self, table_name: str, cutoff: float) -> int:
         seq = self._writer.append(
             {"op": "evict", "table": table_name, "cutoff": cutoff})
-        self._dirty.setdefault(table_name, set()).update(touched)
         previous = self._pending_evictions.get(table_name, float("-inf"))
         self._pending_evictions[table_name] = max(previous, cutoff)
         return seq
+
+    def mark_dirty(self, table_name: str,
+                   trimmed: Sequence[SeriesKey]) -> None:
+        """Queue the series an applied eviction trimmed for the next
+        checkpoint's flush.  The rest keep their segments: recovery
+        re-applies ``evicted_through`` to whatever it installs."""
+        self._dirty.setdefault(table_name, set()).update(trimmed)
 
     # -- round commit ------------------------------------------------------
 

@@ -104,12 +104,9 @@ def _replay_tail(store: TimeSeriesStore, state: RecoveredState,
             state.dirty.setdefault(table_name, set()).add(
                 SeriesKey.of(record))
         elif kind == "evict":
-            table = store.table(table_name)
-            # conservative dirty marking: the next checkpoint re-flushes
-            # every series of an evicted table
-            state.dirty.setdefault(table_name, set()).update(
-                table.series_keys())
-            table.evict_before(op["cutoff"])
+            trimmed: List[SeriesKey] = []
+            store.table(table_name).evict_before(op["cutoff"], trimmed)
+            state.dirty.setdefault(table_name, set()).update(trimmed)
             previous = state.replayed_evictions.get(table_name,
                                                     float("-inf"))
             state.replayed_evictions[table_name] = max(previous,

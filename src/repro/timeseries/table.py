@@ -320,12 +320,15 @@ class Table:
 
     # -- retention -----------------------------------------------------------------
 
-    def evict_before(self, cutoff: float) -> int:
+    def evict_before(self, cutoff: float,
+                     trimmed: Optional[List[SeriesKey]] = None) -> int:
         """Drop change points strictly before ``cutoff``.
 
         The last change point at or before the cutoff is retained (its value
         is still in force), matching tiered-retention semantics.  Returns
-        the number of change points dropped.
+        the number of change points dropped; the series that lost any are
+        appended to ``trimmed`` when given (the storage engine's dirty
+        set wants exactly those).
         """
         with self.lock:
             dropped = 0
@@ -339,6 +342,8 @@ class Table:
                     del series.times[:keep_from]
                     del series.values[:keep_from]
                     self._touch(key)
+                    if trimmed is not None:
+                        trimmed.append(key)
             if dropped:
                 self.eviction_generation = self.generation
             self.stats.change_points_stored -= dropped

@@ -12,6 +12,7 @@ from repro.lake import (
     SPS_MEASURE,
     SPS_TABLE,
 )
+from repro.lake.schema import empty_rows
 
 T0 = 1640995200.0
 
@@ -50,6 +51,18 @@ class TestMerger:
         keys = [k for k, _ in merged.items()]
         assert keys == sorted(keys,
                               key=lambda k: (k.measure_name, k.dimensions))
+
+    def test_items_of_a_subset_are_the_diffs_rows_only(self):
+        merged = _round(T0,
+                        sps=[("a.large", "r1", "r1a", 3, T0),
+                             ("b.large", "r1", "r1a", 4, T0)],
+                        price=[("a.large", "r1", "r1a", 1.5, T0)])
+        diff = RoundDiffer().diff(merged)
+        assert merged.items(diff.rows) == merged.items()   # round 1: all new
+        changed = dict(empty_rows(), sps=[("b.large", "r1", "r1a", 4, T0)])
+        ((key, series),) = merged.items(changed)
+        assert (key.measure_name, series.values) == (SPS_MEASURE, [4])
+        assert merged.items(empty_rows()) == []
 
     def test_items_sort_rows_by_time_within_series(self):
         merged = _round(T0 + 60,

@@ -29,7 +29,8 @@ def _fill(lake: SpotDataLake, rounds: int, per_day: int = 6) -> list:
             merger.add("sps", [(itype, "r1", "r1a", (r + p) % 3 + 1, t)])
             merger.add("price", [(itype, "r1", "r1a",
                                   round(1.0 + 0.01 * ((r + p) % 5), 4), t)])
-        lake.append_round(merger.take_round(t))
+        merged = merger.take_round(t)
+        lake.append_round(merged, merged.rows)   # every row changed
         times.append(t)
     return times
 

@@ -13,6 +13,7 @@ from repro.lake import (
     SpotDataLake,
     lake_day,
 )
+from repro.lake.schema import empty_rows
 
 T0 = 1640995200.0  # 2022-01-01 00:00:00 UTC
 DAY = 86400.0
@@ -25,10 +26,15 @@ def _merged(time, score=3, price=1.5, itype="a.large"):
     return merger.take_round(time)
 
 
+def _land(lake, merged):
+    """Append ``merged`` with every row changed, as a refresh round is."""
+    return lake.append_round(merged, merged.rows)
+
+
 def _fill(lake, times, scores=None):
     for index, t in enumerate(times):
         score = scores[index] if scores is not None else 3
-        lake.append_round(_merged(t, score=score))
+        _land(lake, _merged(t, score=score))
 
 
 def test_lake_day_is_utc():
@@ -39,8 +45,8 @@ def test_lake_day_is_utc():
 
 def test_append_publishes_versioned_manifest(tmp_path):
     lake = SpotDataLake(tmp_path)
-    lake.append_round(_merged(T0))
-    lake.append_round(_merged(T0 + 600, score=2))
+    _land(lake, _merged(T0))
+    _land(lake, _merged(T0 + 600, score=2))
     manifest = json.loads((tmp_path / LAKE_MANIFEST_NAME).read_text())
     assert manifest["format"] == LAKE_FORMAT
     assert manifest["version"] == 2
@@ -49,10 +55,65 @@ def test_append_publishes_versioned_manifest(tmp_path):
     assert (tmp_path / "2022" / "01" / "01").is_dir()
 
 
+def test_a_days_first_round_lands_whole_later_rounds_land_changed_rows(
+        tmp_path):
+    lake = SpotDataLake(tmp_path)
+    nothing = empty_rows()
+    lake.append_round(_merged(T0), nothing)   # no partition that day yet
+    lake.append_round(_merged(T0 + 600, score=4), dict(
+        nothing, sps=[("a.large", "r1", "r1a", 4, T0 + 600)]))
+    quiet = lake.append_round(_merged(T0 + 1200, score=4), nothing)
+    lake.append_round(_merged(T0 + DAY, score=4), nothing)   # a new day
+    assert [p.rows for p in lake.partitions] == [2, 1, 0, 2]
+    assert (quiet.start, quiet.end, quiet.rounds) == \
+        (T0 + 1200, T0 + 1200, (T0 + 1200,))
+    assert lake.round_times() == [T0, T0 + 600, T0 + 1200, T0 + DAY]
+    (row,) = lake.round_snapshot(T0 + 1200)   # carried over keyframe + delta
+    assert (row["sps"], row["spot_price"]) == (4, 1.5)
+    assert [r.value for r in lake.change_points(
+        SPS_MEASURE, {}, T0, T0 + DAY)] == [3, 4]
+    # a trimmed keyframe is re-collected as a keyframe
+    assert lake.trim_to(T0 + 1200) == 1
+    assert lake.append_round(_merged(T0 + DAY, score=4), nothing).rows == 2
+
+
+def test_a_pool_the_keyframe_missed_lands_with_its_first_round_that_day(
+        tmp_path):
+    def both(time):
+        merged = _merged(time)
+        merged.rows["sps"].append(("b.large", "r1", "r1a", 5, time))
+        merged.rows["price"].append(("b.large", "r1", "r1a", 2.5, time))
+        return merged
+
+    lake = SpotDataLake(tmp_path)
+    nothing = empty_rows()
+    lake.append_round(both(T0), nothing)
+    # 00:00 the next day fails to observe b.large; at 00:10 it is back,
+    # unchanged, so the differ reports nothing
+    lake.append_round(_merged(T0 + DAY), nothing)
+    back = lake.append_round(both(T0 + DAY + 600), nothing)
+    assert back.rows == 2
+    assert [r["instance_type"] for r in lake.round_snapshot(T0 + DAY)] == \
+        ["a.large"]
+    assert [(r["instance_type"], r["sps"], r["spot_price"])
+            for r in lake.round_snapshot(T0 + DAY + 600)] == \
+        [("a.large", 3, 1.5), ("b.large", 5, 2.5)]
+    # once held, not stored again -- nor after a re-open or a trim
+    assert lake.append_round(both(T0 + DAY + 1200), nothing).rows == 0
+    lake = SpotDataLake(tmp_path)
+    assert lake.append_round(both(T0 + DAY + 1800), nothing).rows == 0
+    assert lake.trim_to(T0 + DAY) == 3
+    assert lake.append_round(both(T0 + DAY + 600), nothing).sha256 == \
+        back.sha256
+    # history is none the wiser
+    assert [r.value for r in lake.change_points(
+        SPS_MEASURE, {"InstanceType": "b.large"}, T0, T0 + 2 * DAY)] == [5]
+
+
 def test_empty_round_refused(tmp_path):
     lake = SpotDataLake(tmp_path)
     with pytest.raises(ValueError):
-        lake.append_round(RoundMerger().take_round(T0))
+        _land(lake, RoundMerger().take_round(T0))
 
 
 def test_reload_is_digest_stable(tmp_path):
@@ -93,7 +154,7 @@ def test_trimmed_round_file_collected_on_next_publish(tmp_path):
     lake.trim_to(T0)
     seg_files = lambda: sorted(p.name for p in tmp_path.rglob("*.seg"))
     assert len(seg_files()) == 2  # trim is in-memory; GC waits for publish
-    lake.append_round(_merged(T0 + 600, score=1))
+    _land(lake, _merged(T0 + 600, score=1))
     assert len(seg_files()) == 2  # re-collected round replaced the orphan
     assert SpotDataLake(tmp_path).round_times() == [T0, T0 + 600]
 
@@ -166,7 +227,7 @@ def test_rounds_on_and_round_snapshot(tmp_path):
     merger.add("price", [("a.large", "r1", "r1a", 1.5, T0)])
     merger.add("advisor", [("a.large", "r1", 0.05, 2.0, 60, T0)])
     merger.add("advisor", [("b.large", "r1", 0.10, 1.0, 50, T0)])  # pair, no zone
-    lake.append_round(merger.take_round(T0))
+    _land(lake, merger.take_round(T0))
     assert lake.rounds_on("2022-01-01") == [T0]
     assert lake.rounds_on("2022/01/01") == [T0]
     assert lake.rounds_on("2022-01-02") == []

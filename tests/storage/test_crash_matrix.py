@@ -9,6 +9,7 @@ from repro.cloudsim import (
     seeded_crash_point,
 )
 from repro.devtools.doublerun import durability_run
+from repro.lake import LAKE_CRASH_WINDOWS
 from repro.storage import CRASH_WINDOWS
 
 from tests.chaos.conftest import build_tiny_cloud
@@ -103,3 +104,28 @@ class TestDurabilityMatrix:
         commit = by_window["wal.commit"]
         # the batch is durable before wal.commit fires: nothing is lost
         assert commit.rounds_recovered == commit.hit + 1
+        # every restart collects the rest and ends where the reference did
+        for case in result.cases:
+            assert case.identical, case.summary()
+            assert case.rounds_recovered + case.rounds_resumed == 3
+
+    def test_lake_matrix_crosses_midnight_and_resumes(self):
+        """Keyframe + delta layout under every window: the run starts one
+        round before a UTC midnight with two rounds kept hot, so restarts
+        re-collect the new day's keyframe, re-seed the differ from
+        keyframe + deltas and replay evictions from the WAL tail."""
+        result = durability_run(rounds=4, checkpoint_every=2,
+                                instance_types=None, lake=True,
+                                cloud_factory=build_tiny_cloud)
+        assert len(result.cases) == len(CRASH_WINDOWS) + len(LAKE_CRASH_WINDOWS)
+        for case in result.cases:
+            assert case.crashed, f"{case.window} never fired"
+            assert case.identical, case.summary()
+            assert case.rounds_recovered + case.rounds_resumed == 4
+        by_window = {case.window: case for case in result.cases}
+        # lake.segment fires before the midnight round's file exists:
+        # only the old day's keyframe round survives, the rest resumes
+        keyframe = by_window["lake.segment"]
+        assert (keyframe.rounds_recovered, keyframe.rounds_resumed) == (1, 3)
+        # a torn last commit leaves the lake one delta ahead of the WAL
+        assert by_window["wal.flush"].rounds_resumed == 1

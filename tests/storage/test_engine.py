@@ -129,8 +129,10 @@ class TestRetentionDurability:
         create_table(engine, store, "t")
         run_rounds(engine, store, 3)
         table = store.table("t")
-        engine.log_eviction("t", 150.0, table.series_keys())
-        table.evict_before(150.0)
+        engine.log_eviction("t", 150.0)
+        trimmed = []
+        table.evict_before(150.0, trimmed)
+        engine.mark_dirty("t", trimmed)
         engine.commit_round(400.0)
         engine.close()
         state = recover(data)
@@ -144,8 +146,10 @@ class TestRetentionDurability:
         create_table(engine, store, "t")
         run_rounds(engine, store, 3)
         table = store.table("t")
-        engine.log_eviction("t", 150.0, table.series_keys())
-        table.evict_before(150.0)
+        engine.log_eviction("t", 150.0)
+        trimmed = []
+        table.evict_before(150.0, trimmed)
+        engine.mark_dirty("t", trimmed)
         engine.commit_round(400.0)
         engine.checkpoint(400.0)
         assert engine.manifest.tables["t"].evicted_through == 150.0

@@ -106,6 +106,28 @@ class TestCommands:
         assert "recovery failed: CorruptManifestError" in \
             capsys.readouterr().err
 
+    def test_lake_stats_says_what_a_day_is_made_of(self, capsys, tmp_path):
+        data_dir = str(tmp_path / "data")
+        assert main(["collect", "--types", "m5.large", "--rounds", "3",
+                     "--data-dir", data_dir, "--lake"]) == 0
+        capsys.readouterr()
+        assert main(["lake", "stats", "--data-dir", data_dir]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "3 partition(s), 3 round(s) over 1 day(s)" in lines[0]
+        assert len(lines) == 2 and lines[1].startswith(
+            "  2022/01/01: 3 round(s); 1 keyframe (")
+        # at this scale nothing changes in twenty minutes: empty deltas
+        assert ", 2 delta (0 rows, " in lines[1]
+        assert lines[1].endswith(", 0 day (0 rows, 0 bytes)")
+
+        assert main(["lake", "compact", "--include-active",
+                     "--data-dir", data_dir]) == 0
+        capsys.readouterr()
+        assert main(["lake", "stats", "--data-dir", data_dir]) == 0
+        day_line = capsys.readouterr().out.splitlines()[1]
+        assert "3 round(s); 0 keyframe (0 rows, 0 bytes), 0 delta " in day_line
+        assert ", 1 day (" in day_line
+
     def test_query_bad_region(self, capsys):
         assert main(["query", "--type", "m5.large",
                      "--region", "us-east-1",
