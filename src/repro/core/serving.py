@@ -351,7 +351,6 @@ class LambdaHandlers:
             at = _finite(raw_at, "at")
             if at not in times:
                 raise NotFound(f"no archived round at t={raw_at} on {date}")
-            rows = lake.round_snapshot(at)
             limit = _parse_limit(params)
             offset = 0
             raw_offset = params.get("offset")
@@ -363,11 +362,10 @@ class LambdaHandlers:
                         f"invalid 'offset': {raw_offset!r}") from exc
                 if offset < 0:
                     raise BadRequest("'offset' must be >= 0")
-            page = rows[offset:offset + limit] if limit is not None \
-                else rows[offset:]
+            total, page = lake.round_snapshot(at, offset, limit)
             payload["round"] = {
                 "time": at,
-                "total": len(rows),
+                "total": total,
                 "count": len(page),
                 "offset": offset,
                 "rows": page,

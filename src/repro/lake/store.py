@@ -30,6 +30,16 @@ History queries are exact either way.  In a lake file
 ``observed_until`` is the time of the last one -- not, as in the hot
 tier, every observation made.
 
+Reads cost what they return.  A history read hands each partition's
+cursor a :class:`~repro.storage.columnar.Selection` (measure + exact
+filters, or the keys a baseline walk still misses) and the cursor's
+series index resolves it without visiting the other series; a
+``/rounds`` page takes its rows from per-partition row directories
+(:class:`_WideRows`: which wide-row coordinates a file's series belong
+to, and since when) and decodes only the series behind those rows.
+Index and directory are derived from the immutable file, built on first
+use, and dropped with the cursor they hang off.
+
 Publish protocol (crash windows mirror the storage engine's checkpoint):
 
 1. ``lake.segment``  -- before the partition file is written: a crash
@@ -63,12 +73,12 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .._util import atomic_open
-from ..storage.columnar import SegmentCursor, encode_segment
+from ..storage.columnar import Selection, SegmentCursor, encode_segment
 from ..timeseries.compression import ChangePointSeries, values_equal
 from ..timeseries.record import Record, SeriesKey, Value
 from ..timeseries.vector import TierColumns
@@ -81,6 +91,7 @@ from .schema import (
     DIM_ZONE,
     IF_SCORE_MEASURE,
     INTERRUPTION_RATIO_MEASURE,
+    KeyMemo,
     MEASURE_SLOTS,
     PRICE_MEASURE,
     Row,
@@ -166,6 +177,77 @@ class LakeFormatError(ValueError):
     """The lake manifest is not a well-formed format-1 document."""
 
 
+#: The measures of a wide merged row, in the order its fields appear
+#: (a field is named after its measure).
+_WIDE_MEASURES = (SPS_MEASURE, PRICE_MEASURE, INTERRUPTION_RATIO_MEASURE,
+                 IF_SCORE_MEASURE, SAVINGS_MEASURE)
+
+WideCoords = Tuple[str, str, str]
+
+
+class _WideRows:
+    """Where one partition's series sit in the wide merged record.
+
+    ``coords`` lists, sorted, the ``(instance_type, region, zone)`` of
+    every series in the file -- zone ``""`` for the pair-level advisor
+    series -- and ``since`` the earliest stored row time among each
+    coordinate's series.  Immutable once built.
+    """
+
+    __slots__ = ("coords", "since", "complete")
+
+    def __init__(self, keys: Sequence[SeriesKey], first_tmin: np.ndarray):
+        since: Dict[WideCoords, float] = {}
+        for key, tmin in zip(keys, first_tmin.tolist()):
+            dims = key.dimension_dict
+            coords = (dims[DIM_TYPE], dims[DIM_REGION],
+                      dims.get(DIM_ZONE, ""))
+            if tmin < since.get(coords, float("inf")):
+                since[coords] = tmin
+        self.coords: List[WideCoords] = sorted(since)
+        self.since = np.asarray([since[c] for c in self.coords])
+        #: from here on every coordinate holds a value
+        self.complete = max(since.values(), default=float("-inf"))
+
+    def upto(self, time: float) -> List[WideCoords]:
+        """Sorted coordinates with a row stored at or before ``time``."""
+        if time >= self.complete:
+            return self.coords
+        return [self.coords[i]
+                for i in np.flatnonzero(self.since <= time).tolist()]
+
+
+class _OpenPartition:
+    """One live partition file held open for reads."""
+
+    __slots__ = ("fh", "buffer", "cursor", "_rows")
+
+    def __init__(self, path: Path):
+        self.fh = open(path, "rb")
+        try:
+            self.buffer = mmap.mmap(self.fh.fileno(), 0,
+                                    access=mmap.ACCESS_READ)
+        except OSError:
+            self.fh.close()
+            raise
+        self.cursor = SegmentCursor(self.buffer, memoize=True)
+        self._rows: Optional[_WideRows] = None
+
+    def wide_rows(self) -> _WideRows:
+        """The file's row directory, built on first use and published
+        finished (like the cursor's series index it is read off)."""
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = _WideRows(
+                self.cursor.keys(), self.cursor.series_index().first_tmin)
+        return rows
+
+    def close(self) -> None:
+        self.cursor.release()
+        self.buffer.close()
+        self.fh.close()
+
+
 class SpotDataLake:
     """The cold tier under one ``data_dir/lake`` root."""
 
@@ -181,8 +263,7 @@ class SpotDataLake:
         #: by (path, sha256) so a re-collected overwrite never serves
         #: stale bytes; guarded by its own lock because compaction reads
         #: partitions while holding the manifest lock
-        self._cursors: Dict[Tuple[str, str],
-                            Tuple[object, mmap.mmap, SegmentCursor]] = {}
+        self._cursors: Dict[Tuple[str, str], _OpenPartition] = {}
         self._cursor_lock = threading.Lock()
         #: (day, per dataset the coordinates that day's partitions hold
         #: rows for): what ``append_round`` need not store again
@@ -493,8 +574,8 @@ class SpotDataLake:
 
     # -- reads ---------------------------------------------------------------
 
-    def _cursor(self, part: LakePartition) -> SegmentCursor:
-        """The partition's open mmap-backed cursor (opened once, cached).
+    def _open(self, part: LakePartition) -> _OpenPartition:
+        """The partition's open mmap-backed file (opened once, cached).
 
         Cursor reads are stateless over an immutable buffer, so one
         cached cursor serves concurrent scans; entries are dropped (and
@@ -505,16 +586,13 @@ class SpotDataLake:
         with self._cursor_lock:
             entry = self._cursors.get(key)
             if entry is None:
-                fh = open(self.root / part.path, "rb")
-                try:
-                    buffer = mmap.mmap(fh.fileno(), 0,
-                                       access=mmap.ACCESS_READ)
-                except OSError:
-                    fh.close()
-                    raise
-                entry = (fh, buffer, SegmentCursor(buffer, memoize=True))
-                self._cursors[key] = entry
-            return entry[2]
+                entry = self._cursors[key] = _OpenPartition(
+                    self.root / part.path)
+            return entry
+
+    def _cursor(self, part: LakePartition) -> SegmentCursor:
+        """The partition's memoized cursor."""
+        return self._open(part).cursor
 
     def _invalidate_cursors(self) -> None:
         """Close cursors for files the live partition set no longer holds."""
@@ -522,26 +600,21 @@ class SpotDataLake:
         with self._cursor_lock:
             stale = [k for k in self._cursors if k not in live]
             for key in stale:
-                fh, buffer, cursor = self._cursors.pop(key)
-                cursor.release()
-                buffer.close()
-                fh.close()
+                self._cursors.pop(key).close()
 
     def close(self) -> None:
         """Release every cached cursor (mmaps and file handles)."""
         with self._cursor_lock:
-            for fh, buffer, cursor in self._cursors.values():
-                cursor.release()
-                buffer.close()
-                fh.close()
+            for entry in self._cursors.values():
+                entry.close()
             self._cursors.clear()
 
     def _partition_scan(self, part: LakePartition, start: float, end: float,
-                        match: Optional[Callable[[SeriesKey], bool]],
+                        select: Optional[Selection],
                         ) -> List[Tuple[SeriesKey,
                                         List[Tuple[float, Value]]]]:
         """Zone-map-pruned scan of one partition file via its cursor."""
-        return self._cursor(part).scan(start, end, match=match)
+        return self._cursor(part).scan(start, end, select)
 
     def _partition_items(self, part: LakePartition,
                          ) -> List[Tuple[SeriesKey, ChangePointSeries]]:
@@ -559,33 +632,16 @@ class SpotDataLake:
         hot-store-equivalent history.  Series appear in canonical
         (measure, dimensions) order.
         """
-        match = self._matcher(measure, filters)
+        select = Selection(measure, filters)
         per_key: Dict[SeriesKey, List[List[Tuple[float, Value]]]] = {}
         for part in self.partitions:
             if part.end < start or part.start > end:
                 continue
-            for key, rows in self._partition_scan(part, start, end, match):
+            for key, rows in self._partition_scan(part, start, end, select):
                 per_key.setdefault(key, []).append(rows)
         return [(key, _merge_runs(per_key[key]))
                 for key in sorted(per_key, key=lambda k: (k.measure_name,
                                                           k.dimensions))]
-
-    @staticmethod
-    def _matcher(measure: Optional[str],
-                 filters: Optional[Dict[str, str]],
-                 ) -> Optional[Callable[[SeriesKey], bool]]:
-        if measure is None and not filters:
-            return None
-        wanted = dict(filters or {})
-        if not wanted:
-            return lambda key: key.measure_name == measure
-
-        def match(key: SeriesKey) -> bool:
-            if measure is not None and key.measure_name != measure:
-                return False
-            return key.matches(wanted)
-
-        return match
 
     def change_points(self, measure: str, filters: Dict[str, str],
                       start: float, end: float) -> List[Record]:
@@ -601,12 +657,12 @@ class SpotDataLake:
         hot/cold boundary.
         """
         parts = self.partitions
-        match = self._matcher(measure, filters)
+        select = Selection(measure, filters)
         per_key: Dict[SeriesKey, List[List[Tuple[float, Value]]]] = {}
         for part in parts:
             if part.end < start or part.start > end:
                 continue
-            for key, rows in self._partition_scan(part, start, end, match):
+            for key, rows in self._partition_scan(part, start, end, select):
                 per_key.setdefault(key, []).append(rows)
         if not per_key:
             return []
@@ -622,8 +678,7 @@ class SpotDataLake:
                 if part.start >= start:
                     continue
                 found = self._partition_scan(
-                    part, float("-inf"), start,
-                    match=lambda key: key in unresolved)
+                    part, float("-inf"), start, Selection(keys=unresolved))
                 for key, rows in found:
                     rows = [r for r in rows if r[0] < start]
                     if rows and key not in baseline:
@@ -671,7 +726,7 @@ class SpotDataLake:
         n = len(universe)
         cols = TierColumns.empty(n)
         index_of = {key: i for i, key in enumerate(universe)}
-        match = self._matcher(measure, filters)
+        select = Selection(measure, filters)
         parts = sorted(self.partitions, key=lambda p: (p.start, p.path))
         runs_t: List[List[np.ndarray]] = [[] for _ in range(n)]
         runs_v: List[List[np.ndarray]] = [[] for _ in range(n)]
@@ -684,7 +739,7 @@ class SpotDataLake:
                         counters.get("partitions_pruned", 0) + 1
                 continue
             keys, counts, times, values = self._cursor(part).scan_columns(
-                start, end, match=match, counters=counters)
+                start, end, select, counters=counters)
             offset = 0
             for j, key in enumerate(keys):
                 cnt = int(counts[j])
@@ -708,8 +763,7 @@ class SpotDataLake:
                 keys, counts, times, values = \
                     self._cursor(part).scan_columns(
                         float("-inf"), start,
-                        match=lambda key: key in unresolved,
-                        counters=counters)
+                        Selection(keys=unresolved), counters=counters)
                 offset = 0
                 for j, key in enumerate(keys):
                     cnt = int(counts[j])
@@ -771,67 +825,70 @@ class SpotDataLake:
         times.sort()
         return times
 
-    def round_snapshot(self, time: float) -> List[dict]:
-        """The wide per-pool merged record of one archived round.
+    def round_snapshot(self, time: float, offset: int = 0,
+                       limit: Optional[int] = None,
+                       ) -> Tuple[int, List[dict]]:
+        """One page of the wide per-pool merged record of an archived round.
 
-        Joins the round's values back into the paper's merged shape:
-        one row per (instance_type, region, zone) carrying sps and
-        spot_price, with the pair-level advisor measures broadcast onto
-        every zone row (pairs with no zone-level data emit a zone-less
-        row).  The values are carried forward over the day's partitions
-        (keyframe, deltas, day files alike) up to ``time``; see the
-        module docstring for what that means across a collection gap.
+        Returns ``(total, rows)``: the round's row count and the rows
+        ``[offset, offset + limit)`` of it (all from ``offset`` when
+        ``limit`` is None).  A row joins the round's values back into the
+        paper's merged shape: one per (instance_type, region, zone)
+        carrying sps and spot_price, with the pair-level advisor measures
+        broadcast onto every zone row (pairs with no zone-level data emit
+        a zone-less row), sorted by those coordinates.  The values are
+        carried forward over the day's partitions (keyframe, deltas, day
+        files alike) up to ``time``; see the module docstring for what
+        that means across a collection gap.
+
+        Which rows exist is read off the partitions' row directories
+        without decoding a value; only the series behind the page's rows
+        are then scanned, so a page costs its rows, not the round.
         """
         time = float(time)
         day = lake_day(time)
         parts = [p for p in self.partitions if p.day == day]
         if not any(time in part.rounds for part in parts):
             raise KeyError(f"no archived round at t={time!r}")
+        parts = [p for p in parts if p.start <= time]
+
+        # the largest partition's sorted coordinates, plus whatever only
+        # the others hold (a pool the keyframe round missed)
+        runs = [run for run in (self._open(part).wide_rows().upto(time)
+                                for part in parts) if run]
+        held = max(runs, key=len, default=[])
+        if len(runs) > 1:
+            extras = set().union(*(run for run in runs if run is not held)
+                                 ).difference(held)
+            if extras:
+                held = sorted([*held, *extras])
+        # a pair-level coordinate (zone "") sorts just ahead of its
+        # pair's pools and is a row of its own only when there are none
+        universe = [coords for coords, after in zip(held, [*held[1:], None])
+                    if coords[2] or after is None or after[:2] != coords[:2]]
+        page = universe[offset:] if limit is None \
+            else universe[offset:offset + limit]
+
+        memos = {table: KeyMemo(dataset)
+                 for table, dataset in DATASETS.items()}
+        fields = [(memos[dataset.table], len(dataset.dims), slot)
+                  for dataset, slot in (MEASURE_SLOTS[measure]
+                                        for measure in _WIDE_MEASURES)]
+        # per page row, its five series; None: a zone-level measure of a
+        # zone-less row
+        page_keys: List[List[Optional[SeriesKey]]] = [
+            [keys_at[coords[:width]][slot] if all(coords[:width]) else None
+             for keys_at, width, slot in fields]
+            for coords in page]
+        wanted = {key for keys in page_keys for key in keys
+                  if key is not None}
         resolved: Dict[SeriesKey, Value] = {}
         for part in parts:
-            if part.start > time:
-                continue
-            for key, rows in self._partition_scan(part, float("-inf"),
-                                                  time, None):
-                resolved[key] = rows[-1][1]
-
-        pools: Dict[Tuple[str, str, str], Dict[str, Value]] = {}
-        pairs: Dict[Tuple[str, str], Dict[str, Value]] = {}
-        for key, value in resolved.items():
-            dims = key.dimension_dict
-            measure = key.measure_name
-            if measure in (SPS_MEASURE, PRICE_MEASURE):
-                coords = (dims[DIM_TYPE], dims[DIM_REGION], dims[DIM_ZONE])
-                pools.setdefault(coords, {})[measure] = value
-            else:
-                pairs.setdefault((dims[DIM_TYPE], dims[DIM_REGION]),
-                                 {})[measure] = value
-
-        rows = []
-        paired_seen: Dict[Tuple[str, str], bool] = {}
-        for itype, region, zone in sorted(pools):
-            measures = pools[(itype, region, zone)]
-            advisor = pairs.get((itype, region), {})
-            paired_seen[(itype, region)] = True
-            rows.append({
-                "instance_type": itype, "region": region, "zone": zone,
-                "sps": measures.get(SPS_MEASURE),
-                "spot_price": measures.get(PRICE_MEASURE),
-                "interruption_ratio": advisor.get(INTERRUPTION_RATIO_MEASURE),
-                "if_score": advisor.get(IF_SCORE_MEASURE),
-                "savings": advisor.get(SAVINGS_MEASURE),
-            })
-        for itype, region in sorted(pairs):
-            if paired_seen.get((itype, region)):
-                continue
-            advisor = pairs[(itype, region)]
-            rows.append({
-                "instance_type": itype, "region": region, "zone": None,
-                "sps": None, "spot_price": None,
-                "interruption_ratio": advisor.get(INTERRUPTION_RATIO_MEASURE),
-                "if_score": advisor.get(IF_SCORE_MEASURE),
-                "savings": advisor.get(SAVINGS_MEASURE),
-            })
-        rows.sort(key=lambda r: (r["instance_type"], r["region"],
-                                 r["zone"] or ""))
-        return rows
+            for key, stored in self._partition_scan(
+                    part, float("-inf"), time, Selection(keys=wanted)):
+                resolved[key] = stored[-1][1]
+        return len(universe), [
+            {"instance_type": itype, "region": region, "zone": zone or None,
+             **{measure: resolved.get(key)
+                for measure, key in zip(_WIDE_MEASURES, keys)}}
+            for (itype, region, zone), keys in zip(page, page_keys)]

@@ -27,6 +27,13 @@ series key -- but lays it out columnar and binary:
   the query window; with an mmap-backed buffer the skipped chunks are
   never read off disk at all.  This is the predicate pushdown that lifts
   cold full-archive sweeps (and the serving front end's read ceiling).
+* **Series index** -- a scan that names its series (a :class:`Selection`:
+  measure, exact-match dimension filters and/or an explicit key set)
+  resolves them against a :class:`SeriesIndex` built lazily from the
+  parsed header: posting arrays of descriptor indices per measure and
+  per ``(dimension, value)``, intersected shortest first, so the scan
+  costs the series it returns rather than the series the file holds.
+  Nothing is stored for it; an unfiltered scan never builds it.
 
 Encoding is deterministic: dictionaries are populated in first-visit
 order over the (already canonically sorted) series items, so identical
@@ -42,7 +49,8 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Collection, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -168,6 +176,84 @@ def encode_segment(table: str, segment_id: int, level: int,
                      header_raw, bytes(body)))
 
 
+@dataclass(frozen=True)
+class Selection:
+    """The series a scan reads, stated as data.
+
+    Every constraint given must hold: the series' measure is
+    ``measure``, it carries each ``filters`` dimension with exactly that
+    value (a series lacking the dimension never matches), and its key is
+    one of ``keys``.  No constraint at all selects every series.
+    """
+
+    measure: Optional[str] = None
+    filters: Optional[Mapping[str, str]] = None
+    #: a set or dict: resolved by membership from whichever side is smaller
+    keys: Optional[Collection[SeriesKey]] = None
+
+
+_NO_SERIES = np.empty(0, dtype=np.int32)
+
+
+class SeriesIndex:
+    """Which series one segment holds, built once and never mutated.
+
+    ``by_measure`` / ``by_dim`` are posting arrays: the ascending
+    descriptor indices of the series with that measure / that
+    ``(dimension, value)`` pair.  ``position`` maps each key to its
+    descriptor index, and ``first_tmin`` is each series' earliest stored
+    timestamp (``inf`` for a series with no rows), read off its first
+    chunk's zone map.
+    """
+
+    __slots__ = ("by_measure", "by_dim", "position", "first_tmin")
+
+    def __init__(self, strings: Sequence[str], desc: Sequence[dict],
+                 keys: Sequence[SeriesKey]):
+        by_measure: Dict[int, List[int]] = {}
+        by_dim: Dict[Tuple[int, int], List[int]] = {}
+        first_tmin = np.full(len(desc), math.inf)
+        for index, series in enumerate(desc):
+            by_measure.setdefault(series["m"], []).append(index)
+            dims = series["d"]
+            for i in range(0, len(dims), 2):
+                by_dim.setdefault((dims[i], dims[i + 1]), []).append(index)
+            if series["ch"]:
+                first_tmin[index] = series["ch"][0][1]
+        # the descriptors name strings by dictionary id; queries name them
+        self.by_measure = {strings[m]: np.asarray(found, dtype=np.int32)
+                           for m, found in by_measure.items()}
+        self.by_dim = {(strings[name], strings[value]):
+                       np.asarray(found, dtype=np.int32)
+                       for (name, value), found in by_dim.items()}
+        self.position = {key: index for index, key in enumerate(keys)}
+        self.first_tmin = first_tmin
+
+    def select(self, selection: Selection) -> List[int]:
+        """Descriptor indices of the selected series, ascending."""
+        postings: List[np.ndarray] = []
+        if selection.measure is not None:
+            postings.append(self.by_measure.get(selection.measure,
+                                                _NO_SERIES))
+        for item in (selection.filters or {}).items():
+            postings.append(self.by_dim.get(item, _NO_SERIES))
+        if selection.keys is not None:
+            position, keys = self.position, selection.keys
+            found = [position[key] for key in keys if key in position] \
+                if len(keys) <= len(position) else \
+                [index for key, index in position.items() if key in keys]
+            postings.append(np.sort(np.asarray(found, dtype=np.int32)))
+        # shortest posting first: each step costs the survivors so far
+        postings.sort(key=len)
+        out = postings[0]
+        for other in postings[1:]:
+            if not out.size:
+                break
+            at = np.minimum(np.searchsorted(other, out), other.size - 1)
+            out = out[other[at] == out]
+        return out.tolist()
+
+
 class SegmentCursor:
     """Decoder over one v2 segment buffer (bytes or an mmap).
 
@@ -186,6 +272,7 @@ class SegmentCursor:
         #: pure overhead when nothing is ever re-read.
         self._memoize = memoize
         self._keys: Optional[List[SeriesKey]] = None
+        self._index: Optional[SeriesIndex] = None
         self._chunk_cache: Dict[int, Tuple[List[float], list]] = {}
         self._array_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         # float64 lookup table over the value dictionary, built lazily on
@@ -235,6 +322,7 @@ class SegmentCursor:
             body.release()
         self._view.release()
         self._keys = None
+        self._index = None
         self._chunk_cache.clear()
         self._array_cache.clear()
         self._float_lut = None
@@ -260,6 +348,35 @@ class SegmentCursor:
         if self._memoize and self._keys is None:
             self._keys = [self._key_of(desc) for desc in self._desc]
         return self._keys
+
+    def series_index(self) -> SeriesIndex:
+        """The segment's :class:`SeriesIndex`, built on first use.
+
+        A memoized cursor publishes the finished index with one
+        assignment (two first readers may each build one; nobody sees it
+        half-built); a one-shot cursor builds it per call and keeps
+        nothing.
+        """
+        index = self._index
+        if index is None:
+            try:
+                index = SeriesIndex(
+                    self._strings, self._desc,
+                    self.keys() or [self._key_of(d) for d in self._desc])
+            except (ValueError, KeyError, IndexError, TypeError) as exc:
+                raise ColumnarFormatError(
+                    f"undecodable v2 segment header: {exc}") from None
+            if self._memoize:
+                self._index = index
+        return index
+
+    def select(self, selection: Optional[Selection]) -> Sequence[int]:
+        """Descriptor indices a scan of ``selection`` visits, ascending."""
+        if selection is None or (selection.measure is None
+                                 and not selection.filters
+                                 and selection.keys is None):
+            return range(len(self._desc))
+        return self.series_index().select(selection)
 
     def _chunk_columns(self, chunk: Sequence) -> Tuple[List[float], list]:
         n, _, _, t_off, t_len, v_off, v_len = chunk
@@ -317,26 +434,22 @@ class SegmentCursor:
 
     def scan(self, start: float = float("-inf"),
              end: float = float("inf"),
-             match: Optional[Callable[[SeriesKey], bool]] = None,
+             select: Optional[Selection] = None,
              ) -> List[Tuple[SeriesKey, List[Tuple[float, Value]]]]:
         """Change points inside ``[start, end]``, per series.
 
         Only chunks whose zone map ``[tmin, tmax]`` overlaps the window
         are decoded; boundary chunks are trimmed row-wise after decode.
-        Series with no overlapping chunks are omitted entirely.  An
-        optional ``match`` predicate on the series key skips whole
-        series before any chunk is touched (the lake's key pushdown).
+        Series with no overlapping chunks are omitted entirely.  Only
+        the series ``select`` names are visited (all of them when None),
+        in descriptor order either way.
         """
         try:
             out = []
             keys = self.keys()
-            for index, desc in enumerate(self._desc):
-                key = keys[index] if keys is not None else None
-                if match is not None:
-                    if key is None:
-                        key = self._key_of(desc)
-                    if not match(key):
-                        continue
+            descs = self._desc
+            for index in self.select(select):
+                desc = descs[index]
                 rows: List[Tuple[float, Value]] = []
                 for chunk in desc["ch"]:
                     tmin, tmax = chunk[1], chunk[2]
@@ -349,9 +462,8 @@ class SegmentCursor:
                         rows.extend((t, v) for t, v in zip(times, vals)
                                     if start <= t <= end)
                 if rows:
-                    if key is None:
-                        key = self._key_of(desc)
-                    out.append((key, rows))
+                    out.append((keys[index] if keys is not None
+                                else self._key_of(desc), rows))
             return out
         except ColumnarFormatError:
             raise
@@ -412,13 +524,13 @@ class SegmentCursor:
 
     def scan_columns(self, start: float = float("-inf"),
                      end: float = float("inf"),
-                     match: Optional[Callable[[SeriesKey], bool]] = None,
+                     select: Optional[Selection] = None,
                      counters: Optional[Dict[str, int]] = None,
                      ) -> Tuple[List[SeriesKey], np.ndarray,
                                 np.ndarray, np.ndarray]:
         """Decoded columns inside ``[start, end]`` without per-row tuples.
 
-        Returns ``(keys, counts, times, values)``: the matched series
+        Returns ``(keys, counts, times, values)``: the selected series'
         keys (descriptor order) that have at least one in-window row,
         rows-per-series counts, and the concatenated float64 time/value
         columns (series-major; time-sorted within each series).  Chunk
@@ -436,13 +548,9 @@ class SegmentCursor:
             v_parts: List[np.ndarray] = []
             pruned = decoded = rows_decoded = 0
             keys = self.keys()
-            for index, desc in enumerate(self._desc):
-                key = keys[index] if keys is not None else None
-                if match is not None:
-                    if key is None:
-                        key = self._key_of(desc)
-                    if not match(key):
-                        continue
+            descs = self._desc
+            for index in self.select(select):
+                desc = descs[index]
                 total = 0
                 first_part = len(t_parts)
                 for chunk in desc["ch"]:
@@ -462,9 +570,8 @@ class SegmentCursor:
                         t_parts.append(times)
                         v_parts.append(vals)
                 if total:
-                    if key is None:
-                        key = self._key_of(desc)
-                    keys_out.append(key)
+                    keys_out.append(keys[index] if keys is not None
+                                    else self._key_of(desc))
                     counts.append(total)
                 else:
                     del t_parts[first_part:]

@@ -42,11 +42,6 @@ class Record:
     def dimension_dict(self) -> Dict[str, str]:
         return dict(self.dimensions)
 
-    def matches(self, filters: Dict[str, str]) -> bool:
-        """True when every filter key/value appears in the dimensions."""
-        dims = self.dimension_dict
-        return all(dims.get(k) == v for k, v in filters.items())
-
 
 @dataclass(frozen=True)
 class SeriesKey:
@@ -72,7 +67,3 @@ class SeriesKey:
     @property
     def dimension_dict(self) -> Dict[str, str]:
         return dict(self.dimensions)
-
-    def matches(self, filters: Dict[str, str]) -> bool:
-        dims = self.dimension_dict
-        return all(dims.get(k) == v for k, v in filters.items())

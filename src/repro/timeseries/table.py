@@ -203,15 +203,21 @@ class Table:
                     filters: Optional[Dict[str, str]] = None) -> List[SeriesKey]:
         """Series matching a measure and/or dimension filters."""
         with self.lock:
-            candidates: Optional[Set[SeriesKey]] = None
+            postings: List[Set[SeriesKey]] = []
             if measure_name is not None:
-                candidates = set(self._measures.get(measure_name, set()))
-            if filters:
-                for item in filters.items():
-                    indexed = self._index.get(item, set())
-                    candidates = set(indexed) if candidates is None else candidates & indexed
-            if candidates is None:
-                candidates = set(self._series)
+                postings.append(self._measures.get(measure_name, set()))
+            for item in (filters or {}).items():
+                postings.append(self._index.get(item, set()))
+            if postings:
+                # walk the smallest posting set, probe the others: a pool
+                # query costs its handful of series, not a copy of every
+                # key of the measure
+                postings.sort(key=len)
+                smallest, others = postings[0], postings[1:]
+                candidates = [key for key in smallest
+                              if all(key in other for other in others)]
+            else:
+                candidates = self._series
             return sorted(candidates,
                           key=lambda k: (k.measure_name, k.dimensions))
 

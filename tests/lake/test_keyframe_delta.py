@@ -26,8 +26,10 @@ from repro.lake import (
     LAKE_CRASH_WINDOWS,
     PRICE_MEASURE,
     SPS_MEASURE,
+    SpotDataLake,
     lake_day,
 )
+from repro.storage import SegmentCursor
 from repro.timeseries import RetentionPolicy
 
 from .conftest import EPOCH, REGION, drive_round
@@ -108,6 +110,18 @@ class Model:
                 "interruption_ratio": ratio, "if_score": if_score,
                 "savings": savings})
         return out
+
+
+def _walked(lake, time, limit):
+    """Every ``limit``-row page of one round, concatenated, plus the
+    total every page reported."""
+    total, rows = lake.round_snapshot(time, 0, limit)
+    for offset in range(limit, total, limit):
+        count, page = lake.round_snapshot(time, offset, limit)
+        assert count == total and 0 < len(page) <= limit
+        rows.extend(page)
+    assert lake.round_snapshot(time, total, limit) == (total, [])
+    return total, rows
 
 
 def _served(gateway, lake):
@@ -193,7 +207,8 @@ def test_readers_see_the_merged_rounds_whatever_the_layout(data):
             lake = archive.lake
             assert lake.round_times() == sorted(model.snapshots)
             for time, want in model.snapshots.items():
-                assert lake.round_snapshot(time) == want
+                assert lake.round_snapshot(time) == (len(want), want)
+                assert _walked(lake, time, limit=3) == (len(want), want)
             pages, rows = _served(gateway, lake)
             assert rows == model.snapshots
             for table, measure in HISTORIES:
@@ -226,6 +241,107 @@ def test_readers_see_the_merged_rounds_whatever_the_layout(data):
         archive.close()
         reference.close()
         shutil.rmtree(base, ignore_errors=True)
+
+
+class TestPagedSnapshots:
+    """A ``/rounds`` page costs its rows, on a day of many deltas too:
+    which rows exist is read off key lists, and only the page's series
+    are decoded."""
+
+    ROUNDS = 23                 # one keyframe + 22 deltas, one UTC day
+    LIMIT = 7
+    DAY_TYPES = TYPES + tuple(f"{c}.large" for c in "defgh")
+    #: the keyframe round fails to observe it; round 1's delta brings it
+    MISSED = (TYPES[1], ZONES[0])
+
+    def _day(self, root):
+        archive = SpotLakeArchive(data_dir=root, lake=True, cache=False)
+        model = Model()
+        series = [("advisor", t) for t in (*self.DAY_TYPES, LATE_TYPE)] + [
+            (table, t, z) for table in ("sps", "price")
+            for t in (*self.DAY_TYPES, LATE_TYPE) for z in ZONES]
+        versions = dict.fromkeys(series, 0)
+        for r in range(self.ROUNDS):
+            time = MIDNIGHT + r * INTERVAL
+            if r % 4:           # every fourth round is quiet
+                for pick in (5 * r, 7 * r + 3):
+                    versions[series[pick % len(series)]] += 1
+            rows = _rows(time, self.DAY_TYPES + (LATE_TYPE,) * (r >= 13),
+                         versions, absent=self.MISSED if r == 0 else None)
+            for table, table_rows in rows.items():
+                archive.append(table, table_rows)
+            archive.commit_round(time)
+            model.land(time, rows)
+        return archive, model
+
+    def test_pages_tile_every_round_before_and_after_compaction(
+            self, tmp_path):
+        archive, model = self._day(tmp_path)
+        try:
+            lake = archive.lake
+            (day,) = lake.days()
+            made_of = lake.day_parts(day)
+            assert len(made_of["keyframe"]) == 1
+            assert len(made_of["delta"]) == self.ROUNDS - 1
+            assert sum(p.rows == 0 for p in made_of["delta"]) >= 5
+            assert made_of["delta"][0].rows >= 2    # the missed pool
+            sizes = {len(rows) for rows in model.snapshots.values()}
+            assert len(sizes) == 3     # the missed pool, then the late type
+
+            def check():
+                for time, want in model.snapshots.items():
+                    assert lake.round_snapshot(time) == (len(want), want)
+                    assert _walked(lake, time, self.LIMIT) == \
+                        (len(want), want)
+
+            check()
+            lake.compact(include_active=True)
+            assert [p.kind for p in lake.partitions] == ["day"]
+            check()
+        finally:
+            archive.close()
+
+    def test_a_late_page_decodes_only_its_own_series(self, tmp_path,
+                                                     monkeypatch):
+        archive, model = self._day(tmp_path)
+        archive.close()
+        lake = SpotDataLake(tmp_path / "lake")    # nothing decoded yet
+        try:
+            last = lake.round_times()[-1]
+            decoded = []
+            original = SegmentCursor._chunk_columns
+
+            def counting(cursor, chunk):
+                decoded.append((id(cursor), chunk[3]))
+                return original(cursor, chunk)
+
+            monkeypatch.setattr(SegmentCursor, "_chunk_columns", counting)
+            total, page = lake.round_snapshot(last, self.LIMIT, self.LIMIT)
+            monkeypatch.undo()
+            assert page == model.snapshots[last][self.LIMIT:2 * self.LIMIT]
+            assert total == len(model.snapshots[last])
+
+            page_series = set()
+            for row in page:
+                pool = (row["instance_type"], row["region"], row["zone"])
+                page_series.update(DATASETS["sps"].keys(pool),
+                                   DATASETS["price"].keys(pool),
+                                   DATASETS["advisor"].keys(pool[:2]))
+            owner, held = {}, 0
+            for part in lake.partitions:
+                cursor = lake._cursor(part)
+                for key, desc in zip(cursor.keys(), cursor.header["desc"]):
+                    assert len(desc["ch"]) == 1
+                    owner[id(cursor), desc["ch"][0][3]] = key
+                held += len(page_series.intersection(cursor.keys()))
+            # at most one chunk per (page series, partition holding it),
+            # and never one of a series outside the page
+            assert 0 < len(decoded) <= held
+            assert len(set(decoded)) == len(decoded)
+            assert {owner[chunk] for chunk in decoded} <= page_series
+            assert len(owner) > 2 * len(decoded)   # 7 of the 18 rows
+        finally:
+            lake.close()
 
 
 class TestQuietRounds:

@@ -37,12 +37,11 @@ def _fill(lake: SpotDataLake, rounds: int, per_day: int = 6) -> list:
 
 def _reference_scan(lake: SpotDataLake, start: float, end: float):
     """The pre-merge semantics: stable re-sort of the concatenation."""
-    match = lake._matcher(None, None)
     per_key = {}
     for part in lake.partitions:
         if part.end < start or part.start > end:
             continue
-        for key, rows in lake._partition_scan(part, start, end, match):
+        for key, rows in lake._partition_scan(part, start, end, None):
             per_key.setdefault(key, []).extend(rows)
     return [(key, sorted(per_key[key], key=lambda row: row[0]))
             for key in sorted(per_key, key=lambda k: (k.measure_name,

@@ -68,7 +68,8 @@ def test_a_days_first_round_lands_whole_later_rounds_land_changed_rows(
     assert (quiet.start, quiet.end, quiet.rounds) == \
         (T0 + 1200, T0 + 1200, (T0 + 1200,))
     assert lake.round_times() == [T0, T0 + 600, T0 + 1200, T0 + DAY]
-    (row,) = lake.round_snapshot(T0 + 1200)   # carried over keyframe + delta
+    total, (row,) = lake.round_snapshot(T0 + 1200)   # over keyframe + delta
+    assert total == 1
     assert (row["sps"], row["spot_price"]) == (4, 1.5)
     assert [r.value for r in lake.change_points(
         SPS_MEASURE, {}, T0, T0 + DAY)] == [3, 4]
@@ -93,10 +94,10 @@ def test_a_pool_the_keyframe_missed_lands_with_its_first_round_that_day(
     lake.append_round(_merged(T0 + DAY), nothing)
     back = lake.append_round(both(T0 + DAY + 600), nothing)
     assert back.rows == 2
-    assert [r["instance_type"] for r in lake.round_snapshot(T0 + DAY)] == \
-        ["a.large"]
+    assert [r["instance_type"]
+            for r in lake.round_snapshot(T0 + DAY)[1]] == ["a.large"]
     assert [(r["instance_type"], r["sps"], r["spot_price"])
-            for r in lake.round_snapshot(T0 + DAY + 600)] == \
+            for r in lake.round_snapshot(T0 + DAY + 600)[1]] == \
         [("a.large", 3, 1.5), ("b.large", 5, 2.5)]
     # once held, not stored again -- nor after a re-open or a trim
     assert lake.append_round(both(T0 + DAY + 1200), nothing).rows == 0
@@ -232,11 +233,49 @@ def test_rounds_on_and_round_snapshot(tmp_path):
     assert lake.rounds_on("2022/01/01") == [T0]
     assert lake.rounds_on("2022-01-02") == []
 
-    rows = lake.round_snapshot(T0)
+    total, rows = lake.round_snapshot(T0)
+    assert total == 2
     assert [r["instance_type"] for r in rows] == ["a.large", "b.large"]
     wide = rows[0]
     assert wide["sps"] == 3 and wide["spot_price"] == 1.5
     assert wide["if_score"] == 2.0 and wide["savings"] == 60
     assert rows[1]["zone"] is None and rows[1]["sps"] is None
+    assert lake.round_snapshot(T0, offset=1, limit=1) == (2, rows[1:])
+    assert lake.round_snapshot(T0, offset=2) == (2, [])
     with pytest.raises(KeyError):
         lake.round_snapshot(T0 + 1.0)
+
+
+def test_a_zone_less_row_gives_way_once_a_delta_brings_the_pairs_pools(
+        tmp_path):
+    """Row existence is decided across the day's files: the advisor pair
+    sits in the keyframe, its first pool in a later delta (and, folded
+    into a day file, in a series that starts later than the pair's)."""
+    lake = SpotDataLake(tmp_path)
+
+    def land(time, with_pool):
+        merger = RoundMerger()
+        merger.add("sps", [("a.large", "r1", "r1a", 3, time)])
+        merger.add("advisor", [("b.large", "r1", 0.10, 1.0, 50, time)])
+        if with_pool:
+            merger.add("sps", [("b.large", "r1", "r1b", 2, time)])
+        return lake.append_round(merger.take_round(time), empty_rows())
+
+    assert land(T0, with_pool=False).rows == 4
+    assert land(T0 + 600, with_pool=True).rows == 1   # just the new pool
+
+    def rows_at(time):
+        total, rows = lake.round_snapshot(time)
+        assert total == len(rows)
+        return [(r["instance_type"], r["zone"], r["sps"], r["savings"])
+                for r in rows]
+
+    for _layout in ("keyframe + delta", "day file"):
+        assert rows_at(T0) == [("a.large", "r1a", 3, None),
+                               ("b.large", None, None, 50)]
+        assert rows_at(T0 + 600) == [("a.large", "r1a", 3, None),
+                                     ("b.large", "r1b", 2, 50)]
+        assert lake.round_snapshot(T0 + 600, 1, 5)[1] == \
+            lake.round_snapshot(T0 + 600)[1][1:]
+        lake.compact(include_active=True)
+    assert [p.kind for p in lake.partitions] == ["day"]

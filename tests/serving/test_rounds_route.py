@@ -124,6 +124,25 @@ class TestRoundsRoute:
                 assert page.body["round"]["offset"] == offset
                 walked.extend(page.body["round"]["rows"])
             assert walked == full.body["round"]["rows"]
+            # past the end: an empty page of the same round
+            for offset in (total, total + 5):
+                beyond = service.gateway.get(
+                    f"/rounds/{date}",
+                    {"at": str(at), "limit": "5", "offset": str(offset)})
+                assert beyond.status == 200
+                assert beyond.body["round"] == {
+                    "time": at, "total": total, "count": 0,
+                    "offset": offset, "rows": []}
+            # the last archived round pages the same way over its deltas
+            late = service.gateway.get(f"/rounds/{date}",
+                                       {"at": str(times[-1])})
+            tail = service.gateway.get(
+                f"/rounds/{date}",
+                {"at": str(times[-1]), "limit": "3", "offset": "2"})
+            assert tail.body["round"]["total"] == \
+                late.body["round"]["total"]
+            assert tail.body["round"]["rows"] == \
+                late.body["round"]["rows"][2:5]
         finally:
             service.close()
 

@@ -1,9 +1,11 @@
 """v2 binary columnar segments: round trips, zone maps, column packing."""
 
 import math
+import sys
+import threading
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.storage import (
     ColumnarFormatError,
@@ -14,6 +16,7 @@ from repro.storage import (
     scan_segment,
     write_segment,
 )
+from repro.storage.columnar import Selection
 from repro.timeseries.compression import (
     ChangePointSeries,
     pack_index_column,
@@ -117,6 +120,196 @@ class TestZoneMapScan:
         cursor.scan(0.0, 120.0)  # first series only, first chunk or two
         total_chunks = sum(len(d["ch"]) for d in cursor.header["desc"])
         assert 0 < len(decoded) < total_chunks
+
+
+MEASURES = ("sps", "spot_price", "if_score")
+DIM_VALUES = {"type": ("m5.large", "c5.large", "r5.large"),
+              "region": ("us-east-1", "eu-west-1"),
+              # repeated across regions on purpose; None: the series does
+              # not carry the dimension (the pair-level advisor series)
+              "zone": ("a", "b", None)}
+
+
+def old_predicate(measure, filters):
+    """The ``match=`` callable scans took before the series index: the
+    measure if given, and every filter equal to a dimension the series
+    carries."""
+    def match(key):
+        if measure is not None and key.measure_name != measure:
+            return False
+        dims = dict(key.dimensions)
+        return all(dims.get(name) == value
+                   for name, value in (filters or {}).items())
+    return match
+
+
+def numeric_items(coords):
+    """One short numeric series per drawn (measure, type, region, zone)."""
+    items = []
+    for n, (measure, itype, region, zone) in enumerate(sorted(
+            coords, key=lambda c: tuple(x or "" for x in c))):
+        dims = {"type": itype, "region": region}
+        if zone is not None:
+            dims["zone"] = zone
+        times = [100.0 * n + 10.0 * i for i in range(1 + n % 3)]
+        items.append((SeriesKey(measure, tuple(sorted(dims.items()))),
+                      ChangePointSeries(
+                          times=times, values=[float(n + i) for i in
+                                               range(len(times))],
+                          observed_until=times[-1],
+                          observation_count=len(times))))
+    items.sort(key=lambda kv: (kv[0].measure_name, kv[0].dimensions))
+    return items
+
+
+series_sets = st.sets(st.tuples(
+    st.sampled_from(MEASURES), *(st.sampled_from(DIM_VALUES[d])
+                                 for d in ("type", "region", "zone"))),
+    min_size=0, max_size=24)
+queries = st.tuples(
+    st.sampled_from((None, *MEASURES, "no_such_measure")),
+    st.dictionaries(
+        st.sampled_from(("type", "region", "zone", "rack")),
+        st.sampled_from(("m5.large", "c5.large", "us-east-1", "eu-west-1",
+                         "a", "b", "no-such-value")), max_size=3))
+
+
+class TestSeriesSelection:
+    """A selection names exactly the series the predicate it replaced
+    accepted, in descriptor order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(coords=series_sets, query=queries, memoize=st.booleans())
+    def test_select_equals_the_old_predicate(self, coords, query, memoize):
+        items = numeric_items(coords)
+        keys = [key for key, _ in items]
+        measure, filters = query
+        accept = old_predicate(measure, filters)
+        want = [i for i, key in enumerate(keys) if accept(key)]
+        cursor = SegmentCursor(encode_segment("t", 1, 0, items),
+                               memoize=memoize)
+        select = Selection(measure, filters)
+        assert list(cursor.select(select)) == want
+
+        window = (50.0, 1500.0)
+        assert cursor.scan(*window, select) == \
+            [(key, rows) for key, rows in cursor.scan(*window)
+             if accept(key)]
+        got_keys, got_counts, got_t, got_v = cursor.scan_columns(
+            *window, select)
+        all_keys, counts, times, values = cursor.scan_columns(*window)
+        offsets = [0, *counts.cumsum().tolist()]
+        kept = [j for j, key in enumerate(all_keys) if accept(key)]
+        assert got_keys == [all_keys[j] for j in kept]
+        assert got_counts.tolist() == [int(counts[j]) for j in kept]
+        assert got_t.tolist() == [t for j in kept for t in
+                                  times[offsets[j]:offsets[j + 1]].tolist()]
+        assert got_v.tolist() == [v for j in kept for v in
+                                  values[offsets[j]:offsets[j + 1]].tolist()]
+
+    @settings(max_examples=60, deadline=None)
+    @given(coords=series_sets, data=st.data())
+    def test_key_set_selection(self, coords, data):
+        items = numeric_items(coords)
+        keys = [key for key, _ in items]
+        foreign = [SeriesKey("sps", (("type", "not-in-the-file"),)),
+                   SeriesKey("other", ())]
+        wanted = data.draw(st.sets(st.sampled_from(keys + foreign)),
+                           label="keys")
+        measure = data.draw(st.sampled_from((None, *MEASURES)),
+                            label="measure")
+        cursor = SegmentCursor(encode_segment("t", 1, 0, items),
+                               memoize=True)
+        for given_keys in (wanted, dict.fromkeys(wanted)):
+            assert list(cursor.select(Selection(keys=given_keys))) == \
+                [i for i, key in enumerate(keys) if key in wanted]
+            # constraints combine: every one given must hold
+            assert list(cursor.select(
+                Selection(measure, keys=given_keys))) == \
+                [i for i, key in enumerate(keys) if key in wanted
+                 and measure in (None, key.measure_name)]
+        assert cursor.scan(select=Selection(keys=wanted)) == \
+            [(key, rows) for key, rows in cursor.scan() if key in wanted]
+
+    def test_no_constraint_selects_everything_without_an_index(self):
+        cursor = SegmentCursor(encode_segment("t", 1, 0, build_items()),
+                               memoize=True)
+        for select in (None, Selection(), Selection(None, {})):
+            assert list(cursor.select(select)) == [0, 1, 2]
+            assert len(cursor.scan(select=select)) == 3
+        assert cursor._index is None   # nothing asked for it
+
+    def test_index_lives_and_dies_with_the_cursor_memo(self):
+        raw = encode_segment("t", 1, 0, build_items())
+        memoized = SegmentCursor(raw, memoize=True)
+        index = memoized.series_index()
+        assert memoized.series_index() is index   # built once, kept
+        assert index.first_tmin.tolist() == [0.0, 10000.0, 20000.0]
+        assert sorted(index.by_measure) == ["m"]
+        memoized.release()
+        assert memoized._index is None
+        one_shot = SegmentCursor(raw)
+        assert one_shot.scan(select=Selection("m", {"az": "az-1"})) == \
+            one_shot.scan()[1:2]
+        assert one_shot._index is None            # built per call, not kept
+
+    def test_series_without_rows_never_enter_first_tmin(self):
+        items = build_items(series_count=2)
+        items[0] = (items[0][0], ChangePointSeries(
+            times=[], values=[], observed_until=0.0, observation_count=0))
+        index = SegmentCursor(encode_segment("t", 1, 0, items),
+                              memoize=True).series_index()
+        assert index.first_tmin.tolist() == [math.inf, 10000.0]
+
+    def test_malformed_descriptors_are_a_format_error(self):
+        cursor = SegmentCursor(encode_segment("t", 1, 0, build_items()),
+                               memoize=True)
+        cursor.keys()
+        cursor._desc[1]["d"] = 7        # a header no encoder writes
+        with pytest.raises(ColumnarFormatError, match="header"):
+            cursor.scan_columns(select=Selection("m"))
+
+    def test_two_first_readers_publish_one_finished_index(
+            self, conc_sanitizer):
+        """Two threads first-touch one memoized cursor with different
+        selections: both answer what a private cursor answers."""
+        coords = {(m, t, r, z) for m in MEASURES
+                  for t in DIM_VALUES["type"] + tuple(
+                      f"x{i}.large" for i in range(120))
+                  for r in DIM_VALUES["region"]
+                  for z in DIM_VALUES["zone"]}
+        raw = encode_segment("t", 1, 0, numeric_items(coords))
+        selections = [Selection("sps", {"type": "x7.large"}),
+                      Selection(None, {"region": "eu-west-1", "zone": "b"})]
+        want = [SegmentCursor(raw, memoize=True).scan(select=s)
+                for s in selections]
+        assert all(want)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                shared = SegmentCursor(raw, memoize=True)
+                barrier = threading.Barrier(len(selections))
+                got = [None] * len(selections)
+
+                def first_touch(i):
+                    barrier.wait(timeout=30)
+                    got[i] = shared.scan(select=selections[i])
+
+                threads = [threading.Thread(target=first_touch, args=(i,))
+                           for i in range(len(selections))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert got == want
+                index = shared.series_index()
+                assert shared.series_index() is index
+                assert len(index.position) == len(coords)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestCorruption:

@@ -72,6 +72,42 @@ class TestReads:
         assert len(keys) == 1
         assert keys[0].dimension_dict["region"] == "eu-west-1"
 
+    def test_series_keys_equal_a_brute_force_filter(self):
+        """The posting-set walk answers what a scan of every key would."""
+        table = Table("t")
+        table.write_records([
+            rec(1, 0, it=it, region=region, zone=zone, measure=measure)
+            for measure in ("sps", "price")
+            for it in ("m5.large", "c5.large", "r5.large")
+            for region in ("us-east-1", "eu-west-1")
+            for zone in ("a", "b")]
+            + [Record.make({"it": "m5.large", "region": "us-east-1"},
+                           "savings", 60, 0)])   # a series with no zone
+
+        def brute(measure, filters):
+            return sorted(
+                (k for k in table._series
+                 if measure in (None, k.measure_name)
+                 and all(k.dimension_dict.get(d) == v
+                         for d, v in filters.items())),
+                key=lambda k: (k.measure_name, k.dimensions))
+
+        queries = [
+            (None, {}), ("sps", {}), ("savings", {}), ("nope", {}),
+            (None, {"region": "eu-west-1"}), (None, {"zone": "a"}),
+            (None, {"it": "m5.large", "region": "us-east-1"}),
+            ("price", {"it": "c5.large"}),
+            ("sps", {"it": "r5.large", "region": "eu-west-1", "zone": "b"}),
+            ("savings", {"zone": "a"}),          # dimension it lacks
+            ("sps", {"region": "ap-south-1"}),   # unknown value
+            ("sps", {"rack": "a"}),              # unknown dimension
+        ]
+        for measure, filters in queries:
+            assert table.series_keys(measure, filters) == \
+                brute(measure, filters), (measure, filters)
+        assert table.series_keys("sps", {"region": "ap-south-1"}) == []
+        assert len(table.series_keys("sps", {"zone": "a"})) == 6
+
 
 class TestRetention:
     def test_evict_keeps_value_in_force(self):
