@@ -399,6 +399,27 @@ class SpotDataLake:
         raw = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(raw.encode("utf-8")).hexdigest()
 
+    def content_digest(self) -> str:
+        """Identity of what the partitions hold, whatever their bytes.
+
+        Hashes the decoded content in canonical order: partitions in
+        manifest order, each as its kind and round times, then per series
+        its measure, dimensions, row times, type-tagged values,
+        ``observed_until`` and ``observation_count``.  Unlike
+        :meth:`digest`, which pins file bytes, it holds across a change
+        of segment format.
+        """
+        sha = hashlib.sha256()
+        for part in self.partitions:
+            sha.update(json.dumps([part.kind, part.rounds]).encode("utf-8"))
+            for key, series in self._cursor(part).items():
+                sha.update(json.dumps([
+                    key.measure_name, key.dimensions, series.times,
+                    [(type(v).__name__, repr(v)) for v in series.values],
+                    series.observed_until, series.observation_count,
+                ]).encode("utf-8"))
+        return sha.hexdigest()
+
     # -- recovery ------------------------------------------------------------
 
     def trim_to(self, last_commit_time: Optional[float]) -> int:
