@@ -22,7 +22,13 @@ from . import ServiceConfig, SimulatedCloud, SpotLakeService
 from .cloudsim import CHAOS_PROFILES
 from .core import plan_for_catalog
 from .experiments import ExperimentRunner, sample_cases, table3
-from .lake import LAKE_DIR_NAME, LAKE_MANIFEST_NAME, SpotDataLake
+from .lake import (
+    LAKE_DIR_NAME,
+    LAKE_MANIFEST_NAME,
+    LakeFormatError,
+    SpotDataLake,
+)
+from .storage.columnar import PREFIX_BYTES, header_bytes
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
@@ -135,8 +141,11 @@ def _cmd_collect(args: argparse.Namespace) -> int:
 def _cmd_recover(args: argparse.Namespace) -> int:
     from .storage import recover
 
+    lake_root = Path(args.data_dir) / LAKE_DIR_NAME
     try:
         state = recover(args.data_dir)
+        lake = SpotDataLake(lake_root) \
+            if (lake_root / LAKE_MANIFEST_NAME).exists() else None
     except Exception as exc:  # noqa: BLE001 -- operator-facing boundary
         print(f"recovery failed: {type(exc).__name__}: {exc}",
               file=sys.stderr)
@@ -158,9 +167,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
               f"{stats.change_points_stored} change points, "
               f"{stats.records_written} records written "
               f"(retention {retention})")
-    lake_root = Path(args.data_dir) / LAKE_DIR_NAME
-    if (lake_root / LAKE_MANIFEST_NAME).exists():
-        lake = SpotDataLake(lake_root)
+    if lake is not None:
         ahead = lake.trim_to(state.last_commit_time)
         census = lake.census()
         span = ("empty" if census["start"] is None else
@@ -185,7 +192,11 @@ def _cmd_lake(args: argparse.Namespace) -> int:
     if not (root / LAKE_MANIFEST_NAME).exists():
         print(f"no lake manifest under {root}", file=sys.stderr)
         return 1
-    lake = SpotDataLake(root)
+    try:
+        lake = SpotDataLake(root)
+    except LakeFormatError as exc:
+        print(f"unreadable lake under {root}: {exc}", file=sys.stderr)
+        return 1
     if args.action == "stats":
         census = lake.census()
         span = ("empty" if census["start"] is None else
@@ -195,16 +206,29 @@ def _cmd_lake(args: argparse.Namespace) -> int:
               f"{census['rows']} rows, {census['bytes']} bytes, {span}")
         for day in lake.days():
             print(f"  {day}: {len(lake.rounds_on(day))} round(s); "
-                  + ", ".join(
-                      f"{len(group)} {kind} ({sum(p.rows for p in group)} "
-                      f"rows, {sum(p.bytes for p in group)} bytes)"
-                      for kind, group in lake.day_parts(day).items()))
+                  + ", ".join(_byte_census(root, kind, group) for kind, group
+                              in lake.day_parts(day).items()))
         return 0
     summary = lake.compact(include_active=args.include_active)
     print(f"compacted {summary['days_compacted']} day(s): "
           f"{summary['partitions_merged']} round file(s) folded, "
           f"{summary['bytes_before']} -> {summary['bytes_after']} bytes")
     return 0
+
+
+def _byte_census(root: Path, kind: str, parts) -> str:
+    """``N kind (rows, bytes = header + columns)`` for one kind of a day's
+    files, the header length read off each file's first bytes."""
+    size = sum(part.bytes for part in parts)
+    census = f"{len(parts)} {kind} ({sum(p.rows for p in parts)} rows, " \
+        f"{size} bytes"
+    if size:
+        header = 0
+        for part in parts:
+            with open(root / part.path, "rb") as fh:
+                header += header_bytes(fh.read(PREFIX_BYTES))
+        census += f" = {header} header + {size - header} columns"
+    return census + ")"
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
@@ -444,7 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
     lake_cmd = sub.add_parser(
         "lake", help="inspect or compact a cold lake tier")
     lake_cmd.add_argument("action", choices=("stats", "compact"),
-                          help="stats: census + per-day partition listing; "
+                          help="stats: census + per-day partition listing "
+                               "(rows, bytes split into header and columns); "
                                "compact: fold finished days' round files "
                                "into deduped day files")
     lake_cmd.add_argument("--data-dir", required=True,

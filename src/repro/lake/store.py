@@ -4,8 +4,8 @@ Every committed collection round lands as one immutable columnar file
 
     data_dir/lake/YYYY/MM/DD/round-<t>.seg        (level 0)
 
-reusing the v2 segment codec (:mod:`repro.storage.columnar`): zone maps
-and mmap-backed predicate-pushdown scans come for free.  What the file
+reusing the v3 segment codec (:mod:`repro.storage.columnar`): one table
+per file, read through an mmap one column at a time.  What the file
 holds follows one rule, read off the manifest: the rows the differ found
 changed (:mod:`repro.lake.diff`) plus the rows of every series that
 day's partitions do not hold yet.  The first round of a UTC day (no
@@ -30,15 +30,17 @@ History queries are exact either way.  In a lake file
 ``observed_until`` is the time of the last one -- not, as in the hot
 tier, every observation made.
 
-Reads cost what they return.  A history read hands each partition's
-cursor a :class:`~repro.storage.columnar.Selection` (measure + exact
-filters, or the keys a baseline walk still misses) and the cursor's
-series index resolves it without visiting the other series; a
-``/rounds`` page takes its rows from per-partition row directories
-(:class:`_WideRows`: which wide-row coordinates a file's series belong
-to, and since when) and decodes only the series behind those rows.
-Index and directory are derived from the immutable file, built on first
-use, and dropped with the cursor they hang off.
+Reads cost what they return.  The manifest's per-partition ``[start,
+end]`` is the zone map that skips whole files.  A history read hands
+each partition's cursor a :class:`~repro.storage.columnar.Selection`
+(measure + exact filters, or the keys a baseline walk still misses) and
+the cursor's series index resolves it without visiting the other
+series; a ``/rounds`` page takes its rows from per-partition row
+directories (:class:`_WideRows`: which wide-row coordinates a file's
+series belong to, and since when) and builds Python values only for the
+series behind those rows.  Index, directory and decoded columns are
+derived from the immutable file, built once on first use, and dropped
+with the cursor they hang off.
 
 Publish protocol (crash windows mirror the storage engine's checkpoint):
 
@@ -78,7 +80,12 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .._util import atomic_open
-from ..storage.columnar import Selection, SegmentCursor, encode_segment
+from ..storage.columnar import (
+    ColumnarFormatError,
+    Selection,
+    SegmentCursor,
+    encode_segment,
+)
 from ..timeseries.compression import ChangePointSeries, values_equal
 from ..timeseries.record import Record, SeriesKey, Value
 from ..timeseries.vector import TierColumns
@@ -105,7 +112,8 @@ LAKE_CRASH_WINDOWS = ("lake.segment", "lake.manifest", "lake.publish")
 
 LAKE_DIR_NAME = "lake"
 LAKE_MANIFEST_NAME = "LAKE_MANIFEST"
-LAKE_FORMAT = 1
+#: 2: partitions are v3 segments (1 held v2 ones, which nothing reads)
+LAKE_FORMAT = 2
 
 #: Segment-codec table label of every lake partition.
 LAKE_TABLE = "lake"
@@ -174,7 +182,7 @@ class LakePartition:
 
 
 class LakeFormatError(ValueError):
-    """The lake manifest is not a well-formed format-1 document."""
+    """The lake manifest is not a well-formed document of this format."""
 
 
 #: The measures of a wide merged row, in the order its fields appear
@@ -220,17 +228,22 @@ class _WideRows:
 class _OpenPartition:
     """One live partition file held open for reads."""
 
-    __slots__ = ("fh", "buffer", "cursor", "_rows")
+    __slots__ = ("buffer", "cursor", "_rows")
 
     def __init__(self, path: Path):
-        self.fh = open(path, "rb")
+        # the map keeps its own descriptor: the file closes right away
+        with open(path, "rb") as fh:
+            try:
+                self.buffer = mmap.mmap(fh.fileno(), 0,
+                                        access=mmap.ACCESS_READ)
+            except ValueError:      # an empty file cannot be mapped
+                raise ColumnarFormatError(
+                    f"partition {path.name} is empty") from None
         try:
-            self.buffer = mmap.mmap(self.fh.fileno(), 0,
-                                    access=mmap.ACCESS_READ)
-        except OSError:
-            self.fh.close()
+            self.cursor = SegmentCursor(self.buffer, memoize=True)
+        except ColumnarFormatError:
+            self.buffer.close()
             raise
-        self.cursor = SegmentCursor(self.buffer, memoize=True)
         self._rows: Optional[_WideRows] = None
 
     def wide_rows(self) -> _WideRows:
@@ -245,7 +258,6 @@ class _OpenPartition:
     def close(self) -> None:
         self.cursor.release()
         self.buffer.close()
-        self.fh.close()
 
 
 class SpotDataLake:
@@ -561,7 +573,7 @@ class SpotDataLake:
         """Merge one day's round files into a single level-1 partition."""
         merged: Dict[SeriesKey, ChangePointSeries] = {}
         for part in parts:
-            for key, series in self._partition_items(part):
+            for key, series in self._cursor(part).items():
                 into = merged.get(key)
                 if into is None:
                     merged[key] = ChangePointSeries(
@@ -630,40 +642,6 @@ class SpotDataLake:
                 entry.close()
             self._cursors.clear()
 
-    def _partition_scan(self, part: LakePartition, start: float, end: float,
-                        select: Optional[Selection],
-                        ) -> List[Tuple[SeriesKey,
-                                        List[Tuple[float, Value]]]]:
-        """Zone-map-pruned scan of one partition file via its cursor."""
-        return self._cursor(part).scan(start, end, select)
-
-    def _partition_items(self, part: LakePartition,
-                         ) -> List[Tuple[SeriesKey, ChangePointSeries]]:
-        return self._cursor(part).items()
-
-    def scan(self, start: float = float("-inf"), end: float = float("inf"),
-             measure: Optional[str] = None,
-             filters: Optional[Dict[str, str]] = None,
-             ) -> List[Tuple[SeriesKey, List[Tuple[float, Value]]]]:
-        """Raw windowed read across partitions, merged per series.
-
-        Rows are whatever the partitions store -- the whole round for a
-        keyframe, changed rows for deltas, deduped change rows for
-        compacted day files; use :meth:`change_points` for
-        hot-store-equivalent history.  Series appear in canonical
-        (measure, dimensions) order.
-        """
-        select = Selection(measure, filters)
-        per_key: Dict[SeriesKey, List[List[Tuple[float, Value]]]] = {}
-        for part in self.partitions:
-            if part.end < start or part.start > end:
-                continue
-            for key, rows in self._partition_scan(part, start, end, select):
-                per_key.setdefault(key, []).append(rows)
-        return [(key, _merge_runs(per_key[key]))
-                for key in sorted(per_key, key=lambda k: (k.measure_name,
-                                                          k.dimensions))]
-
     def change_points(self, measure: str, filters: Dict[str, str],
                       start: float, end: float) -> List[Record]:
         """Hot-store-equivalent change-point history from cold files.
@@ -683,7 +661,7 @@ class SpotDataLake:
         for part in parts:
             if part.end < start or part.start > end:
                 continue
-            for key, rows in self._partition_scan(part, start, end, select):
+            for key, rows in self._cursor(part).scan(start, end, select):
                 per_key.setdefault(key, []).append(rows)
         if not per_key:
             return []
@@ -698,8 +676,8 @@ class SpotDataLake:
                     break
                 if part.start >= start:
                     continue
-                found = self._partition_scan(
-                    part, float("-inf"), start, Selection(keys=unresolved))
+                found = self._cursor(part).scan(
+                    float("-inf"), start, Selection(keys=unresolved))
                 for key, rows in found:
                     rows = [r for r in rows if r[0] < start]
                     if rows and key not in baseline:
@@ -827,9 +805,7 @@ class SpotDataLake:
         """Each archived series' newest value (differ restart seeding)."""
         latest: Dict[SeriesKey, Tuple[float, Value]] = {}
         for part in self.partitions:
-            for key, rows in self._partition_scan(
-                    part, float("-inf"), float("inf"), None):
-                t, v = rows[-1]
+            for key, t, v in self._cursor(part).last_rows():
                 current = latest.get(key)
                 if current is None or t >= current[0]:
                     latest[key] = (t, v)
@@ -863,8 +839,8 @@ class SpotDataLake:
         that means across a collection gap.
 
         Which rows exist is read off the partitions' row directories
-        without decoding a value; only the series behind the page's rows
-        are then scanned, so a page costs its rows, not the round.
+        without decoding a value; Python values are then built only for
+        the series behind the page's rows, so a page costs its rows.
         """
         time = float(time)
         day = lake_day(time)
@@ -905,9 +881,9 @@ class SpotDataLake:
                   if key is not None}
         resolved: Dict[SeriesKey, Value] = {}
         for part in parts:
-            for key, stored in self._partition_scan(
-                    part, float("-inf"), time, Selection(keys=wanted)):
-                resolved[key] = stored[-1][1]
+            for key, _, value in self._cursor(part).last_rows(
+                    time, Selection(keys=wanted)):
+                resolved[key] = value
         return len(universe), [
             {"instance_type": itype, "region": region, "zone": zone or None,
              **{measure: resolved.get(key)

@@ -1,8 +1,9 @@
 """Durable log-structured storage under the time-series store.
 
 Write-ahead log (group commits, CRC-protected, torn-tail tolerant),
-immutable sorted segments (binary columnar v2 with zone-map predicate
-pushdown; any other format version is refused) behind an
+immutable sorted segments (binary columnar v3: one table per file, a
+small dictionary header and packed columns; any other format version is
+refused) behind an
 atomically-published MANIFEST, size-tiered compaction with retention
 folded into merges, and crash recovery that reconstructs byte-identical
 ``Table`` state.

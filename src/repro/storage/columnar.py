@@ -1,55 +1,46 @@
-"""Binary columnar segment bodies (segment format v2).
+"""Binary columnar segments (segment format v3): a file is one table.
 
-The v1 segment codec is JSON-lines: one line per series with the full
-change-point arrays spelled out in text.  Parsing it dominates cold
-reads and the text encoding bloats disk.  Format v2 keeps the same
-*logical* content -- the exact state of every flushed series, sorted by
-series key -- but lays it out columnar and binary:
+``file := MAGIC | header_len(u32le) | header_json | columns``
 
-``file := MAGIC | header_len(u32le) | header_json | body``
+The JSON header holds the segment identity, the ``series`` and ``rows``
+counts, three dictionaries -- ``strings`` (measure names, dimension
+names and values), ``shapes`` (each distinct tuple of dimension names, as
+string ids) and ``values`` (observation values; JSON keeps ``1``,
+``1.0``, ``true`` and ``"1"`` distinct, and every NaN is one slot) --
+and the ``columns`` directory of ``[offset, length]`` pairs.  Nothing in
+it grows with the number of series.  The columns are self-describing
+blobs of the :mod:`repro.timeseries.compression` primitives at the
+narrowest exact width: per series, in canonical key order, ``measure``,
+``shape``, ``dim0``, ``dim1``, ... (the value id in each dimension slot,
+0 past the series' shape), ``count`` (rows), ``oc`` and ``ou``
+(``observation_count`` / ``observed_until``); per row, series-major and
+time-sorted within a series, one file-wide delta-packed ``time`` column
+and one ``value`` column (dictionary indices, or raw float64 / int64
+when every value has that type and raw is smaller for the file).
 
-* **Header** -- one JSON object (parsed with the C decoder in a single
-  call) holding the segment identity, two dictionaries, and per-series
-  descriptors.  ``strings`` dictionary-encodes every measure name,
-  dimension name and dimension value in the segment; ``values``
-  dictionary-encodes non-numeric / low-cardinality observation values
-  (JSON preserves their concrete types: ``1``, ``1.0``, ``true`` and
-  ``"1"`` stay distinct).
-* **Body** -- per series, the time and value columns split into *chunks*
-  of at most ``chunk_points`` rows.  Time columns are delta-encoded
-  against the first timestamp at the narrowest integer width that
-  round-trips exactly (raw float64 otherwise); value columns are raw
-  float64 / int64 when a chunk is type-homogeneous and high-cardinality,
-  dictionary indices at the narrowest unsigned width otherwise (see
-  :mod:`repro.timeseries.compression` for the column primitives).
-* **Zone maps** -- every chunk descriptor carries ``[tmin, tmax]``, so a
-  time-range scan touches only the chunk byte ranges that can overlap
-  the query window; with an mmap-backed buffer the skipped chunks are
-  never read off disk at all.  This is the predicate pushdown that lifts
-  cold full-archive sweeps (and the serving front end's read ceiling).
-* **Series index** -- a scan that names its series (a :class:`Selection`:
-  measure, exact-match dimension filters and/or an explicit key set)
-  resolves them against a :class:`SeriesIndex` built lazily from the
-  parsed header: posting arrays of descriptor indices per measure and
-  per ``(dimension, value)``, intersected shortest first, so the scan
-  costs the series it returns rather than the series the file holds.
-  Nothing is stored for it; an unfiltered scan never builds it.
+A series is one contiguous slice of the row columns, found by the prefix
+sum of ``count``.  A :class:`SegmentCursor` parses only the header; each
+column is copied off the buffer (with an mmap, only its pages are read),
+validated -- entry count, id ranges, row order -- and decoded once per
+cursor, so a malformed byte raises :class:`ColumnarFormatError` before a
+row is built from it.  A scan that names its series (a
+:class:`Selection`) resolves them against a :class:`SeriesIndex` grouped
+out of the id columns, so it costs the series it returns.
 
-Encoding is deterministic: dictionaries are populated in first-visit
-order over the (already canonically sorted) series items, so identical
-logical content always produces identical bytes -- the property the
-crash matrix's byte-identity gate and segment checksums rely on.
-
-This module deliberately knows nothing about files, manifests or
-checksums; :mod:`repro.storage.segments` owns naming, atomic publish and
-validation, and dispatches between the v1 and v2 codecs.
+Encoding is deterministic (dictionaries fill in first-visit order over
+the canonically sorted series), so identical content always produces
+identical bytes -- what the crash matrix's byte-identity gate and the
+segment checksums rely on.  Files, manifests and checksums belong to
+:mod:`repro.storage.segments`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import Collection, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,37 +53,45 @@ from ..timeseries.compression import (
     pack_int_column,
     pack_time_column,
     unpack_time_array,
-    unpack_time_column,
     unpack_value_array,
-    unpack_value_column,
 )
 from ..timeseries.record import SeriesKey, Value
 
-#: v2 segment file magic (8 bytes, includes the format version).
-MAGIC = b"SPSEG2\r\n"
+#: v3 segment file magic (8 bytes, includes the format version).
+MAGIC = b"SPSEG3\r\n"
 
-#: Rows per column chunk: the zone-map granularity.  Small enough that a
-#: narrow time window decodes only a sliver of a long series, large
-#: enough that numpy's per-call overhead amortizes.
-DEFAULT_CHUNK_POINTS = 512
+#: Bytes before the header JSON: the magic and the header length.
+PREFIX_BYTES = len(MAGIC) + 4
 
-#: Chunks whose value column has at most this many distinct values are
-#: dictionary-encoded regardless of type (1-2 bytes per row beats 8).
-_DICT_MAX_DISTINCT = 64
+_FORMAT = 3
+
+#: Python types a values-dictionary entry may decode to.
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+#: Columns every file holds, besides one ``dim<k>`` per dimension slot.
+_COLUMNS = ("measure", "shape", "count", "oc", "ou", "time", "value")
 
 
 class ColumnarFormatError(ValueError):
-    """The buffer is not a well-formed v2 columnar segment."""
+    """The buffer is not a well-formed v3 columnar segment."""
 
 
-def _value_key(value: Value) -> Tuple[str, str]:
-    """Hashable dictionary key distinguishing type and NaN.
+def header_bytes(prefix: bytes) -> int:
+    """Bytes a segment spends before its first column, read off its
+    first :data:`PREFIX_BYTES` bytes."""
+    if len(prefix) < PREFIX_BYTES or prefix[:len(MAGIC)] != MAGIC:
+        raise ColumnarFormatError("bad magic: not a v3 columnar segment")
+    return PREFIX_BYTES + int.from_bytes(prefix[len(MAGIC):PREFIX_BYTES],
+                                         "little")
 
-    ``repr`` of a float is its shortest exact round-trip, so distinct
-    float values map to distinct keys while every NaN collapses to one
-    dictionary slot (matching ``values_equal`` semantics).
-    """
-    return (type(value).__name__, repr(value))
+
+def _value_key(value: Value) -> Tuple[type, object]:
+    """Dictionary key of a value: equal values of one type share a slot,
+    except ``-0.0`` (kept apart from ``0.0``) and NaN (never equal to
+    itself; every NaN shares one slot, as in ``values_equal``)."""
+    if type(value) is float and (value != value or value == 0.0):
+        return float, repr(value)
+    return type(value), value
 
 
 class _Dictionary:
@@ -105,75 +104,75 @@ class _Dictionary:
 
     def index_of(self, value):
         key = self._key(value) if self._key else value
-        idx = self._index.get(key)
-        if idx is None:
-            idx = len(self.items)
-            self._index[key] = idx
+        idx = self._index.setdefault(key, len(self.items))
+        if idx == len(self.items):
             self.items.append(value)
         return idx
 
 
-def _encode_value_chunk(chunk: Sequence[Value],
-                        dictionary: _Dictionary) -> bytes:
-    """Pick the cheapest exact encoding for one value chunk."""
-    distinct = {_value_key(v) for v in chunk}
-    if len(distinct) > _DICT_MAX_DISTINCT:
-        if all(type(v) is float for v in chunk):
-            return pack_float_column(chunk)
-        if all(type(v) is int for v in chunk) and int_column_fits(chunk):
-            return pack_int_column(chunk)
-    return pack_index_column([dictionary.index_of(v) for v in chunk])
+def _value_column(vals: list) -> Tuple[bytes, list]:
+    """The file's value column and values dictionary, whichever exact
+    encoding is smaller: dictionary indices, or raw float64 / int64 with
+    no dictionary when every value has that one type."""
+    dictionary = _Dictionary(key=_value_key)
+    column = pack_index_column([dictionary.index_of(v) for v in vals])
+    kinds = set(map(type, vals))
+    if kinds == {float} or (kinds == {int} and int_column_fits(vals)):
+        raw = (pack_float_column if float in kinds else pack_int_column)(vals)
+        if len(raw) < len(column) + len(json.dumps(dictionary.items)):
+            return raw, []
+    return column, dictionary.items
 
 
 def encode_segment(table: str, segment_id: int, level: int,
                    items: Sequence[Tuple[SeriesKey, ChangePointSeries]],
-                   chunk_points: int = DEFAULT_CHUNK_POINTS) -> bytes:
-    """Serialize sorted series items into one v2 segment byte string."""
+                   ) -> bytes:
+    """Serialize sorted series items into one v3 segment byte string."""
     strings = _Dictionary()
-    values = _Dictionary(key=_value_key)
-    body = bytearray()
-    descriptors = []
-    for key, series in items:
-        times, vals = series.times, series.values
-        chunks = []
-        for lo in range(0, len(times), chunk_points):
-            hi = min(lo + chunk_points, len(times))
-            t_blob = pack_time_column(times[lo:hi])
-            v_blob = _encode_value_chunk(vals[lo:hi], values)
-            t_off = len(body)
-            body.extend(t_blob)
-            v_off = len(body)
-            body.extend(v_blob)
-            chunks.append([hi - lo, times[lo], times[hi - 1],
-                           t_off, len(t_blob), v_off, len(v_blob)])
-        dims = []
-        for name, value in key.dimensions:
-            dims.append(strings.index_of(name))
-            dims.append(strings.index_of(value))
-        descriptors.append({
-            "m": strings.index_of(key.measure_name),
-            "d": dims,
-            "ou": series.observed_until,
-            "oc": series.observation_count,
-            "n": len(times),
-            "ch": chunks,
-        })
-    header = {
-        "format": 2,
-        "table": table,
-        "id": segment_id,
-        "level": level,
-        "series": len(items),
-        "strings": strings.items,
-        "values": values.items,
-        "desc": descriptors,
+    shapes = _Dictionary()
+    measure: List[int] = []
+    shape: List[int] = []
+    slots: List[List[int]] = []
+    # the few measure names first, so their ids stay one byte wide
+    for name in sorted({key.measure_name for key, _ in items}):
+        strings.index_of(name)
+    for i, (key, series) in enumerate(items):
+        measure.append(strings.index_of(key.measure_name))
+        dims = key.dimensions
+        shape.append(shapes.index_of(
+            tuple(strings.index_of(name) for name, _ in dims)))
+        while len(slots) < len(dims):
+            slots.append([0] * len(items))
+        for slot, (_, value) in zip(slots, dims):
+            slot[i] = strings.index_of(value)
+    times = list(chain.from_iterable(series.times for _, series in items))
+    value_column, values = _value_column(
+        list(chain.from_iterable(series.values for _, series in items)))
+    columns = {
+        "measure": pack_index_column(measure),
+        "shape": pack_index_column(shape),
+        **{f"dim{k}": pack_index_column(slot)
+           for k, slot in enumerate(slots)},
+        "count": pack_index_column([len(s.times) for _, s in items]),
+        "oc": pack_index_column([s.observation_count for _, s in items]),
+        "ou": pack_time_column([s.observed_until for _, s in items]),
+        "time": pack_time_column(times),
+        "value": value_column,
     }
+    directory, offset = {}, 0
+    for name, blob in columns.items():
+        directory[name] = [offset, len(blob)]
+        offset += len(blob)
+    header = {"format": _FORMAT, "table": table, "id": segment_id,
+              "level": level, "series": len(items), "rows": len(times),
+              "strings": strings.items, "shapes": shapes.items,
+              "values": values, "columns": directory}
     # compact separators keep the header small; sorted keys make the
     # bytes canonical (dictionaries are already insertion-ordered lists)
     header_raw = json.dumps(header, separators=(",", ":"),
                             sort_keys=True).encode("utf-8")
     return b"".join((MAGIC, len(header_raw).to_bytes(4, "little"),
-                     header_raw, bytes(body)))
+                     header_raw, *columns.values()))
 
 
 @dataclass(frozen=True)
@@ -192,45 +191,58 @@ class Selection:
     keys: Optional[Collection[SeriesKey]] = None
 
 
+def _everything(selection: Optional[Selection]) -> bool:
+    """True when ``selection`` constrains nothing."""
+    return selection is None or (selection.measure is None
+                                 and not selection.filters
+                                 and selection.keys is None)
+
+
 _NO_SERIES = np.empty(0, dtype=np.int32)
 
 
-class SeriesIndex:
-    """Which series one segment holds, built once and never mutated.
+def _postings(codes: np.ndarray, owners: np.ndarray,
+              ) -> List[Tuple[int, np.ndarray]]:
+    """Per distinct code, the ascending owners carrying it."""
+    order = np.lexsort((owners, codes))
+    codes, owners = codes[order], owners[order].astype(np.int32)
+    cuts = np.flatnonzero(np.diff(codes)) + 1
+    heads = codes[np.concatenate(([0], cuts))].tolist() if codes.size else []
+    return list(zip(heads, np.split(owners, cuts)))
 
-    ``by_measure`` / ``by_dim`` are posting arrays: the ascending
-    descriptor indices of the series with that measure / that
-    ``(dimension, value)`` pair.  ``position`` maps each key to its
-    descriptor index, and ``first_tmin`` is each series' earliest stored
-    timestamp (``inf`` for a series with no rows), read off its first
-    chunk's zone map.
-    """
+
+class SeriesIndex:
+    """Which series one segment holds, built once and never mutated:
+    posting arrays (ascending positions) per measure and per
+    ``(dimension, value)``, each key's position, and each series' first
+    stored time (``inf`` when it has no rows)."""
 
     __slots__ = ("by_measure", "by_dim", "position", "first_tmin")
 
-    def __init__(self, strings: Sequence[str], desc: Sequence[dict],
-                 keys: Sequence[SeriesKey]):
-        by_measure: Dict[int, List[int]] = {}
-        by_dim: Dict[Tuple[int, int], List[int]] = {}
-        first_tmin = np.full(len(desc), math.inf)
-        for index, series in enumerate(desc):
-            by_measure.setdefault(series["m"], []).append(index)
-            dims = series["d"]
-            for i in range(0, len(dims), 2):
-                by_dim.setdefault((dims[i], dims[i + 1]), []).append(index)
-            if series["ch"]:
-                first_tmin[index] = series["ch"][0][1]
-        # the descriptors name strings by dictionary id; queries name them
-        self.by_measure = {strings[m]: np.asarray(found, dtype=np.int32)
-                           for m, found in by_measure.items()}
-        self.by_dim = {(strings[name], strings[value]):
-                       np.asarray(found, dtype=np.int32)
-                       for (name, value), found in by_dim.items()}
+    def __init__(self, strings: Sequence[str], shapes: Sequence[list],
+                 series: Dict[str, object], keys: Sequence[SeriesKey],
+                 first_tmin: np.ndarray):
+        measure, shape = series["measure"], series["shape"]
+        self.by_measure = {strings[m]: found for m, found in _postings(
+            measure, np.arange(measure.size))}
+        # one (name id, value id) pair per series and filled slot, coded
+        # as one int so a single sort groups them all
+        width = len(strings)
+        codes, owners = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+        for k, column in enumerate(series["dims"]):
+            names = np.asarray([s[k] if len(s) > k else -1 for s in shapes],
+                               dtype=np.int64)[shape]
+            filled = np.flatnonzero(names >= 0)
+            codes.append(names[filled] * width + column[filled])
+            owners.append(filled)
+        self.by_dim = {(strings[code // width], strings[code % width]): found
+                       for code, found in _postings(np.concatenate(codes),
+                                                    np.concatenate(owners))}
         self.position = {key: index for index, key in enumerate(keys)}
         self.first_tmin = first_tmin
 
     def select(self, selection: Selection) -> List[int]:
-        """Descriptor indices of the selected series, ascending."""
+        """Positions of the selected series, ascending."""
         postings: List[np.ndarray] = []
         if selection.measure is not None:
             postings.append(self.by_measure.get(selection.measure,
@@ -239,7 +251,7 @@ class SeriesIndex:
             postings.append(self.by_dim.get(item, _NO_SERIES))
         if selection.keys is not None:
             position, keys = self.position, selection.keys
-            found = [position[key] for key in keys if key in position] \
+            found = [i for i in map(position.get, keys) if i is not None] \
                 if len(keys) <= len(position) else \
                 [index for key, index in position.items() if key in keys]
             postings.append(np.sort(np.asarray(found, dtype=np.int32)))
@@ -255,78 +267,85 @@ class SeriesIndex:
 
 
 class SegmentCursor:
-    """Decoder over one v2 segment buffer (bytes or an mmap).
+    """Decoder over one v3 segment buffer (bytes or an mmap).
 
-    The constructor parses only the header; column bytes are touched
-    lazily per chunk, so zone-map-guided scans over an mmap-backed
-    buffer never fault in the skipped pages.
-    """
+    The constructor parses and checks only the header.  A column is
+    decoded on first use and published, finished and validated, with one
+    assignment: two first readers may each decode it; nobody sees it
+    half-built."""
 
     def __init__(self, buffer, memoize: bool = False):
         view = memoryview(buffer)
         self._view = view
-        #: memoized decode state, opt-in for long-lived cursors (the
-        #: lake keeps one cursor per partition and serves many scans
-        #: from it): series keys and chunk columns are decoded once and
-        #: reused.  One-shot cursors leave it off -- the bookkeeping is
-        #: pure overhead when nothing is ever re-read.
+        #: long-lived cursors (the lake keeps one per partition) keep the
+        #: series keys and index; one-shot cursors build them per call
         self._memoize = memoize
         self._keys: Optional[List[SeriesKey]] = None
         self._index: Optional[SeriesIndex] = None
-        self._chunk_cache: Dict[int, Tuple[List[float], list]] = {}
-        self._array_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        # float64 lookup table over the value dictionary, built lazily on
-        # the first scan_columns call (None until then); _float_lut_bad
-        # flags dictionary slots with no exact numeric reading
-        self._float_lut: Optional[np.ndarray] = None
-        self._float_lut_bad: Optional[np.ndarray] = None
+        #: decoded columns (and the value dictionary's float64 reading)
+        self._decoded: Dict[str, object] = {}
         parsed = False
         try:
-            if bytes(view[:len(MAGIC)]) != MAGIC:
-                raise ColumnarFormatError(
-                    "bad magic: not a v2 columnar segment")
-            header_len = int.from_bytes(view[len(MAGIC):len(MAGIC) + 4],
-                                        "little")
-            header_end = len(MAGIC) + 4 + header_len
+            header_end = header_bytes(bytes(view[:PREFIX_BYTES]))
             if header_end > len(view):
                 raise ColumnarFormatError("truncated segment header")
             self.header = json.loads(bytes(
-                view[len(MAGIC) + 4:header_end]).decode("utf-8"))
+                view[PREFIX_BYTES:header_end]).decode("utf-8"))
             self._body = view[header_end:]
-            self._strings = self.header["strings"]
-            self._values = self.header["values"]
-            self._desc = self.header["desc"]
-            if self.header.get("format") != 2 or \
-                    len(self._desc) != self.header.get("series"):
-                raise ColumnarFormatError(
-                    "segment header is internally inconsistent")
+            self._check_header()
             parsed = True
         except ColumnarFormatError:
             raise
         except (ValueError, KeyError, IndexError, TypeError,
-                UnicodeDecodeError) as exc:
+                RecursionError) as exc:
             raise ColumnarFormatError(
-                f"undecodable v2 segment: {exc}") from None
+                f"undecodable v3 segment header: {exc}") from None
         finally:
             if not parsed:
                 self.release()
 
-    def release(self) -> None:
-        """Drop the buffer views so an underlying mmap can close.
+    def _check_header(self) -> None:
+        """Every header field typed and in range, before any use."""
+        header = self.header
+        if not isinstance(header, dict) or header.get("format") != _FORMAT:
+            raise ColumnarFormatError("not a v3 segment header")
+        strings, shapes = header["strings"], header["shapes"]
+        values, directory = header["values"], header["columns"]
+        series, rows = header["series"], header["rows"]
+        # a series or a row costs at least a byte: no count outgrows the file
+        if not (isinstance(values, list) and isinstance(directory, dict)
+                and isinstance(strings, list) and isinstance(shapes, list)
+                and _is_count(series) and series <= len(self._body)
+                and _is_count(rows) and rows <= len(self._body)
+                and all(type(s) is str for s in strings)
+                and all(type(v) in _SCALARS for v in values)
+                and all(isinstance(s, list) and all(
+                    _is_count(i) and i < len(strings) for i in s)
+                    for s in shapes)):
+            raise ColumnarFormatError("malformed segment header")
+        self._slots = max(map(len, shapes), default=0)
+        for name in (*_COLUMNS, *(f"dim{k}" for k in range(self._slots))):
+            entry = directory.get(name)
+            if not (isinstance(entry, list) and len(entry) == 2
+                    and all(map(_is_count, entry))
+                    and entry[0] + entry[1] <= len(self._body)):
+                raise ColumnarFormatError(
+                    f"column {name!r} is missing or outside the file")
+        self._strings, self._shapes, self._values = strings, shapes, values
+        self._directory, self._n_series, self._n_rows = \
+            directory, series, rows
 
-        Idempotent and safe on a half-constructed cursor (a failed parse
-        releases its views before the exception propagates).
-        """
+    def release(self) -> None:
+        """Drop the buffer views so an underlying mmap can close (the
+        decoded columns are copies).  Idempotent, and safe on a
+        half-constructed cursor."""
         body = getattr(self, "_body", None)
         if body is not None:
             body.release()
         self._view.release()
         self._keys = None
         self._index = None
-        self._chunk_cache.clear()
-        self._array_cache.clear()
-        self._float_lut = None
-        self._float_lut_bad = None
+        self._decoded = {}
 
     def __enter__(self) -> "SegmentCursor":
         return self
@@ -334,103 +353,175 @@ class SegmentCursor:
     def __exit__(self, *exc) -> None:
         self.release()
 
-    # -- helpers -----------------------------------------------------------
+    def _column(self, name: str, size: int, time: bool = False,
+                bound: Optional[int] = None) -> Tuple[bool, np.ndarray]:
+        """Column ``name`` copied off the buffer and unpacked: whether it
+        holds dictionary indices, and its ``size`` entries -- NaN-free
+        when ``time``, integers in ``[0, bound)`` when ``bound`` is set."""
+        offset, length = self._directory[name]
+        blob = bytes(self._body[offset:offset + length])
+        try:
+            is_index, column = (False, unpack_time_array(blob)) if time \
+                else unpack_value_array(blob)
+        except ValueError as exc:
+            raise ColumnarFormatError(f"column {name!r}: {exc}") from None
+        if column.size != size:
+            raise ColumnarFormatError(f"column {name!r} holds {column.size}"
+                                      f" entries, the header says {size}")
+        if (time and np.isnan(column).any()) or bound is not None and (
+                column.dtype.kind not in "ui" or column.size and (
+                    int(column.min()) < 0 or int(column.max()) >= bound)):
+            raise ColumnarFormatError(f"column {name!r} is out of range")
+        return is_index, column
 
-    def _key_of(self, desc: dict) -> SeriesKey:
+    def _series_columns(self) -> Dict[str, object]:
+        """The per-series columns as int64 ids, plus ``starts``: each
+        series' first row, and one past the last row at the end."""
+        series = self._decoded.get("series")
+        if series is None:
+            def ids(name, bound):
+                return self._column(name, self._n_series,
+                                    bound=bound)[1].astype(np.int64)
+            counts = ids("count", self._n_rows + 1)
+            starts = np.zeros(counts.size + 1, dtype=np.int64)
+            np.cumsum(counts, out=starts[1:])
+            if int(starts[-1]) != self._n_rows:
+                raise ColumnarFormatError("series rows do not add up to "
+                                          f"the header's {self._n_rows}")
+            series = self._decoded["series"] = {
+                "measure": ids("measure", len(self._strings)),
+                "shape": ids("shape", len(self._shapes)),
+                "dims": [ids(f"dim{k}", len(self._strings))
+                         for k in range(self._slots)],
+                "starts": starts, "oc": ids("oc", 1 << 63),
+                "ou": self._column("ou", self._n_series, time=True)[1]}
+        return series
+
+    def _time_column(self) -> np.ndarray:
+        """Every row's timestamp, checked sorted within each series."""
+        times = self._decoded.get("time")
+        if times is None:
+            starts = self._series_columns()["starts"]
+            _, times = self._column("time", self._n_rows, time=True)
+            backwards = np.diff(times) < 0
+            # a series may start earlier than the previous one ended
+            backwards[starts[(starts > 0) & (starts < times.size)] - 1] = 0
+            if backwards.any() or not np.isfinite(times).all():
+                raise ColumnarFormatError(
+                    "column 'time' is out of order within a series")
+            self._decoded["time"] = times
+        return times
+
+    def _value_column(self) -> Tuple[bool, np.ndarray]:
+        raw = self._decoded.get("value")
+        if raw is None:
+            raw = self._column("value", self._n_rows)
+            if raw[0] and raw[1].size and raw[1].max() >= len(self._values):
+                raise ColumnarFormatError("value index past the dictionary")
+            self._decoded["value"] = raw
+        return raw
+
+    def _lists(self) -> Tuple[list, list, list]:
+        """Series bounds, row times and row values as Python lists (a
+        dictionary-coded value is the dictionary's own object): what the
+        row reads slice."""
+        lists = self._decoded.get("lists")
+        if lists is None:
+            is_index, column = self._value_column()
+            values = column.tolist()
+            if is_index:
+                values = [self._values[i] for i in values]
+            lists = self._decoded["lists"] = (
+                self._series_columns()["starts"].tolist(),
+                self._time_column().tolist(), values)
+        return lists
+
+    def _build_keys(self, at) -> List[SeriesKey]:
+        series = self._series_columns()
         strings = self._strings
-        dims = desc["d"]
-        pairs = tuple((strings[dims[i]], strings[dims[i + 1]])
-                      for i in range(0, len(dims), 2))
-        return SeriesKey(strings[desc["m"]], pairs)
+        names = [tuple(strings[i] for i in shape) for shape in self._shapes]
+        known: Dict[tuple, tuple] = {}
+        out = []
+        for m, ids in zip(series["measure"][at].tolist(),
+                          zip(series["shape"][at].tolist(),
+                              *(d[at].tolist() for d in series["dims"]))):
+            dims = known.get(ids)
+            if dims is None:
+                dims = known[ids] = tuple(zip(
+                    names[ids[0]], (strings[v] for v in ids[1:])))
+            out.append(SeriesKey(strings[m], dims))
+        return out
 
-    def keys(self) -> Optional[List[SeriesKey]]:
-        """Every series key in descriptor order, or None un-memoized."""
-        if self._memoize and self._keys is None:
-            self._keys = [self._key_of(desc) for desc in self._desc]
-        return self._keys
+    def keys(self) -> List[SeriesKey]:
+        """Every series key in file order (kept by a memoized cursor)."""
+        keys = self._keys
+        if keys is None:
+            keys = self._build_keys(slice(None))
+            if self._memoize:
+                self._keys = keys
+        return keys
+
+    def _keys_at(self, at: List[int]) -> List[SeriesKey]:
+        if self._memoize:
+            keys = self.keys()
+            return [keys[i] for i in at]
+        return self._build_keys(np.asarray(at, dtype=np.int64))
 
     def series_index(self) -> SeriesIndex:
-        """The segment's :class:`SeriesIndex`, built on first use.
-
-        A memoized cursor publishes the finished index with one
-        assignment (two first readers may each build one; nobody sees it
-        half-built); a one-shot cursor builds it per call and keeps
-        nothing.
-        """
+        """The segment's :class:`SeriesIndex`, built on first use; a
+        memoized cursor publishes the finished index with one assignment,
+        a one-shot cursor builds it per call."""
         index = self._index
         if index is None:
-            try:
-                index = SeriesIndex(
-                    self._strings, self._desc,
-                    self.keys() or [self._key_of(d) for d in self._desc])
-            except (ValueError, KeyError, IndexError, TypeError) as exc:
-                raise ColumnarFormatError(
-                    f"undecodable v2 segment header: {exc}") from None
+            series = self._series_columns()
+            starts = series["starts"]
+            first_tmin = np.full(self._n_series, math.inf)
+            filled = starts[1:] > starts[:-1]
+            first_tmin[filled] = self._time_column()[starts[:-1][filled]]
+            index = SeriesIndex(self._strings, self._shapes, series,
+                                self.keys(), first_tmin)
             if self._memoize:
                 self._index = index
         return index
 
     def select(self, selection: Optional[Selection]) -> Sequence[int]:
-        """Descriptor indices a scan of ``selection`` visits, ascending."""
-        if selection is None or (selection.measure is None
-                                 and not selection.filters
-                                 and selection.keys is None):
-            return range(len(self._desc))
+        """Positions of the series a scan of ``selection`` visits,
+        ascending."""
+        if _everything(selection):
+            return range(self._n_series)
         return self.series_index().select(selection)
 
-    def _chunk_columns(self, chunk: Sequence) -> Tuple[List[float], list]:
-        n, _, _, t_off, t_len, v_off, v_len = chunk
-        if self._memoize:
-            cached = self._chunk_cache.get(t_off)
-            if cached is not None:
-                return cached
-        times = unpack_time_column(bytes(self._body[t_off:t_off + t_len]))
-        is_index, raw = unpack_value_column(
-            bytes(self._body[v_off:v_off + v_len]))
-        if is_index:
-            dictionary = self._values
-            vals = [dictionary[i] for i in raw]
-        else:
-            vals = raw
-        if len(times) != n or len(vals) != n:
-            raise ColumnarFormatError(
-                f"chunk decodes to {len(times)}/{len(vals)} rows, "
-                f"descriptor says {n}")
-        if self._memoize:
-            self._chunk_cache[t_off] = (times, vals)
-        return times, vals
-
-    # -- full decode (recovery / compaction) -------------------------------
+    def _windows(self, select: Optional[Selection], start: float,
+                 end: float) -> Tuple[List[int], List[int], List[int], int]:
+        """The selected series with rows inside ``[start, end]``: their
+        positions and the ``[lo, hi)`` bounds of those rows, each slice
+        cut by two bisections -- plus how many selected series hold rows,
+        none of them in the window."""
+        bounds, times, _ = self._lists()
+        windowed = start != -math.inf or end != math.inf
+        at, los, his, pruned = [], [], [], 0
+        for i in self.select(select):
+            lo, hi = bounds[i], bounds[i + 1]
+            if windowed and hi > lo:
+                lo = bisect_left(times, start, lo, hi)
+                hi = bisect_right(times, end, lo, hi)
+                pruned += hi == lo
+            if hi > lo:
+                at.append(i)
+                los.append(lo)
+                his.append(hi)
+        return at, los, his, pruned
 
     def items(self) -> List[Tuple[SeriesKey, ChangePointSeries]]:
-        """Decode every series -- the v1-equivalent full read."""
-        try:
-            out = []
-            keys = self.keys()
-            for index, desc in enumerate(self._desc):
-                times: List[float] = []
-                vals: list = []
-                for chunk in desc["ch"]:
-                    t, v = self._chunk_columns(chunk)
-                    times.extend(t)
-                    vals.extend(v)
-                if len(times) != desc["n"]:
-                    raise ColumnarFormatError(
-                        f"series decodes to {len(times)} rows, "
-                        f"descriptor says {desc['n']}")
-                key = keys[index] if keys is not None else self._key_of(desc)
-                out.append((key, ChangePointSeries(
-                    times=times, values=vals,
-                    observed_until=float(desc["ou"]),
-                    observation_count=int(desc["oc"]))))
-            return out
-        except ColumnarFormatError:
-            raise
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise ColumnarFormatError(
-                f"undecodable v2 segment body: {exc}") from None
-
-    # -- predicate-pushdown scan -------------------------------------------
+        """Decode every series -- the full read (recovery, compaction)."""
+        bounds, times, values = self._lists()
+        series = self._series_columns()
+        return [(key, ChangePointSeries(
+                    times=times[lo:hi], values=values[lo:hi],
+                    observed_until=until, observation_count=count))
+                for key, lo, hi, until, count in zip(
+                    self.keys(), bounds, bounds[1:], series["ou"].tolist(),
+                    series["oc"].tolist())]
 
     def scan(self, start: float = float("-inf"),
              end: float = float("inf"),
@@ -438,89 +529,36 @@ class SegmentCursor:
              ) -> List[Tuple[SeriesKey, List[Tuple[float, Value]]]]:
         """Change points inside ``[start, end]``, per series.
 
-        Only chunks whose zone map ``[tmin, tmax]`` overlaps the window
-        are decoded; boundary chunks are trimmed row-wise after decode.
-        Series with no overlapping chunks are omitted entirely.  Only
-        the series ``select`` names are visited (all of them when None),
-        in descriptor order either way.
+        Only the series ``select`` names are visited (all of them when
+        None), in file order; series with no row in the window are
+        omitted, and Python rows are built for the window's rows only.
         """
-        try:
-            out = []
-            keys = self.keys()
-            descs = self._desc
-            for index in self.select(select):
-                desc = descs[index]
-                rows: List[Tuple[float, Value]] = []
-                for chunk in desc["ch"]:
-                    tmin, tmax = chunk[1], chunk[2]
-                    if tmax < start or tmin > end:
-                        continue  # zone map excludes the whole chunk
-                    times, vals = self._chunk_columns(chunk)
-                    if tmin >= start and tmax <= end:
-                        rows.extend(zip(times, vals))
-                    else:
-                        rows.extend((t, v) for t, v in zip(times, vals)
-                                    if start <= t <= end)
-                if rows:
-                    out.append((keys[index] if keys is not None
-                                else self._key_of(desc), rows))
-            return out
-        except ColumnarFormatError:
-            raise
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise ColumnarFormatError(
-                f"undecodable v2 segment body: {exc}") from None
+        at, los, his, _ = self._windows(select, start, end)
+        _, times, values = self._lists()
+        return [(key, list(zip(times[lo:hi], values[lo:hi])))
+                for key, lo, hi in zip(self._keys_at(at), los, his)]
 
-    # -- columnar fast path (analytics pushdown) ---------------------------
+    def last_rows(self, end: float = float("inf"),
+                  select: Optional[Selection] = None,
+                  ) -> List[Tuple[SeriesKey, float, Value]]:
+        """Per selected series, its last stored ``(key, time, value)`` at
+        or before ``end``; series with none are omitted."""
+        at, _, his, _ = self._windows(select, -math.inf, end)
+        _, times, values = self._lists()
+        return [(key, times[hi - 1], values[hi - 1])
+                for key, hi in zip(self._keys_at(at), his)]
 
     def _value_lut(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Float64 view of the value dictionary plus a bad-slot mask.
-
-        Bools read as 0.0/1.0 and ints as exact float64 (the analytics
-        engine aggregates in the float domain); strings and other
-        non-numeric dictionary entries are flagged so a chunk that
-        actually references one raises instead of aggregating garbage.
-        """
-        if self._float_lut is None:
-            lut = np.zeros(len(self._values), dtype="<f8")
-            bad = np.zeros(len(self._values), dtype=bool)
-            for slot, value in enumerate(self._values):
-                if isinstance(value, (int, float)):
-                    lut[slot] = float(value)
-                else:
-                    bad[slot] = True
-            self._float_lut = lut
-            self._float_lut_bad = bad
-        return self._float_lut, self._float_lut_bad
-
-    def _chunk_arrays(self, chunk: Sequence) -> Tuple[np.ndarray, np.ndarray]:
-        """One chunk as (times, values) float64 arrays, no row tuples."""
-        n, _, _, t_off, t_len, v_off, v_len = chunk
-        if self._memoize:
-            cached = self._array_cache.get(t_off)
-            if cached is not None:
-                return cached
-        times = unpack_time_array(bytes(self._body[t_off:t_off + t_len]))
-        is_index, raw = unpack_value_array(
-            bytes(self._body[v_off:v_off + v_len]))
-        if is_index:
-            lut, bad = self._value_lut()
-            if raw.size and int(raw.max()) >= lut.size:
-                raise ColumnarFormatError(
-                    "value index out of dictionary range")
-            if bad[raw].any():
-                raise TypeError(
-                    "column scan over non-numeric series values")
-            vals = lut[raw]
-        else:
-            vals = raw.astype("<f8") if raw.dtype.kind == "i" else raw
-        if times.size != n or vals.size != n:
-            raise ColumnarFormatError(
-                f"chunk decodes to {times.size}/{vals.size} rows, "
-                f"descriptor says {n}")
-        if self._memoize:
-            self._array_cache[t_off] = (times, vals)
-        return times, vals
+        """The value dictionary read as float64 (bools as 0/1), plus a
+        mask of the entries with no numeric reading."""
+        lut = self._decoded.get("lut")
+        if lut is None:
+            numeric = [isinstance(v, (int, float)) for v in self._values]
+            lut = self._decoded["lut"] = (
+                np.asarray([float(v) if ok else 0.0 for v, ok in
+                            zip(self._values, numeric)], dtype="<f8"),
+                ~np.asarray(numeric, dtype=bool))
+        return lut
 
     def scan_columns(self, start: float = float("-inf"),
                      end: float = float("inf"),
@@ -528,80 +566,40 @@ class SegmentCursor:
                      counters: Optional[Dict[str, int]] = None,
                      ) -> Tuple[List[SeriesKey], np.ndarray,
                                 np.ndarray, np.ndarray]:
-        """Decoded columns inside ``[start, end]`` without per-row tuples.
+        """Columns inside ``[start, end]``, without per-row tuples.
 
-        Returns ``(keys, counts, times, values)``: the selected series'
-        keys (descriptor order) that have at least one in-window row,
-        rows-per-series counts, and the concatenated float64 time/value
-        columns (series-major; time-sorted within each series).  Chunk
-        selection is the same zone-map pruning :meth:`scan` performs,
-        but surviving chunks decode straight into numpy arrays and only
-        boundary chunks are trimmed (via ``searchsorted``, not a Python
-        row filter).  Series holding non-numeric values raise
-        ``TypeError``.  ``counters``, when given, accumulates
-        ``chunks_pruned`` / ``chunks_decoded`` / ``rows_decoded``.
+        Returns ``(keys, counts, times, values)``: the keys of the
+        selected series with in-window rows (file order), their row
+        counts, and the concatenated float64 time/value columns; a
+        non-numeric value raises ``TypeError``.  ``counters`` accumulates
+        ``chunks_decoded`` / ``chunks_pruned`` (selected series with / with
+        no rows in the window) and ``rows_decoded`` (the rows gathered).
         """
-        try:
-            keys_out: List[SeriesKey] = []
-            counts: List[int] = []
-            t_parts: List[np.ndarray] = []
-            v_parts: List[np.ndarray] = []
-            pruned = decoded = rows_decoded = 0
-            keys = self.keys()
-            descs = self._desc
-            for index in self.select(select):
-                desc = descs[index]
-                total = 0
-                first_part = len(t_parts)
-                for chunk in desc["ch"]:
-                    tmin, tmax = chunk[1], chunk[2]
-                    if tmax < start or tmin > end:
-                        pruned += 1
-                        continue  # zone map excludes the whole chunk
-                    times, vals = self._chunk_arrays(chunk)
-                    decoded += 1
-                    rows_decoded += times.size
-                    if tmin < start or tmax > end:
-                        lo = int(np.searchsorted(times, start, side="left"))
-                        hi = int(np.searchsorted(times, end, side="right"))
-                        times, vals = times[lo:hi], vals[lo:hi]
-                    if times.size:
-                        total += times.size
-                        t_parts.append(times)
-                        v_parts.append(vals)
-                if total:
-                    keys_out.append(keys[index] if keys is not None
-                                    else self._key_of(desc))
-                    counts.append(total)
-                else:
-                    del t_parts[first_part:]
-                    del v_parts[first_part:]
-            if counters is not None:
-                counters["chunks_pruned"] = \
-                    counters.get("chunks_pruned", 0) + pruned
-                counters["chunks_decoded"] = \
-                    counters.get("chunks_decoded", 0) + decoded
-                counters["rows_decoded"] = \
-                    counters.get("rows_decoded", 0) + rows_decoded
-            times_flat = (np.concatenate(t_parts) if t_parts
-                          else np.empty(0, dtype="<f8"))
-            values_flat = (np.concatenate(v_parts) if v_parts
-                           else np.empty(0, dtype="<f8"))
-            return (keys_out, np.asarray(counts, dtype=np.int64),
-                    times_flat, values_flat)
-        except (ColumnarFormatError, TypeError):
-            raise
-        except (ValueError, KeyError, IndexError) as exc:
-            raise ColumnarFormatError(
-                f"undecodable v2 segment body: {exc}") from None
+        at, los, his, pruned = self._windows(select, start, end)
+        lo = np.asarray(los, dtype=np.int64)
+        counts = np.asarray(his, dtype=np.int64) - lo
+        # the row positions of every window, concatenated
+        ends = np.cumsum(counts)
+        rows = np.arange(int(ends[-1]) if ends.size else 0) + \
+            np.repeat(lo - (ends - counts), counts)
+        is_index, column = self._value_column()
+        picked = column[rows]
+        if is_index:
+            lut, bad = self._value_lut()
+            if bad[picked].any():
+                raise TypeError("column scan over non-numeric series values")
+            values = lut[picked]
+        else:
+            values = picked.astype("<f8", copy=False)
+        if counters is not None:
+            for name, count in (("chunks_pruned", pruned),
+                                ("chunks_decoded", len(at)),
+                                ("rows_decoded", rows.size)):
+                counters[name] = counters.get(name, 0) + count
+        return (self._keys_at(at), counts, self._time_column()[rows],
+                values)
 
-    def time_bounds(self) -> Optional[Tuple[float, float]]:
-        """Segment-wide [min, max] timestamp from the zone maps alone."""
-        tmin, tmax = math.inf, -math.inf
-        for desc in self._desc:
-            for chunk in desc["ch"]:
-                tmin = min(tmin, chunk[1])
-                tmax = max(tmax, chunk[2])
-        if tmin > tmax:
-            return None
-        return tmin, tmax
+
+def _is_count(value: object) -> bool:
+    """A non-negative plain int (JSON ``true`` is not a count)."""
+    return type(value) is int and value >= 0

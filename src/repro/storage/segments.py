@@ -7,11 +7,11 @@ once published; newer segments shadow older ones series-by-series
 (newest wins), which is what lets compaction merge them without
 replaying the log.
 
-The segment body is binary columnar (``.seg``): dictionary-encoded
-dimensions and values, delta-packed timestamps, per-chunk zone maps for
-time-range predicate pushdown, optionally mmap-backed so scans decode
-only the blocks overlapping the query window (see
-:mod:`repro.storage.columnar`).  ``SEGMENT_FORMAT`` (2) is the only
+The segment body is binary columnar (``.seg``): one table per file, with
+dictionary-encoded keys and values in packed id columns, one
+delta-packed time column and one value column, optionally mmap-backed
+so a read decodes only the columns it touches (see
+:mod:`repro.storage.columnar`).  ``SEGMENT_FORMAT`` (3) is the only
 format written or read: every manifest entry records its format, and an
 entry naming any other version (or none, which means the retired
 JSON-lines v1) is refused as corrupt before a byte is decoded.
@@ -47,7 +47,7 @@ MANIFEST_NAME = "MANIFEST"
 MANIFEST_FORMAT = 1
 
 #: The one segment body format, written and read.
-SEGMENT_FORMAT = 2
+SEGMENT_FORMAT = 3
 
 #: Characters embedded verbatim in segment file names; everything else
 #: is percent-escaped.  Deliberately excludes ``-`` (the file-name field
@@ -192,10 +192,9 @@ def scan_segment(directory: Path, meta: SegmentMeta,
                  ) -> List[Tuple[SeriesKey, List[Tuple[float, Value]]]]:
     """Change points inside ``[start, end]``, per series.
 
-    The time-range read path.  The chunk zone maps prune the decode to
-    the blocks overlapping the window, and with ``use_mmap`` (the
-    default) the skipped blocks are never paged in -- which is why
-    ``verify`` defaults off here: checksumming would force a full read.
+    The time-range read path.  With ``use_mmap`` (the default) only the
+    columns the read decodes are paged in -- which is why ``verify``
+    defaults off here: checksumming would force a full read.
     """
     _check_format(meta)
     path = Path(directory) / meta.file

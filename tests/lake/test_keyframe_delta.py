@@ -245,8 +245,8 @@ def test_readers_see_the_merged_rounds_whatever_the_layout(data):
 
 class TestPagedSnapshots:
     """A ``/rounds`` page costs its rows, on a day of many deltas too:
-    which rows exist is read off key lists, and only the page's series
-    are decoded."""
+    which rows exist is read off key lists, Python values are built only
+    for the page's series, and each column is decoded once per cursor."""
 
     ROUNDS = 23                 # one keyframe + 22 deltas, one UTC day
     LIMIT = 7
@@ -308,18 +308,28 @@ class TestPagedSnapshots:
         lake = SpotDataLake(tmp_path / "lake")    # nothing decoded yet
         try:
             last = lake.round_times()[-1]
-            decoded = []
-            original = SegmentCursor._chunk_columns
+            decoded, built = [], []
+            column, windows = SegmentCursor._column, SegmentCursor._windows
 
-            def counting(cursor, chunk):
-                decoded.append((id(cursor), chunk[3]))
-                return original(cursor, chunk)
+            def counting(cursor, name, *args, **kwargs):
+                decoded.append((id(cursor), name))
+                return column(cursor, name, *args, **kwargs)
 
-            monkeypatch.setattr(SegmentCursor, "_chunk_columns", counting)
+            def recording(cursor, *args):
+                found = windows(cursor, *args)   # the series rows come from
+                built.extend((id(cursor), at) for at in found[0])
+                return found
+
+            monkeypatch.setattr(SegmentCursor, "_column", counting)
+            monkeypatch.setattr(SegmentCursor, "_windows", recording)
             total, page = lake.round_snapshot(last, self.LIMIT, self.LIMIT)
+            first_page = list(built)
+            # a second page over the same cursors decodes nothing again
+            lake.round_snapshot(last, 2 * self.LIMIT, self.LIMIT)
             monkeypatch.undo()
             assert page == model.snapshots[last][self.LIMIT:2 * self.LIMIT]
             assert total == len(model.snapshots[last])
+            assert decoded and len(set(decoded)) == len(decoded)
 
             page_series = set()
             for row in page:
@@ -330,16 +340,15 @@ class TestPagedSnapshots:
             owner, held = {}, 0
             for part in lake.partitions:
                 cursor = lake._cursor(part)
-                for key, desc in zip(cursor.keys(), cursor.header["desc"]):
-                    assert len(desc["ch"]) == 1
-                    owner[id(cursor), desc["ch"][0][3]] = key
+                owner.update(((id(cursor), at), key)
+                             for at, key in enumerate(cursor.keys()))
                 held += len(page_series.intersection(cursor.keys()))
-            # at most one chunk per (page series, partition holding it),
-            # and never one of a series outside the page
-            assert 0 < len(decoded) <= held
-            assert len(set(decoded)) == len(decoded)
-            assert {owner[chunk] for chunk in decoded} <= page_series
-            assert len(owner) > 2 * len(decoded)   # 7 of the 18 rows
+            # rows of at most each (page series, partition holding it),
+            # and never of a series outside the page
+            assert 0 < len(first_page) <= held
+            assert len(set(first_page)) == len(first_page)
+            assert {owner[at] for at in first_page} <= page_series
+            assert len(owner) > 2 * len(first_page)   # 7 of the 18 rows
         finally:
             lake.close()
 

@@ -133,6 +133,17 @@ def test_unsupported_manifest_format_raises(tmp_path):
         SpotDataLake(tmp_path)
 
 
+def test_a_lake_of_an_older_format_is_refused_when_opened(tmp_path):
+    """Format 1 lakes hold v2 segments, which nothing reads any more: the
+    lake refuses them on open, not on the first cold read."""
+    _fill(SpotDataLake(tmp_path), [T0])
+    path = tmp_path / LAKE_MANIFEST_NAME
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), format=1)))
+    with pytest.raises(LakeFormatError,
+                       match="unsupported lake manifest format 1"):
+        SpotDataLake(tmp_path)
+
+
 def test_undecodable_manifest_raises(tmp_path):
     (tmp_path / LAKE_MANIFEST_NAME).write_text('{"format": 1}\n')
     with pytest.raises(LakeFormatError):
@@ -163,15 +174,15 @@ def test_trimmed_round_file_collected_on_next_publish(tmp_path):
 def test_scan_windows_and_filters(tmp_path):
     lake = SpotDataLake(tmp_path)
     _fill(lake, [T0, T0 + 600, T0 + 1200], scores=[1, 2, 3])
-    full = lake.scan()
-    assert {key.measure_name for key, _ in full} == {SPS_MEASURE,
-                                                     "spot_price"}
-    sps = lake.scan(measure=SPS_MEASURE)
-    ((key, rows),) = sps
-    assert [v for _, v in rows] == [1, 2, 3]
-    windowed = lake.scan(start=T0 + 600, end=T0 + 600, measure=SPS_MEASURE)
-    assert [v for _, v in windowed[0][1]] == [2]
-    assert lake.scan(filters={"InstanceType": "other.large"}) == []
+    stored = {key.measure_name for part in lake.partitions
+              for key, _ in lake._cursor(part).items()}
+    assert stored == {SPS_MEASURE, "spot_price"}
+    assert [r.value for r in lake.change_points(
+        SPS_MEASURE, {}, T0, T0 + 1200)] == [1, 2, 3]
+    assert [r.value for r in lake.change_points(
+        SPS_MEASURE, {}, T0 + 600, T0 + 600)] == [2]
+    assert lake.change_points(SPS_MEASURE, {"InstanceType": "other.large"},
+                              T0, T0 + 1200) == []
 
 
 def test_compact_preserves_change_points(tmp_path):

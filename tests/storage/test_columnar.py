@@ -1,6 +1,8 @@
-"""v2 binary columnar segments: round trips, zone maps, column packing."""
+"""v3 binary columnar segments: round trips, windows, column packing."""
 
+import json
 import math
+import re
 import sys
 import threading
 
@@ -16,7 +18,7 @@ from repro.storage import (
     scan_segment,
     write_segment,
 )
-from repro.storage.columnar import Selection
+from repro.storage.columnar import PREFIX_BYTES, Selection, header_bytes
 from repro.timeseries.compression import (
     ChangePointSeries,
     pack_index_column,
@@ -63,34 +65,70 @@ class TestEncodeDecode:
         assert encode_segment("t", 3, 1, items) == \
             encode_segment("t", 3, 1, items)
 
-    def test_chunking_does_not_change_content(self):
-        items = build_items(points=100)
-        small = SegmentCursor(encode_segment("t", 1, 0, items,
-                                             chunk_points=7))
-        big = SegmentCursor(encode_segment("t", 1, 0, items,
-                                           chunk_points=10000))
-        assert norm(small.items()) == norm(big.items())
-
     def test_empty_segment_round_trips(self):
         cursor = SegmentCursor(encode_segment("t", 1, 0, []))
         assert cursor.items() == []
-        assert cursor.time_bounds() is None
+        assert cursor.scan() == [] and cursor.last_rows() == []
 
-    def test_time_bounds_come_from_zone_maps(self):
-        items = build_items(points=10)
-        cursor = SegmentCursor(encode_segment("t", 1, 0, items))
-        t_all = [t for _, s in items for t in s.times]
-        assert cursor.time_bounds() == (min(t_all), max(t_all))
+    @pytest.mark.parametrize("values, dictionary", [
+        ([i / 3 for i in range(300)], 0),           # distinct floats: raw f8
+        ([10 ** 12 + 7919 * i for i in range(300)], 0),  # raw int64
+        ([3 * i for i in range(300)], 300),         # short ints: indices
+        ([float(i % 3) for i in range(300)], 3),    # few floats: indices
+        ([-0.0, 0.0, float("nan"), float("nan"), 1, 1.0, True, "1",
+          2 ** 70], 8),
+    ], ids=["raw-floats", "raw-ints", "short-ints", "few-floats", "mixed"])
+    def test_value_column_picks_the_smaller_exact_encoding(self, values,
+                                                           dictionary):
+        key = SeriesKey("m", (("k", "v"),))
+        items = [(key, ChangePointSeries(
+            times=[float(i) for i in range(len(values))], values=values,
+            observed_until=float(len(values)),
+            observation_count=len(values)))]
+        raw = encode_segment("t", 1, 0, items)
+        cursor = SegmentCursor(raw)
+        assert norm(cursor.items()) == norm(items)
+        # raw columns carry no dictionary; a dictionary keeps 1 / 1.0 /
+        # True / "1" and the two zeros apart and every NaN in one slot
+        assert len(cursor.header["values"]) == dictionary
+
+    def test_header_holds_no_per_series_entry(self):
+        """N single-row series over one fixed dictionary (ten values in
+        four dimension slots; the first ten series already use all ten):
+        the header is the same size for N = 10 and N = 10,000, up to the
+        digits of the counts and column offsets."""
+        values = [f"v{i}" for i in range(10)]
+
+        def header(n):
+            keys = sorted({SeriesKey("m", tuple(
+                (name, values[(i // 10 ** d) % 10])
+                for d, name in enumerate("abcd"))) for i in range(n)},
+                key=lambda k: k.dimensions)
+            raw = encode_segment("t", 1, 0, [(key, ChangePointSeries(
+                times=[60.0], values=[i % 3], observed_until=60.0,
+                observation_count=1)) for i, key in enumerate(keys)])
+            end = header_bytes(raw[:PREFIX_BYTES])
+            return json.loads(raw[PREFIX_BYTES:end]), raw[PREFIX_BYTES:end]
+
+        small, small_raw = header(10)
+        big, big_raw = header(10_000)
+        assert (small["series"], big["series"]) == (10, 10_000)
+        assert sorted(small["strings"]) == sorted(big["strings"])
+        assert small["values"] == big["values"] == [0, 1, 2]
+        assert len(re.sub(rb"[0-9]+", b"0", small_raw)) == \
+            len(re.sub(rb"[0-9]+", b"0", big_raw))
 
 
 class TestZoneMapScan:
-    @pytest.mark.parametrize("chunk_points", [4, 16, 512])
-    def test_scan_matches_naive_filter(self, chunk_points):
-        items = build_items(points=60)
-        cursor = SegmentCursor(encode_segment("t", 1, 0, items,
-                                              chunk_points=chunk_points))
+    """Windowed reads: each series is one slice of the row columns, cut
+    to the window by its sorted times."""
+
+    @pytest.mark.parametrize("points", [4, 16, 512])
+    def test_scan_matches_naive_filter(self, points):
+        items = build_items(points=points)
+        cursor = SegmentCursor(encode_segment("t", 1, 0, items))
         for window in [(-1.0, 1e9), (100.0, 900.0), (10030.0, 10030.0),
-                       (5e8, 6e8), (-50.0, -1.0)]:
+                       (10030.0, 10000.0), (5e8, 6e8), (-50.0, -1.0)]:
             start, end = window
             want = []
             for key, series in items:
@@ -104,22 +142,41 @@ class TestZoneMapScan:
                         for k, r in result]
 
             assert rows_norm(cursor.scan(start, end)) == rows_norm(want)
+            last = [(key, rows[-1][0], type(rows[-1][1]).__name__,
+                     repr(rows[-1][1])) for key, rows in
+                    [(k, [(t, v) for t, v in zip(s.times, s.values)
+                          if t <= end]) for k, s in items] if rows]
+            assert [(k, t, type(v).__name__, repr(v)) for k, t, v in
+                    cursor.last_rows(end)] == last
 
     def test_out_of_range_chunks_are_never_decoded(self, monkeypatch):
+        """A chunk is one series' slice: a window over the first series
+        builds Python values for its in-window rows and nothing else."""
         items = build_items(points=64)
-        cursor = SegmentCursor(encode_segment("t", 1, 0, items,
-                                              chunk_points=8))
-        decoded = []
-        original = SegmentCursor._chunk_columns
+        cursor = SegmentCursor(encode_segment("t", 1, 0, items))
+        built = []
+        original = SegmentCursor._windows
 
-        def counting(self, chunk):
-            decoded.append(chunk)
-            return original(self, chunk)
+        def recording(self, *args):
+            found = original(self, *args)
+            built.extend(row for lo, hi in zip(*found[1:3])
+                         for row in range(lo, hi))
+            return found
 
-        monkeypatch.setattr(SegmentCursor, "_chunk_columns", counting)
-        cursor.scan(0.0, 120.0)  # first series only, first chunk or two
-        total_chunks = sum(len(d["ch"]) for d in cursor.header["desc"])
-        assert 0 < len(decoded) < total_chunks
+        monkeypatch.setattr(SegmentCursor, "_windows", recording)
+        ((key, rows),) = cursor.scan(0.0, 120.0)
+        assert key == items[0][0] and len(rows) == 5
+        assert built == [0, 1, 2, 3, 4]
+        numeric = SegmentCursor(encode_segment("t", 1, 0, [
+            (key, ChangePointSeries(
+                times=s.times, values=[float(t) for t in s.times],
+                observed_until=s.observed_until,
+                observation_count=s.observation_count))
+            for key, s in items]))
+        counters = {}
+        numeric.scan_columns(0.0, 120.0, Selection("m"), counters=counters)
+        assert counters == {"chunks_decoded": 1, "chunks_pruned": 2,
+                            "rows_decoded": 5}
 
 
 MEASURES = ("sps", "spot_price", "if_score")
@@ -262,11 +319,14 @@ class TestSeriesSelection:
         assert index.first_tmin.tolist() == [math.inf, 10000.0]
 
     def test_malformed_descriptors_are_a_format_error(self):
-        cursor = SegmentCursor(encode_segment("t", 1, 0, build_items()),
-                               memoize=True)
-        cursor.keys()
-        cursor._desc[1]["d"] = 7        # a header no encoder writes
-        with pytest.raises(ColumnarFormatError, match="header"):
+        raw = bytearray(encode_segment("t", 1, 0, build_items()))
+        end = header_bytes(bytes(raw[:PREFIX_BYTES]))
+        header = json.loads(raw[PREFIX_BYTES:end])
+        offset, _ = header["columns"]["dim1"]
+        # the second series' dimension value id: one past the dictionary
+        raw[end + offset + 1 + 1] = len(header["strings"])
+        cursor = SegmentCursor(bytes(raw), memoize=True)
+        with pytest.raises(ColumnarFormatError, match="range"):
             cursor.scan_columns(select=Selection("m"))
 
     def test_two_first_readers_publish_one_finished_index(

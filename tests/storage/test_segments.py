@@ -108,20 +108,22 @@ class TestSegmentFiles:
 
 
 def v1_entries(meta):
-    """Manifest entries as a pre-columnar build wrote them: the retired
-    format named explicitly, and the key absent altogether."""
-    explicit = dict(meta.as_dict(), format=1)
+    """Manifest entries as older builds wrote them: the retired JSON-lines
+    and v2 columnar formats named explicitly, and the key absent
+    altogether (which means v1)."""
     absent = meta.as_dict()
     del absent["format"]
-    return [SegmentMeta.from_dict(explicit), SegmentMeta.from_dict(absent)]
+    return [SegmentMeta.from_dict(dict(meta.as_dict(), format=1)),
+            SegmentMeta.from_dict(dict(meta.as_dict(), format=2)),
+            SegmentMeta.from_dict(absent)]
 
 
 class TestLegacyFormat:
-    """v2 is the only format; the version gate refuses everything else."""
+    """v3 is the only format; the version gate refuses everything else."""
 
     def test_manifest_without_format_key_deserializes_as_v1(self, tmp_path):
         meta = write_segment(tmp_path, 1, "t", 0, build_items())
-        assert meta.as_dict()["format"] == 2
+        assert meta.as_dict()["format"] == 3
         raw = meta.as_dict()
         del raw["format"]  # manifests from pre-columnar builds
         assert SegmentMeta.from_dict(raw).format == 1
@@ -134,7 +136,8 @@ class TestLegacyFormat:
         for legacy in v1_entries(meta):
             for reader in (read_segment, scan_segment):
                 with pytest.raises(CorruptSegmentError,
-                                   match="unsupported format 1"):
+                                   match=f"unsupported format "
+                                         f"{legacy.format}"):
                     reader(tmp_path, legacy)
 
     def test_recover_surfaces_a_v1_entry(self, tmp_path):
@@ -144,7 +147,7 @@ class TestLegacyFormat:
             table.segments = [legacy]
             store_manifest(tmp_path, manifest)
             with pytest.raises(CorruptSegmentError,
-                               match="unsupported format 1"):
+                               match=f"unsupported format {legacy.format}"):
                 recover(tmp_path)
 
     def test_unsupported_format_rejected(self, tmp_path):

@@ -128,6 +128,62 @@ class TestCommands:
         assert "3 round(s); 0 keyframe (0 rows, 0 bytes), 0 delta " in day_line
         assert ", 1 day (" in day_line
 
+    def test_lake_stats_splits_each_kind_into_header_and_columns(
+            self, capsys, tmp_path):
+        data_dir = tmp_path / "data"
+        assert main(["collect", "--types", "m5.large", "--rounds", "3",
+                     "--data-dir", str(data_dir), "--lake"]) == 0
+        capsys.readouterr()
+        assert main(["lake", "stats", "--data-dir", str(data_dir)]) == 0
+        day_line = capsys.readouterr().out.splitlines()[1]
+        for kind, files in (("keyframe", ["round-1640995200.seg"]),
+                            ("delta", ["round-1640995800.seg",
+                                       "round-1640996400.seg"])):
+            raws = [(data_dir / "lake" / "2022" / "01" / "01" / name
+                     ).read_bytes() for name in files]
+            # a header is the magic, its u32 length and the JSON itself
+            header = sum(12 + int.from_bytes(raw[8:12], "little")
+                         for raw in raws)
+            size = sum(map(len, raws))
+            assert f"{len(files)} {kind} (" in day_line
+            assert f" rows, {size} bytes = {header} header + " \
+                   f"{size - header} columns)" in day_line
+        assert day_line.endswith(", 0 day (0 rows, 0 bytes)")
+
+    @pytest.mark.parametrize("entry_format", [1, 2, None])
+    def test_recover_refuses_older_segment_formats(self, capsys, tmp_path,
+                                                   entry_format):
+        data = tmp_path / "data"
+        assert main(["collect", "--types", "m5.large", "--rounds", "1",
+                     "--data-dir", str(data), "--checkpoint-every", "1"]) == 0
+        manifest = json.loads((data / "MANIFEST").read_text())
+        for table in manifest["tables"].values():
+            for entry in table["segments"]:
+                entry.pop("format")
+                if entry_format is not None:
+                    entry["format"] = entry_format
+        (data / "MANIFEST").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["recover", "--data-dir", str(data)]) == 1
+        # the version gate fires on the manifest entry, before the (v3)
+        # file is read at all
+        err = capsys.readouterr().err
+        assert err.startswith("recovery failed: CorruptSegmentError: ")
+        assert f"has unsupported format {entry_format or 1}" in err
+
+    def test_recover_refuses_an_older_lake_format(self, capsys, tmp_path):
+        data = tmp_path / "data"
+        assert main(["collect", "--types", "m5.large", "--rounds", "1",
+                     "--data-dir", str(data), "--lake"]) == 0
+        path = data / "lake" / "LAKE_MANIFEST"
+        path.write_text(json.dumps(dict(json.loads(path.read_text()),
+                                        format=1)))
+        capsys.readouterr()
+        assert main(["recover", "--data-dir", str(data)]) == 1
+        assert "recovery failed: LakeFormatError: unsupported lake " \
+               "manifest format 1" in capsys.readouterr().err
+        assert main(["lake", "stats", "--data-dir", str(data)]) == 1
+
     def test_query_bad_region(self, capsys):
         assert main(["query", "--type", "m5.large",
                      "--region", "us-east-1",
