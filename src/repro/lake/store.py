@@ -73,6 +73,7 @@ import os
 import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -84,9 +85,12 @@ from ..storage.columnar import (
     ColumnarFormatError,
     Selection,
     SegmentCursor,
+    TableColumns,
+    encode_columns,
     encode_segment,
+    value_id,
 )
-from ..timeseries.compression import ChangePointSeries, values_equal
+from ..timeseries.compression import values_equal
 from ..timeseries.record import Record, SeriesKey, Value
 from ..timeseries.vector import TierColumns
 from ..storage.wal import NoopCrashHook
@@ -144,6 +148,106 @@ def _merge_runs(runs: List[List[Tuple[float, Value]]],
     if len(runs) == 1:
         return runs[0]
     return list(heapq.merge(*runs, key=itemgetter(0)))
+
+
+def _equality_class(value: Value) -> Tuple[type, object]:
+    """Values in one class are ``values_equal``: one type, and ``==`` or
+    both NaN (so ``0.0`` and ``-0.0`` share a class)."""
+    if value != value:
+        return float, "nan"
+    return type(value), value
+
+
+def _fold_day(tables: Sequence[TableColumns]) -> TableColumns:
+    """One day's partitions, in partition order, folded into one table.
+
+    The partitions' string, shape and value ids are remapped into one id
+    space (the strings numbered in sorted order, so ids compare as the
+    strings do).  One ``np.lexsort`` ranks the series in canonical
+    ``(measure_name, dimensions)`` order -- a missing dimension slot is
+    -1, so a shorter key sorts first, as in tuple order -- and groups
+    each series' entries, in partition order.  The entry of a series'
+    first partition is kept whole; a later row is kept only when its
+    value is not ``values_equal`` to the row before it (one
+    neighbour-inequality mask over :func:`_equality_class` ids).
+    ``observation_count`` adds up and ``observed_until`` is the latest.
+    """
+    strings = sorted(set().union(*(t.strings for t in tables)))
+    string_id = {name: i for i, name in enumerate(strings)}
+    shapes: Dict[Tuple[int, ...], int] = {}
+    value_ids: Dict[object, int] = {}
+    values: List[Value] = []
+    width = max((len(s) for t in tables for s in t.shapes), default=0)
+    series: List[List[np.ndarray]] = []
+    rows: List[Tuple[np.ndarray, np.ndarray]] = []
+    row_base = 0
+    for n, table in enumerate(tables):
+        local = np.asarray([string_id[name] for name in table.strings],
+                           dtype=np.int64)
+        shape = np.asarray([shapes.setdefault(tuple(local[s].tolist()),
+                                              len(shapes))
+                            for s in table.shapes], dtype=np.int64)
+        slots = np.asarray([len(s) for s in table.shapes],
+                           dtype=np.int64)[table.shape]
+        dims = [np.where(slots > k, local[table.dims[k]], -1)
+                if k < len(table.dims) else np.full(slots.size, -1)
+                for k in range(width)]
+        ids: List[int] = []
+        for v in table.values:
+            at = value_ids.setdefault(value_id(v), len(values))
+            if at == len(values):
+                values.append(v)
+            ids.append(at)
+        starts = row_base + np.cumsum(table.count) - table.count
+        series.append([local[table.measure], shape[table.shape], *dims,
+                       np.full(slots.size, n), starts,
+                       table.count, table.oc, table.ou])
+        rows.append((table.time,
+                     np.asarray(ids, dtype=np.int64)[table.value]))
+        row_base += table.time.size
+    (measure, shape, *dims, source, row_start, count, oc,
+     until) = map(np.concatenate, zip(*series))
+    names = np.full((len(shapes), width), -1, dtype=np.int64)
+    for names_of, at in shapes.items():
+        names[at, :len(names_of)] = names_of
+    names = names[shape]
+    # lexsort: the last key is the primary one
+    keys = [measure, *chain.from_iterable(
+        (names[:, k], dims[k]) for k in range(width))]
+    order = np.lexsort((source, *reversed(keys)))
+    # an entry starts a series when any key column differs from the
+    # entry before it
+    first = np.zeros(order.size, dtype=bool)
+    first[:1] = True
+    for key in keys:
+        ranked = key[order]
+        first[1:] |= ranked[1:] != ranked[:-1]
+    group = np.cumsum(first) - 1
+    heads = np.flatnonzero(first)
+
+    # every entry's rows, in the sorted entry order
+    counts = count[order]
+    taken = np.repeat(row_start[order] - (np.cumsum(counts) - counts),
+                      counts) + np.arange(int(counts.sum()))
+    time = np.concatenate([t for t, _ in rows])[taken]
+    value = np.concatenate([v for _, v in rows])[taken]
+    row_group = np.repeat(group, counts)
+    classes: Dict[object, int] = {}
+    equal_class = np.asarray([classes.setdefault(_equality_class(v),
+                                                 len(classes))
+                              for v in values], dtype=np.int64)[value]
+    keep = np.repeat(first, counts)
+    keep[:1] = True
+    keep[1:] |= (equal_class[1:] != equal_class[:-1]) \
+        | (row_group[1:] != row_group[:-1])
+    return TableColumns(
+        strings=strings, shapes=list(shapes), values=values,
+        measure=measure[order][heads], shape=shape[order][heads],
+        dims=[d[order][heads] for d in dims],
+        count=np.bincount(row_group[keep], minlength=heads.size),
+        oc=np.add.reduceat(oc[order], heads),
+        ou=np.maximum.reduceat(until[order], heads),
+        time=time[keep], value=value[keep])
 
 
 @dataclass(frozen=True)
@@ -525,7 +629,10 @@ class SpotDataLake:
         Per series the day file keeps the first row plus every value
         change -- what the day's keyframe and deltas already hold, minus
         the unchanged measures that rode along with a changed row -- so
-        every read answers the same before and after.
+        every read answers the same before and after.  The fold is array
+        work over the files' decoded columns (:meth:`_compact_day`), and
+        the day file's bytes are exactly those the series-by-series merge
+        it replaced wrote.
 
         The newest day keeps receiving rounds and is skipped unless
         ``include_active``.  Returns a summary dict.
@@ -538,16 +645,14 @@ class SpotDataLake:
             if not include_active and self._partitions:
                 last_day = max(p.day for p in self._partitions)
                 groups.pop(last_day, None)
-            merged_days = {day: parts for day, parts in groups.items()
-                           if len(parts) >= 1}
-            if not merged_days:
+            if not groups:
                 return {"days_compacted": 0, "partitions_merged": 0,
                         "bytes_before": 0, "bytes_after": 0}
 
             replacements: Dict[str, LakePartition] = {}
             bytes_before = 0
-            for day in sorted(merged_days):
-                parts = sorted(merged_days[day], key=lambda p: p.start)
+            for day in sorted(groups):
+                parts = sorted(groups[day], key=lambda p: p.start)
                 bytes_before += sum(p.bytes for p in parts)
                 replacements[day] = self._compact_day(day, parts)
 
@@ -563,36 +668,22 @@ class SpotDataLake:
             self._publish(out, crash_hooks=False)
             return {
                 "days_compacted": len(replacements),
-                "partitions_merged": sum(len(p) for p in merged_days.values()),
+                "partitions_merged": sum(len(p) for p in groups.values()),
                 "bytes_before": bytes_before,
                 "bytes_after": sum(p.bytes for p in replacements.values()),
             }
 
     def _compact_day(self, day: str,
                      parts: Sequence[LakePartition]) -> LakePartition:
-        """Merge one day's round files into a single level-1 partition."""
-        merged: Dict[SeriesKey, ChangePointSeries] = {}
-        for part in parts:
-            for key, series in self._cursor(part).items():
-                into = merged.get(key)
-                if into is None:
-                    merged[key] = ChangePointSeries(
-                        times=list(series.times), values=list(series.values),
-                        observed_until=series.observed_until,
-                        observation_count=series.observation_count)
-                    continue
-                for t, v in zip(series.times, series.values):
-                    if not values_equal(into.values[-1], v):
-                        into.times.append(t)
-                        into.values.append(v)
-                into.observed_until = max(into.observed_until,
-                                          series.observed_until)
-                into.observation_count += series.observation_count
-        items = [(key, merged[key]) for key in
-                 sorted(merged, key=lambda k: (k.measure_name, k.dimensions))]
+        """Fold one day's round files into a single level-1 partition.
+
+        A column fold (:func:`_fold_day`) over each partition's decoded id
+        columns, written by the one encoder: the bytes are those an
+        item-by-item merge of the same files would encode.
+        """
+        folded = _fold_day([self._cursor(part).columns() for part in parts])
         rounds = tuple(sorted(t for p in parts for t in p.rounds))
-        rows = sum(len(series.times) for _, series in items)
-        blob = encode_segment(LAKE_TABLE, int(rounds[0]), 1, items)
+        blob = encode_columns(LAKE_TABLE, int(rounds[0]), 1, folded)
         rel = f"{day}/day-{_stamp_text(rounds[0])}.seg"
         target = self.root / rel
         target.parent.mkdir(parents=True, exist_ok=True)
@@ -602,7 +693,7 @@ class SpotDataLake:
             kind="day", path=rel,
             start=min(p.start for p in parts),
             end=max(p.end for p in parts),
-            rounds=rounds, rows=rows, bytes=len(blob),
+            rounds=rounds, rows=int(folded.time.size), bytes=len(blob),
             sha256=hashlib.sha256(blob).hexdigest())
 
     # -- reads ---------------------------------------------------------------

@@ -27,21 +27,27 @@ row is built from it.  A scan that names its series (a
 :class:`Selection`) resolves them against a :class:`SeriesIndex` grouped
 out of the id columns, so it costs the series it returns.
 
-Encoding is deterministic (dictionaries fill in first-visit order over
-the canonically sorted series), so identical content always produces
-identical bytes -- what the crash matrix's byte-identity gate and the
-segment checksums rely on.  Files, manifests and checksums belong to
-:mod:`repro.storage.segments`.
+One encoder writes every file: :func:`encode_columns` takes a table as
+id columns (:class:`TableColumns`) and rewrites each dictionary in
+first-visit order over the canonically sorted series, so identical
+content always produces identical bytes -- what the crash matrix's
+byte-identity gate and the segment checksums rely on.
+:func:`encode_segment` is its adapter for ``(SeriesKey,
+ChangePointSeries)`` items; lake compaction hands it the columns it
+folded out of :meth:`SegmentCursor.columns`.  Files, manifests and
+checksums belong to :mod:`repro.storage.segments`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain
-from typing import Collection, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Collection, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -86,7 +92,7 @@ def header_bytes(prefix: bytes) -> int:
 
 
 def _value_key(value: Value) -> Tuple[type, object]:
-    """Dictionary key of a value: equal values of one type share a slot,
+    """Dictionary slot of a value: equal values of one type share a slot,
     except ``-0.0`` (kept apart from ``0.0``) and NaN (never equal to
     itself; every NaN shares one slot, as in ``values_equal``)."""
     if type(value) is float and (value != value or value == 0.0):
@@ -94,85 +100,198 @@ def _value_key(value: Value) -> Tuple[type, object]:
     return type(value), value
 
 
-class _Dictionary:
-    """Insertion-ordered value -> index mapping with O(1) lookup."""
-
-    def __init__(self, key=None):
-        self._key = key
-        self._index: Dict[object, int] = {}
-        self.items: List[object] = []
-
-    def index_of(self, value):
-        key = self._key(value) if self._key else value
-        idx = self._index.setdefault(key, len(self.items))
-        if idx == len(self.items):
-            self.items.append(value)
-        return idx
+def value_id(value: Value) -> Tuple[type, object]:
+    """Identity of a value in a :class:`TableColumns` dictionary: its
+    :func:`_value_key` refined to the float's bits, so a raw float64
+    column keeps each NaN's payload."""
+    if type(value) is float and (value != value or value == 0.0):
+        return float, struct.pack("<d", value)
+    return type(value), value
 
 
-def _value_column(vals: list) -> Tuple[bytes, list]:
-    """The file's value column and values dictionary, whichever exact
-    encoding is smaller: dictionary indices, or raw float64 / int64 with
-    no dictionary when every value has that one type."""
-    dictionary = _Dictionary(key=_value_key)
-    column = pack_index_column([dictionary.index_of(v) for v in vals])
-    kinds = set(map(type, vals))
-    if kinds == {float} or (kinds == {int} and int_column_fits(vals)):
-        raw = (pack_float_column if float in kinds else pack_int_column)(vals)
-        if len(raw) < len(column) + len(json.dumps(dictionary.items)):
-            return raw, []
-    return column, dictionary.items
+@dataclass(frozen=True)
+class TableColumns:
+    """One table as id columns: what :func:`encode_columns` writes and
+    :meth:`SegmentCursor.columns` reads back.
+
+    ``strings``, ``shapes`` (tuples of string ids: each distinct tuple of
+    dimension names) and ``values`` are dictionaries in any order; ids
+    need not all be used.  Per series, in canonical key order:
+    ``measure`` and ``dims[k]`` (string ids; any id past the series'
+    shape), ``shape``, ``count`` (rows), ``oc``, ``ou``.  Per row,
+    series-major: ``time``, and ``value`` (ids into ``values``, whose
+    distinct entries are distinct under :func:`value_id`).
+    """
+
+    strings: Sequence[str]
+    shapes: Sequence[Sequence[int]]
+    values: Sequence[Value]
+    measure: np.ndarray
+    shape: np.ndarray
+    dims: Sequence[np.ndarray]
+    count: np.ndarray
+    oc: np.ndarray
+    ou: np.ndarray
+    time: np.ndarray
+    value: np.ndarray
+
+
+#: first-visit position of an id never visited
+_NEVER = np.iinfo(np.int64).max
+
+
+def _first_visit(visits: Iterable[Tuple[np.ndarray, np.ndarray]],
+                 size: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Ids ``0..size-1`` in order of first visit, and each id's place in
+    that order (-1 when never visited); ``visits`` are ``(ids,
+    positions)`` pairs, every position distinct."""
+    first = np.full(size, _NEVER, dtype=np.int64)
+    for ids, at in visits:
+        np.minimum.at(first, ids, at)
+    order = np.flatnonzero(first != _NEVER)
+    order = order[np.argsort(first[order])]
+    place = np.full(size, -1, dtype=np.int64)
+    place[order] = np.arange(order.size)
+    return order, place
+
+
+def encode_columns(table: str, segment_id: int, level: int,
+                   columns: TableColumns) -> bytes:
+    """Serialize one table into v3 segment bytes: the one encoder.
+
+    Each dictionary is rewritten in first-visit order -- ``strings``: the
+    sorted measure names, then per series its dimension names and then
+    its dimension values; ``shapes`` and ``values`` per series and per
+    row -- and values that share a :func:`_value_key` slot share a
+    dictionary entry.  The value column is dictionary indices, or raw
+    float64 / int64 when every value has that type and raw is smaller
+    for the file.
+    """
+    c = columns
+    n_series, rows = c.measure.size, c.time.size
+    widths = np.asarray([len(s) for s in c.shapes], dtype=np.int64)[c.shape]
+    n_slots = int(widths.max()) if n_series else 0
+    series_at = np.arange(n_series) * (2 * n_slots)
+    filled = [widths > k for k in range(n_slots)]
+    # the few measure names first, so their ids stay one byte wide
+    measures = sorted(set(c.measure.tolist()), key=c.strings.__getitem__)
+
+    def string_visits():
+        yield (np.asarray(measures, dtype=np.int64),
+               np.arange(len(measures)) - len(measures))
+        for k in range(n_slots):
+            names = np.asarray([s[k] if len(s) > k else 0 for s in c.shapes],
+                               dtype=np.int64)[c.shape]
+            at = series_at[filled[k]]
+            yield names[filled[k]], at + k
+            yield c.dims[k][filled[k]], at + n_slots + k
+    string_order, string_of = _first_visit(string_visits(), len(c.strings))
+    shape_order, shape_of = _first_visit([(c.shape, np.arange(n_series))],
+                                         len(c.shapes))
+
+    value_order, value_of = _first_visit([(c.value, np.arange(rows))],
+                                         len(c.values))
+    slot_of: Dict[object, int] = {}
+    slots = np.asarray([slot_of.setdefault(_value_key(c.values[i]),
+                                           len(slot_of))
+                        for i in value_order.tolist()], dtype=np.int64)
+    # slots are numbered in first-visit order: each keeps its first value
+    firsts = value_order[np.unique(slots, return_index=True)[1]]
+    values = [c.values[i] for i in firsts.tolist()]
+    row_ids = value_of[c.value]
+    value_column = pack_index_column(slots[row_ids])
+    kinds = set(map(type, values))
+    # a raw column's length is known before it is built
+    if (kinds == {float} or kinds == {int}) and 1 + 8 * rows < \
+            len(value_column) + len(json.dumps(values)):
+        used_values = [c.values[i] for i in value_order.tolist()]
+        if kinds == {float}:
+            value_column = pack_float_column(
+                np.asarray(used_values, dtype="<f8")[row_ids])
+            values = []
+        elif int_column_fits(np.asarray(used_values, dtype=object)):
+            value_column = pack_int_column(
+                np.asarray(used_values, dtype="<i8")[row_ids])
+            values = []
+    columns_out = {
+        "measure": pack_index_column(string_of[c.measure]),
+        "shape": pack_index_column(shape_of[c.shape]),
+        **{f"dim{k}": pack_index_column(
+            np.where(filled[k], string_of[c.dims[k]], 0))
+           for k in range(n_slots)},
+        "count": pack_index_column(c.count),
+        "oc": pack_index_column(c.oc),
+        "ou": pack_time_column(c.ou),
+        "time": pack_time_column(c.time),
+        "value": value_column,
+    }
+    directory, offset = {}, 0
+    for name, blob in columns_out.items():
+        directory[name] = [offset, len(blob)]
+        offset += len(blob)
+    strings = [c.strings[i] for i in string_order.tolist()]
+    shapes = [string_of[np.asarray(c.shapes[i], dtype=np.int64)].tolist()
+              for i in shape_order.tolist()]
+    header = {"format": _FORMAT, "table": table, "id": segment_id,
+              "level": level, "series": int(c.measure.size), "rows": rows,
+              "strings": strings, "shapes": shapes,
+              "values": values, "columns": directory}
+    # compact separators keep the header small; sorted keys make the
+    # bytes canonical (dictionaries are already first-visit-ordered lists)
+    header_raw = json.dumps(header, separators=(",", ":"),
+                            sort_keys=True).encode("utf-8")
+    return b"".join((MAGIC, len(header_raw).to_bytes(4, "little"),
+                     header_raw, *columns_out.values()))
 
 
 def encode_segment(table: str, segment_id: int, level: int,
                    items: Sequence[Tuple[SeriesKey, ChangePointSeries]],
                    ) -> bytes:
     """Serialize sorted series items into one v3 segment byte string."""
-    strings = _Dictionary()
-    shapes = _Dictionary()
+    return encode_columns(table, segment_id, level, _item_columns(items))
+
+
+def _item_columns(items: Sequence[Tuple[SeriesKey, ChangePointSeries]],
+                  ) -> TableColumns:
+    """Series items as id columns, in one pass."""
+    strings: Dict[str, int] = {}
+    shapes: Dict[Tuple[int, ...], int] = {}
     measure: List[int] = []
     shape: List[int] = []
-    slots: List[List[int]] = []
-    # the few measure names first, so their ids stay one byte wide
-    for name in sorted({key.measure_name for key, _ in items}):
-        strings.index_of(name)
-    for i, (key, series) in enumerate(items):
-        measure.append(strings.index_of(key.measure_name))
-        dims = key.dimensions
-        shape.append(shapes.index_of(
-            tuple(strings.index_of(name) for name, _ in dims)))
-        while len(slots) < len(dims):
-            slots.append([0] * len(items))
-        for slot, (_, value) in zip(slots, dims):
-            slot[i] = strings.index_of(value)
-    times = list(chain.from_iterable(series.times for _, series in items))
-    value_column, values = _value_column(
-        list(chain.from_iterable(series.values for _, series in items)))
-    columns = {
-        "measure": pack_index_column(measure),
-        "shape": pack_index_column(shape),
-        **{f"dim{k}": pack_index_column(slot)
-           for k, slot in enumerate(slots)},
-        "count": pack_index_column([len(s.times) for _, s in items]),
-        "oc": pack_index_column([s.observation_count for _, s in items]),
-        "ou": pack_time_column([s.observed_until for _, s in items]),
-        "time": pack_time_column(times),
-        "value": value_column,
-    }
-    directory, offset = {}, 0
-    for name, blob in columns.items():
-        directory[name] = [offset, len(blob)]
-        offset += len(blob)
-    header = {"format": _FORMAT, "table": table, "id": segment_id,
-              "level": level, "series": len(items), "rows": len(times),
-              "strings": strings.items, "shapes": shapes.items,
-              "values": values, "columns": directory}
-    # compact separators keep the header small; sorted keys make the
-    # bytes canonical (dictionaries are already insertion-ordered lists)
-    header_raw = json.dumps(header, separators=(",", ":"),
-                            sort_keys=True).encode("utf-8")
-    return b"".join((MAGIC, len(header_raw).to_bytes(4, "little"),
-                     header_raw, *columns.values()))
+    dims: List[List[int]] = []
+    for i, (key, _) in enumerate(items):
+        measure.append(strings.setdefault(key.measure_name, len(strings)))
+        names = tuple(strings.setdefault(name, len(strings))
+                      for name, _ in key.dimensions)
+        shape.append(shapes.setdefault(names, len(shapes)))
+        while len(dims) < len(names):
+            dims.append([-1] * len(items))
+        for slot, (_, value) in zip(dims, key.dimensions):
+            slot[i] = strings.setdefault(value, len(strings))
+    ids: Dict[object, int] = {}
+    values: List[Value] = []
+
+    def id_of(value: Value) -> int:
+        key = value_id(value)
+        at = ids.get(key)
+        if at is None:
+            at = ids[key] = len(values)
+            values.append(value)
+        return at
+    rows = sum(len(series.times) for _, series in items)
+    return TableColumns(
+        strings=list(strings), shapes=list(shapes), values=values,
+        measure=np.asarray(measure, dtype=np.int64),
+        shape=np.asarray(shape, dtype=np.int64),
+        dims=[np.asarray(d, dtype=np.int64) for d in dims],
+        count=np.asarray([len(s.times) for _, s in items], dtype=np.int64),
+        oc=np.asarray([s.observation_count for _, s in items],
+                      dtype=np.int64),
+        ou=np.asarray([s.observed_until for _, s in items], dtype="<f8"),
+        time=np.fromiter(chain.from_iterable(s.times for _, s in items),
+                         dtype="<f8", count=rows),
+        value=np.fromiter(map(id_of, chain.from_iterable(
+            s.values for _, s in items)), dtype=np.int64, count=rows))
 
 
 @dataclass(frozen=True)
@@ -420,6 +539,26 @@ class SegmentCursor:
                 raise ColumnarFormatError("value index past the dictionary")
             self._decoded["value"] = raw
         return raw
+
+    def columns(self) -> TableColumns:
+        """The whole table as id columns, with no per-series Python
+        object: what compaction folds.  A raw value column becomes ids
+        into a dictionary of its distinct values, told apart by their
+        bits."""
+        series = self._series_columns()
+        is_index, column = self._value_column()
+        if is_index:
+            values, value = self._values, column.astype(np.int64)
+        else:
+            distinct, value = np.unique(column.view("<i8"),
+                                        return_inverse=True)
+            values = distinct.view(column.dtype).tolist()
+        return TableColumns(
+            strings=self._strings, shapes=self._shapes, values=values,
+            measure=series["measure"], shape=series["shape"],
+            dims=series["dims"], count=np.diff(series["starts"]),
+            oc=series["oc"], ou=series["ou"], time=self._time_column(),
+            value=value)
 
     def _lists(self) -> Tuple[list, list, list]:
         """Series bounds, row times and row values as Python lists (a

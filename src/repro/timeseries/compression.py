@@ -215,18 +215,26 @@ def pack_int_column(values: Sequence[int]) -> bytes:
 
 
 def int_column_fits(values: Sequence[int]) -> bool:
-    """True when every (plain) int packs losslessly into int64."""
-    return all(_I8.min <= v <= _I8.max for v in values)
+    """True when every (plain) int packs losslessly into int64 (a list
+    or an ndarray, object dtype included)."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":
+        # a list with an int past 64 bits reads as float64 or object:
+        # compare the Python ints themselves
+        arr = np.asarray(values, dtype=object)
+    return not arr.size or bool(_I8.min <= arr.min() and arr.max() <= _I8.max)
 
 
 def pack_index_column(indices: Sequence[int]) -> bytes:
-    """Dictionary-index column at the narrowest unsigned width."""
-    top = max(indices, default=0)
+    """Dictionary-index column at the narrowest unsigned width (a list
+    or an integer ndarray; the bytes are the same)."""
+    arr = np.asarray(indices)
+    top = int(arr.max()) if arr.size else 0
     if top < 1 << 8:
-        return b"u" + np.asarray(indices, dtype="<u1").tobytes()
+        return b"u" + arr.astype("<u1").tobytes()
     if top < 1 << 16:
-        return b"v" + np.asarray(indices, dtype="<u2").tobytes()
-    return b"w" + np.asarray(indices, dtype="<u4").tobytes()
+        return b"v" + arr.astype("<u2").tobytes()
+    return b"w" + arr.astype("<u4").tobytes()
 
 
 def unpack_value_column(blob: bytes) -> Tuple[bool, list]:

@@ -1,6 +1,7 @@
 """Units for the date-partitioned cold lake store."""
 
 import json
+import shutil
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.lake import (
     lake_day,
 )
 from repro.lake.schema import empty_rows
+from repro.storage import SegmentCursor
 
 T0 = 1640995200.0  # 2022-01-01 00:00:00 UTC
 DAY = 86400.0
@@ -205,6 +207,31 @@ def test_compact_preserves_change_points(tmp_path):
     # round accounting survives compaction, and reload agrees
     assert lake.round_times() == times
     assert SpotDataLake(tmp_path).digest() == lake.digest()
+
+
+def test_compaction_builds_no_per_series_python_objects(tmp_path,
+                                                       monkeypatch):
+    """Compaction folds the decoded id columns: with the cursor's item,
+    key and row-list reads disabled it writes the same files."""
+    times = [T0 + 600 * i for i in range(4)] + \
+        [T0 + DAY + 600 * i for i in range(4)]
+    _fill(SpotDataLake(tmp_path / "plain"), times,
+          scores=[1, 1, 2, 1, 3, 3, 4, 4])
+    shutil.copytree(tmp_path / "plain", tmp_path / "columns")
+    plain = SpotDataLake(tmp_path / "plain")
+    want = [plain.compact()["days_compacted"], plain.digest(),
+            plain.compact(include_active=True)["days_compacted"],
+            plain.digest()]
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("compaction built per-series objects")
+    for name in ("items", "keys", "_lists"):
+        monkeypatch.setattr(SegmentCursor, name, refuse)
+    columns = SpotDataLake(tmp_path / "columns")
+    got = [columns.compact()["days_compacted"], columns.digest(),
+           columns.compact(include_active=True)["days_compacted"],
+           columns.digest()]
+    assert got == want and want[0] == want[2] == 1
 
 
 def test_change_points_baseline_suppresses_window_edge_reemit(tmp_path):

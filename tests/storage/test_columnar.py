@@ -6,6 +6,7 @@ import re
 import sys
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +22,7 @@ from repro.storage import (
 from repro.storage.columnar import PREFIX_BYTES, Selection, header_bytes
 from repro.timeseries.compression import (
     ChangePointSeries,
+    int_column_fits,
     pack_index_column,
     pack_time_column,
     unpack_time_column,
@@ -455,6 +457,24 @@ class TestColumnPrimitives:
         top = max(indices, default=0)
         assert blob[:1] == (b"u" if top < 256 else
                             b"v" if top < 65536 else b"w")
+
+    @pytest.mark.parametrize("top", [None, 255, 256, 65535, 65536])
+    def test_index_column_bytes_do_not_depend_on_the_container(self, top):
+        indices = [] if top is None else [0, top, top // 2, 7]
+        blob = pack_index_column(indices)
+        assert pack_index_column(np.asarray(indices, dtype=np.int64)) == \
+            pack_index_column(np.asarray(indices, dtype=np.uint32)) == blob
+
+    @pytest.mark.parametrize("values, fits", [
+        ([], True), ([0, -5, 7], True),
+        ([-2 ** 63, 2 ** 63 - 1], True), ([2 ** 63], False),
+        ([-2 ** 63 - 1], False), ([2 ** 63, -1], False), ([1, 2 ** 70], False),
+    ])
+    def test_int_column_fits_lists_and_arrays_alike(self, values, fits):
+        assert int_column_fits(values) is fits
+        assert int_column_fits(np.asarray(values, dtype=object)) is fits
+        if fits:
+            assert int_column_fits(np.asarray(values, dtype=np.int64))
 
     def test_unknown_tags_rejected(self):
         with pytest.raises(ValueError, match="tag"):
