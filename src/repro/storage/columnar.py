@@ -155,6 +155,31 @@ def _first_visit(visits: Iterable[Tuple[np.ndarray, np.ndarray]],
     return order, place
 
 
+def _value_column(values: Sequence[Value], ids: np.ndarray,
+                  ) -> Tuple[bytes, list]:
+    """The value column of rows ``ids`` and its values dictionary,
+    whichever exact encoding is smaller: dictionary indices, or raw
+    float64 / int64 with no dictionary when every value has that one
+    type."""
+    order, place = _first_visit([(ids, np.arange(ids.size))], len(values))
+    used = [values[i] for i in order.tolist()]
+    slot_of: Dict[object, int] = {}
+    slots = np.asarray([slot_of.setdefault(_value_key(v), len(slot_of))
+                        for v in used], dtype=np.int64)
+    # slots are numbered in first-visit order: each keeps its first value
+    dictionary = [used[i] for i in np.unique(slots, return_index=True)[1]]
+    rows = place[ids]
+    column = pack_index_column(slots[rows])
+    kinds = set(map(type, dictionary))
+    if kinds == {float} or (kinds == {int} and int_column_fits(
+            np.asarray(used, dtype=object))):
+        # a raw column's length is known before it is built
+        if 1 + 8 * ids.size < len(column) + len(json.dumps(dictionary)):
+            pack = pack_float_column if float in kinds else pack_int_column
+            return pack(np.asarray(used)[rows]), []
+    return column, dictionary
+
+
 def encode_columns(table: str, segment_id: int, level: int,
                    columns: TableColumns) -> bytes:
     """Serialize one table into v3 segment bytes: the one encoder.
@@ -189,30 +214,7 @@ def encode_columns(table: str, segment_id: int, level: int,
     shape_order, shape_of = _first_visit([(c.shape, np.arange(n_series))],
                                          len(c.shapes))
 
-    value_order, value_of = _first_visit([(c.value, np.arange(rows))],
-                                         len(c.values))
-    slot_of: Dict[object, int] = {}
-    slots = np.asarray([slot_of.setdefault(_value_key(c.values[i]),
-                                           len(slot_of))
-                        for i in value_order.tolist()], dtype=np.int64)
-    # slots are numbered in first-visit order: each keeps its first value
-    firsts = value_order[np.unique(slots, return_index=True)[1]]
-    values = [c.values[i] for i in firsts.tolist()]
-    row_ids = value_of[c.value]
-    value_column = pack_index_column(slots[row_ids])
-    kinds = set(map(type, values))
-    # a raw column's length is known before it is built
-    if (kinds == {float} or kinds == {int}) and 1 + 8 * rows < \
-            len(value_column) + len(json.dumps(values)):
-        used_values = [c.values[i] for i in value_order.tolist()]
-        if kinds == {float}:
-            value_column = pack_float_column(
-                np.asarray(used_values, dtype="<f8")[row_ids])
-            values = []
-        elif int_column_fits(np.asarray(used_values, dtype=object)):
-            value_column = pack_int_column(
-                np.asarray(used_values, dtype="<i8")[row_ids])
-            values = []
+    value_column, values = _value_column(c.values, c.value)
     columns_out = {
         "measure": pack_index_column(string_of[c.measure]),
         "shape": pack_index_column(shape_of[c.shape]),
