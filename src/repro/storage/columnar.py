@@ -115,12 +115,12 @@ class TableColumns:
     :meth:`SegmentCursor.columns` reads back.
 
     ``strings``, ``shapes`` (tuples of string ids: each distinct tuple of
-    dimension names) and ``values`` are dictionaries in any order; ids
-    need not all be used.  Per series, in canonical key order:
-    ``measure`` and ``dims[k]`` (string ids; any id past the series'
-    shape), ``shape``, ``count`` (rows), ``oc``, ``ou``.  Per row,
-    series-major: ``time``, and ``value`` (ids into ``values``, whose
-    distinct entries are distinct under :func:`value_id`).
+    dimension names) and ``values`` are dictionaries in any order, the
+    first two without repeats; ids need not all be used.  Per series, in
+    canonical key order: ``measure`` and ``dims[k]`` (string ids; past
+    the series' shape, -1 or any string id), ``shape``, ``count``
+    (rows), ``oc``, ``ou``.  Per row, series-major: ``time``, and
+    ``value`` (ids into ``values``).
     """
 
     strings: Sequence[str]

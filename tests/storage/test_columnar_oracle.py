@@ -39,7 +39,7 @@ T0 = 1640995200.0  # 2022-01-01 00:00:00 UTC
 ROUND = 600.0
 
 
-# -- the oracles ---------------------------------------------------------------
+# -- the oracles --------------------------------------------------------------
 
 def _value_key(value):
     if type(value) is float and (value != value or value == 0.0):
@@ -143,7 +143,7 @@ def oracle_fold(partitions):
             sorted(merged, key=lambda k: (k.measure_name, k.dimensions))]
 
 
-# -- drawn days ----------------------------------------------------------------
+# -- drawn days ---------------------------------------------------------------
 
 #: pair-level (2-dim), pool-level (3-dim) and one odd shape, so a file
 #: mixes widths and a shorter key is a prefix of a longer one
