@@ -235,7 +235,7 @@ def encode_columns(table: str, segment_id: int, level: int,
     shapes = [string_of[np.asarray(c.shapes[i], dtype=np.int64)].tolist()
               for i in shape_order.tolist()]
     header = {"format": _FORMAT, "table": table, "id": segment_id,
-              "level": level, "series": int(c.measure.size), "rows": rows,
+              "level": level, "series": n_series, "rows": rows,
               "strings": strings, "shapes": shapes,
               "values": values, "columns": directory}
     # compact separators keep the header small; sorted keys make the
