@@ -30,17 +30,18 @@ History queries are exact either way.  In a lake file
 ``observed_until`` is the time of the last one -- not, as in the hot
 tier, every observation made.
 
-Reads cost what they return.  The manifest's per-partition ``[start,
-end]`` is the zone map that skips whole files.  A history read hands
-each partition's cursor a :class:`~repro.storage.columnar.Selection`
-(measure + exact filters, or the keys a baseline walk still misses) and
-the cursor's series index resolves it without visiting the other
-series; a ``/rounds`` page takes its rows from per-partition row
-directories (:class:`_WideRows`: which wide-row coordinates a file's
-series belong to, and since when) and builds Python values only for the
-series behind those rows.  Index, directory and decoded columns are
-derived from the immutable file, built once on first use, and dropped
-with the cursor they hang off.
+Every read is one routine (:meth:`SpotDataLake._history`) and costs
+what it returns.  The manifest's per-partition ``[start, end]`` is the
+zone map that skips whole files; each partition's cursor resolves a
+:class:`~repro.storage.columnar.Selection` (measure + exact filters, or
+the keys a baseline walk still misses) and the window to id columns on
+its series index, without visiting the other series.  A ``/rounds``
+page takes its rows from per-partition row directories
+(:class:`_WideRows`: which wide-row coordinates a file's series belong
+to, and since when) and reads values only for the series behind them.
+Index, directory and decoded columns are derived from the immutable
+file, built once on first use, and dropped with the cursor they hang
+off.
 
 Publish protocol (crash windows mirror the storage engine's checkpoint):
 
@@ -66,17 +67,16 @@ so the layout itself is byte-deterministic.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
+import math
 import mmap
 import os
 import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import chain
-from operator import itemgetter
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -88,9 +88,9 @@ from ..storage.columnar import (
     TableColumns,
     encode_columns,
     encode_segment,
+    spans,
     value_id,
 )
-from ..timeseries.compression import values_equal
 from ..timeseries.record import Record, SeriesKey, Value
 from ..timeseries.vector import TierColumns
 from ..storage.wal import NoopCrashHook
@@ -135,27 +135,25 @@ def _stamp_text(time: float) -> str:
     return str(int(time)) if time.is_integer() else repr(time)
 
 
-def _merge_runs(runs: List[List[Tuple[float, Value]]],
-                ) -> List[Tuple[float, Value]]:
-    """Merge per-partition time-sorted row runs into one sorted list.
-
-    Each partition already returns a series' rows time-sorted, so a
-    k-way ``heapq.merge`` is O(n log k) instead of the O(n log n)
-    re-sort of the concatenation -- and ``heapq.merge`` is stable across
-    its inputs, preserving the partition-order tie behavior the stable
-    ``list.sort`` had.
-    """
-    if len(runs) == 1:
-        return runs[0]
-    return list(heapq.merge(*runs, key=itemgetter(0)))
-
-
 def _equality_class(value: Value) -> Tuple[type, object]:
     """Values in one class are ``values_equal``: one type, and ``==`` or
     both NaN (so ``0.0`` and ``-0.0`` share a class)."""
     if value != value:
         return float, "nan"
     return type(value), value
+
+
+class _History(NamedTuple):
+    """What :meth:`SpotDataLake._history` read: ``keys`` in canonical
+    ``(measure_name, dimensions)`` order, and per row -- ordered by
+    series, then time, partition order on ties -- its series (an index
+    into ``keys``), time, value and whether it is a change."""
+
+    keys: List[SeriesKey]
+    series: np.ndarray
+    time: np.ndarray
+    values: List[Value]
+    change: np.ndarray
 
 
 def _fold_day(tables: Sequence[TableColumns]) -> TableColumns:
@@ -227,8 +225,7 @@ def _fold_day(tables: Sequence[TableColumns]) -> TableColumns:
 
     # every entry's rows, in the sorted entry order
     counts = count[order]
-    taken = np.repeat(row_start[order] - (np.cumsum(counts) - counts),
-                      counts) + np.arange(int(counts.sum()))
+    taken = spans(row_start[order], counts)
     time = np.concatenate([t for t, _ in rows])[taken]
     value = np.concatenate([v for _, v in rows])[taken]
     row_group = np.repeat(group, counts)
@@ -733,64 +730,112 @@ class SpotDataLake:
                 entry.close()
             self._cursors.clear()
 
+    def _history(self, parts: Sequence[LakePartition],
+                 select: Optional[Selection], start: float, end: float,
+                 base: Optional[Sequence[SeriesKey]] = None,
+                 counters: Optional[Dict[str, int]] = None) -> _History:
+        """The one cold read: the rows ``select`` names in ``[start,
+        end]`` across ``parts`` (manifest order; one pruned by its
+        ``[start, end]`` counts as ``partitions_pruned``), plus each
+        ``base`` series' last row before ``start`` (by default each
+        series found), walking the partitions newest first.  Rows are
+        ordered per series by time, partition order on ties (one stable
+        sort); a row is a change unless ``values_equal`` to the row
+        before it (one neighbour-inequality mask over
+        :func:`_equality_class` ids, :func:`_fold_day`'s rule).
+        """
+        index: Dict[SeriesKey, int] = {}
+        runs: List[Tuple[np.ndarray, np.ndarray]] = []
+        values: List[Value] = []
+
+        def gather(keys, counts, times, found):
+            ids = np.asarray([index.setdefault(key, len(index))
+                              for key in keys], dtype=np.int64)
+            runs.append((ids.repeat(counts), times))
+            values.extend(found)
+
+        for part in parts:
+            if part.end < start or part.start > end:
+                if counters is not None:
+                    counters["partitions_pruned"] = \
+                        counters.get("partitions_pruned", 0) + 1
+                continue
+            # a partition inside the window needs no cut
+            whole = start <= part.start and part.end <= end
+            gather(*self._cursor(part).scan_columns(
+                -math.inf if whole else start, math.inf if whole else end,
+                select, counters))
+        unresolved = dict.fromkeys(index if base is None else base) \
+            if start != -math.inf else {}
+        for part in reversed(parts):
+            if not unresolved:
+                break
+            if part.start >= start:
+                continue
+            keys, counts, times, found = self._cursor(part).scan_columns(
+                -math.inf, start, Selection(keys=unresolved), counters)
+            # a series' rows before start lead its rows in this window
+            first = counts.cumsum() - counts
+            before = np.add.reduceat(times < start, first, dtype=np.int64) \
+                if counts.size else counts
+            resolved = before.nonzero()[0]
+            last = (first + before - 1)[resolved].tolist()
+            keys = [keys[j] for j in resolved.tolist()]
+            for key in keys:
+                del unresolved[key]
+            gather(keys, 1, times[last], [found[j] for j in last])
+        if not runs:
+            return _History([], np.empty(0, dtype=np.int64), np.empty(0),
+                            [], np.empty(0, dtype=bool))
+        keys = list(index)
+        if len(runs) > 1:
+            series, times = map(np.concatenate, zip(*runs))
+            # series ids become canonical (measure_name, dimensions) ranks
+            ranked = sorted(range(len(keys)), key=lambda i: (
+                keys[i].measure_name, keys[i].dimensions))
+            rank = np.empty(len(keys), dtype=np.int64)
+            rank[ranked] = np.arange(len(keys))
+            order = np.lexsort((times, rank[series]))
+            series, times = rank[series[order]], times[order]
+            keys = [keys[i] for i in ranked]
+            values = [values[i] for i in order.tolist()]
+        else:
+            # one file's rows are in order already: a file lists its
+            # series in canonical order, each one's rows by time
+            (series, times), = runs
+        classes: Dict[object, int] = {}
+        kind = np.asarray([classes.setdefault(_equality_class(v), len(classes))
+                           for v in values], dtype=np.int64)
+        # a row changes when its (series, class) pair does
+        kind += series * len(classes)
+        change = np.empty(series.size, dtype=bool)
+        change[:1] = True
+        np.not_equal(kind[1:], kind[:-1], out=change[1:])
+        return _History(keys, series, times, values, change)
+
     def change_points(self, measure: str, filters: Dict[str, str],
                       start: float, end: float) -> List[Record]:
         """Hot-store-equivalent change-point history from cold files.
 
         Reconstructs exactly what an un-evicted hot table's ``scan``
-        would return for ``[start, end]``: per series, rows where the
-        value differs from the previous observation -- including a
-        *baseline* walk into earlier partitions so a value that changed
-        before the window doesn't re-emit at the window edge.  Output
-        is sorted by (time, measure, dimensions), the hot scan's exact
-        tie order, which keeps pagination cursors stable across the
-        hot/cold boundary.
+        would return for ``[start, end]``: per series, the rows where the
+        value differs from the previous observation -- the baseline
+        keeps a value that changed before the window from re-emitting at
+        its edge.  Output is sorted by (time, measure, dimensions), the
+        hot scan's exact tie order, which keeps pagination cursors stable
+        across the hot/cold boundary; ``Record``s are built for those
+        rows only.
         """
-        parts = self.partitions
-        select = Selection(measure, filters)
-        per_key: Dict[SeriesKey, List[List[Tuple[float, Value]]]] = {}
-        for part in parts:
-            if part.end < start or part.start > end:
-                continue
-            for key, rows in self._cursor(part).scan(start, end, select):
-                per_key.setdefault(key, []).append(rows)
-        if not per_key:
-            return []
-
-        # baseline: the last value strictly before the window, per key;
-        # walk earlier partitions newest-first and stop once resolved
-        baseline: Dict[SeriesKey, Value] = {}
-        unresolved = dict.fromkeys(per_key)
-        if start != float("-inf"):
-            for part in reversed(parts):
-                if not unresolved:
-                    break
-                if part.start >= start:
-                    continue
-                found = self._cursor(part).scan(
-                    float("-inf"), start, Selection(keys=unresolved))
-                for key, rows in found:
-                    rows = [r for r in rows if r[0] < start]
-                    if rows and key not in baseline:
-                        baseline[key] = max(rows, key=lambda r: r[0])[1]
-                        unresolved.pop(key, None)
-
-        out: List[Record] = []
-        for key in sorted(per_key, key=lambda k: (k.measure_name,
-                                                  k.dimensions)):
-            rows = _merge_runs(per_key[key])
-            has_prev = key in baseline
-            prev = baseline.get(key)
-            for t, v in rows:
-                if not has_prev or not values_equal(prev, v):
-                    out.append(Record(key.dimensions, key.measure_name, v, t))
-                prev, has_prev = v, True
-        # the hot table emits rows in canonical (measure, dims) series
-        # order then stable-sorts by time; appending in that same series
-        # order makes a stable time-only sort reproduce the hot total
-        # order exactly (and cheaply -- float keys, no tuple compares)
-        out.sort(key=lambda r: r.time)
-        return out
+        found = self._history(self.partitions, Selection(measure, filters),
+                              start, end)
+        emit = (found.change & (found.time >= start)).nonzero()[0]
+        # stable: at one time, series in canonical order, and one
+        # series' rows in partition order
+        emit = emit[found.time[emit].argsort(kind="stable")]
+        keys, values = found.keys, found.values
+        return [Record(keys[s].dimensions, keys[s].measure_name, values[i], t)
+                for i, s, t in zip(emit.tolist(), found.series[emit].tolist(),
+                                   found.time[emit].tolist())]
 
     def scan_column_arrays(self, measure: str, filters: Dict[str, str],
                            start: float, end: float,
@@ -800,108 +845,47 @@ class SpotDataLake:
         """Cold change-row columns for ``[start, end]``, aligned to a
         caller-supplied series universe.
 
-        The vectorized analogue of :meth:`change_points`: per universe
-        series, the float64 (times, values) change rows in the window
-        plus the baseline value in force just before it, assembled from
-        ``SegmentCursor.scan_columns`` without building per-row tuples.
-        Partitions are time-disjoint, so per-series assembly is pure
-        concatenation in partition-start order; rows from round files
-        are deduped in the float domain against the running
-        predecessor (NaN equals NaN, as in ``values_equal``).  Series
-        the universe does not list are ignored -- the hot table's key
-        set is a superset of the lake's by construction (every lake row
-        passed through the differ).  ``counters`` accumulates the cursor
-        decode/prune counters.
+        The column view of :meth:`change_points`: per universe series,
+        its change rows in the window as float64 (times, values), plus
+        the value in force just before the window; a non-numeric value
+        raises ``TypeError``.  Series the universe does not list are
+        ignored -- the hot table's key set is a superset of the lake's by
+        construction (every lake row passed through the differ).
+        ``counters`` accumulates the partition and cursor prune/decode
+        counters.
         """
-        n = len(universe)
-        cols = TierColumns.empty(n)
+        found = self._history(self.partitions, Selection(measure, filters),
+                              start, end, universe, counters)
+        if not all(isinstance(v, (int, float)) for v in found.values):
+            raise TypeError("column scan over non-numeric series values")
+        floats = np.asarray([float(v) for v in found.values], dtype="<f8")
         index_of = {key: i for i, key in enumerate(universe)}
-        select = Selection(measure, filters)
-        parts = sorted(self.partitions, key=lambda p: (p.start, p.path))
-        runs_t: List[List[np.ndarray]] = [[] for _ in range(n)]
-        runs_v: List[List[np.ndarray]] = [[] for _ in range(n)]
-        for part in parts:
-            if part.end < start or part.start > end:
-                # the manifest [start, end] is a partition-level zone
-                # map: the whole file is skipped without opening it
-                if counters is not None:
-                    counters["partitions_pruned"] = \
-                        counters.get("partitions_pruned", 0) + 1
-                continue
-            keys, counts, times, values = self._cursor(part).scan_columns(
-                start, end, select, counters=counters)
-            offset = 0
-            for j, key in enumerate(keys):
-                cnt = int(counts[j])
-                i = index_of.get(key)
-                if i is not None:
-                    runs_t[i].append(times[offset:offset + cnt])
-                    runs_v[i].append(values[offset:offset + cnt])
-                offset += cnt
-
-        # baseline: last raw value strictly before the window, walking
-        # earlier partitions newest-first (a series' first-ever raw row
-        # is itself a change, so "any row before start" is exactly
-        # "a change point exists before start")
-        if start != float("-inf"):
-            unresolved = dict.fromkeys(universe)
-            for part in reversed(parts):
-                if not unresolved:
-                    break
-                if part.start >= start:
-                    continue
-                keys, counts, times, values = \
-                    self._cursor(part).scan_columns(
-                        float("-inf"), start,
-                        Selection(keys=unresolved), counters=counters)
-                offset = 0
-                for j, key in enumerate(keys):
-                    cnt = int(counts[j])
-                    seg_t = times[offset:offset + cnt]
-                    seg_v = values[offset:offset + cnt]
-                    offset += cnt
-                    hi = int(np.searchsorted(seg_t, start, side="left"))
-                    i = index_of.get(key)
-                    if hi and i is not None and not cols.has_base[i]:
-                        cols.has_base[i] = True
-                        cols.base_values[i] = seg_v[hi - 1]
-                        unresolved.pop(key, None)
-
-        t_parts: List[np.ndarray] = []
-        v_parts: List[np.ndarray] = []
-        for i in range(n):
-            if not runs_t[i]:
-                continue
-            raw_t = np.concatenate(runs_t[i])
-            raw_v = np.concatenate(runs_v[i])
-            m = raw_t.size
-            prev = np.empty(m)
-            prev[1:] = raw_v[:-1]
-            prev[0] = cols.base_values[i]
-            keep = ~((raw_v == prev)
-                     | (np.isnan(raw_v) & np.isnan(prev)))
-            if not cols.has_base[i]:
-                keep[0] = True
-            kept = int(np.count_nonzero(keep))
-            if kept:
-                cols.counts[i] = kept
-                t_parts.append(raw_t[keep])
-                v_parts.append(raw_v[keep])
-        if t_parts:
-            cols.times = np.concatenate(t_parts)
-            cols.values = np.concatenate(v_parts)
+        at = np.asarray([index_of.get(key, -1) for key in found.keys],
+                        dtype=np.int64)[found.series]
+        cols = TierColumns.empty(len(universe))
+        base = (found.time < start).nonzero()[0]
+        cols.has_base[at[base]] = True
+        cols.base_values[at[base]] = floats[base]
+        rows = (found.change & (found.time >= start) & (at >= 0)).nonzero()[0]
+        rows = rows[at[rows].argsort(kind="stable")]
+        cols.counts = np.bincount(at[rows], minlength=len(universe))
+        if rows.size:
+            cols.times = found.time[rows]
+            cols.values = floats[rows]
         return cols
+
+    def _values_at(self, parts: Sequence[LakePartition],
+                   select: Optional[Selection], time: float,
+                   ) -> Tuple[List[SeriesKey], List[Value]]:
+        """Each selected series' last stored value at or before ``time``,
+        keys in canonical order."""
+        found = self._history(parts, select, -math.inf, time)
+        last = np.diff(found.series, append=-1).nonzero()[0]
+        return found.keys, [found.values[i] for i in last.tolist()]
 
     def latest_values(self) -> List[Tuple[SeriesKey, Value]]:
         """Each archived series' newest value (differ restart seeding)."""
-        latest: Dict[SeriesKey, Tuple[float, Value]] = {}
-        for part in self.partitions:
-            for key, t, v in self._cursor(part).last_rows():
-                current = latest.get(key)
-                if current is None or t >= current[0]:
-                    latest[key] = (t, v)
-        return [(key, latest[key][1]) for key in
-                sorted(latest, key=lambda k: (k.measure_name, k.dimensions))]
+        return list(zip(*self._values_at(self.partitions, None, math.inf)))
 
     # -- round snapshots (the /rounds/<date> payload) ------------------------
 
@@ -970,11 +954,8 @@ class SpotDataLake:
             for coords in page]
         wanted = {key for keys in page_keys for key in keys
                   if key is not None}
-        resolved: Dict[SeriesKey, Value] = {}
-        for part in parts:
-            for key, _, value in self._cursor(part).last_rows(
-                    time, Selection(keys=wanted)):
-                resolved[key] = value
+        resolved = dict(zip(*self._values_at(parts, Selection(keys=wanted),
+                                             time)))
         return len(universe), [
             {"instance_type": itype, "region": region, "zone": zone or None,
              **{measure: resolved.get(key)

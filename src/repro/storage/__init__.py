@@ -29,7 +29,6 @@ from .segments import (
     load_manifest,
     read_segment,
     sanitize_table_component,
-    scan_segment,
     segment_file_name,
     store_manifest,
     write_segment,
@@ -52,7 +51,7 @@ __all__ = [
     "CorruptManifestError", "CorruptSegmentError", "MANIFEST_NAME",
     "Manifest", "SEGMENT_FORMAT", "SegmentMeta", "TableManifest",
     "load_manifest", "read_segment",
-    "sanitize_table_component", "scan_segment", "segment_file_name",
+    "sanitize_table_component", "segment_file_name",
     "store_manifest", "write_segment",
     "CorruptWalError", "DEFAULT_SEGMENT_BYTES", "NoopCrashHook", "WalReplay",
     "WalWriter", "read_wal",

@@ -25,7 +25,9 @@ validated -- entry count, id ranges, row order -- and decoded once per
 cursor, so a malformed byte raises :class:`ColumnarFormatError` before a
 row is built from it.  A scan that names its series (a
 :class:`Selection`) resolves them against a :class:`SeriesIndex` grouped
-out of the id columns, so it costs the series it returns.
+out of the id columns, and the window primitive
+(:meth:`SegmentCursor.scan`) cuts their rows to id columns in one
+vectorised pass, so a scan costs the series it returns.
 
 One encoder writes every file: :func:`encode_columns` takes a table as
 id columns (:class:`TableColumns`) and rewrites each dictionary in
@@ -43,11 +45,10 @@ from __future__ import annotations
 import json
 import math
 import struct
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain
-from typing import (Collection, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (Collection, Dict, Iterable, List, Mapping, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 import numpy as np
 
@@ -319,6 +320,16 @@ def _everything(selection: Optional[Selection]) -> bool:
                                  and selection.keys is None)
 
 
+class Window(NamedTuple):
+    """What a :meth:`SegmentCursor.scan` found, as id columns: the
+    selected series with rows in the window (positions, ascending), each
+    one's in-window row count, and those rows' positions, series-major."""
+
+    series: np.ndarray
+    counts: np.ndarray
+    rows: np.ndarray
+
+
 _NO_SERIES = np.empty(0, dtype=np.int32)
 
 
@@ -362,7 +373,7 @@ class SeriesIndex:
         self.position = {key: index for index, key in enumerate(keys)}
         self.first_tmin = first_tmin
 
-    def select(self, selection: Selection) -> List[int]:
+    def select(self, selection: Selection) -> np.ndarray:
         """Positions of the selected series, ascending."""
         postings: List[np.ndarray] = []
         if selection.measure is not None:
@@ -382,9 +393,8 @@ class SeriesIndex:
         for other in postings[1:]:
             if not out.size:
                 break
-            at = np.minimum(np.searchsorted(other, out), other.size - 1)
-            out = out[other[at] == out]
-        return out.tolist()
+            out = out[other.take(other.searchsorted(out), mode="clip") == out]
+        return out
 
 
 class SegmentCursor:
@@ -514,7 +524,7 @@ class SegmentCursor:
                 "shape": ids("shape", len(self._shapes)),
                 "dims": [ids(f"dim{k}", len(self._strings))
                          for k in range(self._slots)],
-                "starts": starts, "oc": ids("oc", 1 << 63),
+                "count": counts, "starts": starts, "oc": ids("oc", 1 << 63),
                 "ou": self._column("ou", self._n_series, time=True)[1]}
         return series
 
@@ -542,6 +552,13 @@ class SegmentCursor:
             self._decoded["value"] = raw
         return raw
 
+    def values_at(self, rows) -> List[Value]:
+        """The values at row positions ``rows``, one Python object per
+        row (a dictionary-coded value is the dictionary's own object)."""
+        is_index, column = self._value_column()
+        picked = column[rows].tolist()
+        return [self._values[i] for i in picked] if is_index else picked
+
     def columns(self) -> TableColumns:
         """The whole table as id columns, with no per-series Python
         object: what compaction folds.  A raw value column becomes ids
@@ -558,24 +575,9 @@ class SegmentCursor:
         return TableColumns(
             strings=self._strings, shapes=self._shapes, values=values,
             measure=series["measure"], shape=series["shape"],
-            dims=series["dims"], count=np.diff(series["starts"]),
+            dims=series["dims"], count=series["count"],
             oc=series["oc"], ou=series["ou"], time=self._time_column(),
             value=value)
-
-    def _lists(self) -> Tuple[list, list, list]:
-        """Series bounds, row times and row values as Python lists (a
-        dictionary-coded value is the dictionary's own object): what the
-        row reads slice."""
-        lists = self._decoded.get("lists")
-        if lists is None:
-            is_index, column = self._value_column()
-            values = column.tolist()
-            if is_index:
-                values = [self._values[i] for i in values]
-            lists = self._decoded["lists"] = (
-                self._series_columns()["starts"].tolist(),
-                self._time_column().tolist(), values)
-        return lists
 
     def _build_keys(self, at) -> List[SeriesKey]:
         series = self._series_columns()
@@ -602,11 +604,11 @@ class SegmentCursor:
                 self._keys = keys
         return keys
 
-    def _keys_at(self, at: List[int]) -> List[SeriesKey]:
+    def _keys_at(self, at: np.ndarray) -> List[SeriesKey]:
         if self._memoize:
             keys = self.keys()
-            return [keys[i] for i in at]
-        return self._build_keys(np.asarray(at, dtype=np.int64))
+            return [keys[i] for i in at.tolist()]
+        return self._build_keys(at)
 
     def series_index(self) -> SeriesIndex:
         """The segment's :class:`SeriesIndex`, built on first use; a
@@ -625,38 +627,20 @@ class SegmentCursor:
                 self._index = index
         return index
 
-    def select(self, selection: Optional[Selection]) -> Sequence[int]:
+    def select(self, selection: Optional[Selection]) -> np.ndarray:
         """Positions of the series a scan of ``selection`` visits,
         ascending."""
         if _everything(selection):
-            return range(self._n_series)
+            return np.arange(self._n_series)
         return self.series_index().select(selection)
 
-    def _windows(self, select: Optional[Selection], start: float,
-                 end: float) -> Tuple[List[int], List[int], List[int], int]:
-        """The selected series with rows inside ``[start, end]``: their
-        positions and the ``[lo, hi)`` bounds of those rows, each slice
-        cut by two bisections -- plus how many selected series hold rows,
-        none of them in the window."""
-        bounds, times, _ = self._lists()
-        windowed = start != -math.inf or end != math.inf
-        at, los, his, pruned = [], [], [], 0
-        for i in self.select(select):
-            lo, hi = bounds[i], bounds[i + 1]
-            if windowed and hi > lo:
-                lo = bisect_left(times, start, lo, hi)
-                hi = bisect_right(times, end, lo, hi)
-                pruned += hi == lo
-            if hi > lo:
-                at.append(i)
-                los.append(lo)
-                his.append(hi)
-        return at, los, his, pruned
-
     def items(self) -> List[Tuple[SeriesKey, ChangePointSeries]]:
-        """Decode every series -- the full read (recovery, compaction)."""
-        bounds, times, values = self._lists()
+        """Decode every series -- the full read (recovery, the content
+        digest)."""
         series = self._series_columns()
+        bounds = series["starts"].tolist()
+        times = self._time_column().tolist()
+        values = self.values_at(slice(None))
         return [(key, ChangePointSeries(
                     times=times[lo:hi], values=values[lo:hi],
                     observed_until=until, observation_count=count))
@@ -664,81 +648,54 @@ class SegmentCursor:
                     self.keys(), bounds, bounds[1:], series["ou"].tolist(),
                     series["oc"].tolist())]
 
-    def scan(self, start: float = float("-inf"),
-             end: float = float("inf"),
+    def scan(self, start: float = -math.inf, end: float = math.inf,
              select: Optional[Selection] = None,
-             ) -> List[Tuple[SeriesKey, List[Tuple[float, Value]]]]:
-        """Change points inside ``[start, end]``, per series.
+             counters: Optional[Dict[str, int]] = None) -> Window:
+        """The window primitive: the rows of the ``select``-ed series (all
+        when None) inside ``[start, end]``, as id columns.  ``counters``
+        accumulates ``chunks_decoded`` / ``chunks_pruned`` (selected
+        series with / with no rows in the window; one with no rows at
+        all is neither) and ``rows_decoded``."""
+        series = self._series_columns()
+        at = self.select(select)
+        counts = held = series["count"][at]
+        rows = spans(series["starts"][at], counts)
+        if start != -math.inf or end != math.inf:
+            times = self._time_column()[rows]
+            inside = (times >= start) & (times <= end)
+            rows = rows[inside]
+            counts = np.bincount(np.arange(at.size).repeat(counts)[inside],
+                                 minlength=at.size)
+        found = counts > 0
+        if counters is not None:
+            for name, count in (
+                    ("chunks_pruned",
+                     int(np.count_nonzero((held > 0) & ~found))),
+                    ("chunks_decoded", int(np.count_nonzero(found))),
+                    ("rows_decoded", rows.size)):
+                counters[name] = counters.get(name, 0) + count
+        return Window(at[found], counts[found], rows)
 
-        Only the series ``select`` names are visited (all of them when
-        None), in file order; series with no row in the window are
-        omitted, and Python rows are built for the window's rows only.
-        """
-        at, los, his, _ = self._windows(select, start, end)
-        _, times, values = self._lists()
-        return [(key, list(zip(times[lo:hi], values[lo:hi])))
-                for key, lo, hi in zip(self._keys_at(at), los, his)]
-
-    def last_rows(self, end: float = float("inf"),
-                  select: Optional[Selection] = None,
-                  ) -> List[Tuple[SeriesKey, float, Value]]:
-        """Per selected series, its last stored ``(key, time, value)`` at
-        or before ``end``; series with none are omitted."""
-        at, _, his, _ = self._windows(select, -math.inf, end)
-        _, times, values = self._lists()
-        return [(key, times[hi - 1], values[hi - 1])
-                for key, hi in zip(self._keys_at(at), his)]
-
-    def _value_lut(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The value dictionary read as float64 (bools as 0/1), plus a
-        mask of the entries with no numeric reading."""
-        lut = self._decoded.get("lut")
-        if lut is None:
-            numeric = [isinstance(v, (int, float)) for v in self._values]
-            lut = self._decoded["lut"] = (
-                np.asarray([float(v) if ok else 0.0 for v, ok in
-                            zip(self._values, numeric)], dtype="<f8"),
-                ~np.asarray(numeric, dtype=bool))
-        return lut
-
-    def scan_columns(self, start: float = float("-inf"),
-                     end: float = float("inf"),
+    def scan_columns(self, start: float = -math.inf, end: float = math.inf,
                      select: Optional[Selection] = None,
                      counters: Optional[Dict[str, int]] = None,
-                     ) -> Tuple[List[SeriesKey], np.ndarray,
-                                np.ndarray, np.ndarray]:
-        """Columns inside ``[start, end]``, without per-row tuples.
+                     ) -> Tuple[List[SeriesKey], np.ndarray, np.ndarray,
+                                List[Value]]:
+        """A :meth:`scan` window decoded: ``(keys, counts, times,
+        values)`` -- the keys of the series with rows in the window (file
+        order), their row counts, and the rows' times and values."""
+        window = self.scan(start, end, select, counters)
+        return (self._keys_at(window.series), window.counts,
+                self._time_column()[window.rows],
+                self.values_at(window.rows))
 
-        Returns ``(keys, counts, times, values)``: the keys of the
-        selected series with in-window rows (file order), their row
-        counts, and the concatenated float64 time/value columns; a
-        non-numeric value raises ``TypeError``.  ``counters`` accumulates
-        ``chunks_decoded`` / ``chunks_pruned`` (selected series with / with
-        no rows in the window) and ``rows_decoded`` (the rows gathered).
-        """
-        at, los, his, pruned = self._windows(select, start, end)
-        lo = np.asarray(los, dtype=np.int64)
-        counts = np.asarray(his, dtype=np.int64) - lo
-        # the row positions of every window, concatenated
-        ends = np.cumsum(counts)
-        rows = np.arange(int(ends[-1]) if ends.size else 0) + \
-            np.repeat(lo - (ends - counts), counts)
-        is_index, column = self._value_column()
-        picked = column[rows]
-        if is_index:
-            lut, bad = self._value_lut()
-            if bad[picked].any():
-                raise TypeError("column scan over non-numeric series values")
-            values = lut[picked]
-        else:
-            values = picked.astype("<f8", copy=False)
-        if counters is not None:
-            for name, count in (("chunks_pruned", pruned),
-                                ("chunks_decoded", len(at)),
-                                ("rows_decoded", rows.size)):
-                counters[name] = counters.get(name, 0) + count
-        return (self._keys_at(at), counts, self._time_column()[rows],
-                values)
+
+def spans(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The positions ``starts[i] .. starts[i] + counts[i] - 1`` of every
+    span, concatenated."""
+    ends = counts.cumsum()
+    return np.arange(ends[-1] if ends.size else 0) + \
+        (starts - ends + counts).repeat(counts)
 
 
 def _is_count(value: object) -> bool:

@@ -9,8 +9,7 @@ replaying the log.
 
 The segment body is binary columnar (``.seg``): one table per file, with
 dictionary-encoded keys and values in packed id columns, one
-delta-packed time column and one value column, optionally mmap-backed
-so a read decodes only the columns it touches (see
+delta-packed time column and one value column (see
 :mod:`repro.storage.columnar`).  ``SEGMENT_FORMAT`` (3) is the only
 format written or read: every manifest entry records its format, and an
 entry naming any other version (or none, which means the retired
@@ -31,7 +30,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import mmap
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .._util import atomic_open, fsync_directory
 from ..timeseries.compression import ChangePointSeries
-from ..timeseries.record import SeriesKey, Value
+from ..timeseries.record import SeriesKey
 from .columnar import ColumnarFormatError, SegmentCursor, encode_segment
 from .wal import NoopCrashHook
 
@@ -179,46 +177,6 @@ def read_segment(directory: Path, meta: SegmentMeta, verify: bool = True,
         cursor = SegmentCursor(raw)
         _check_header(meta, cursor.header)
         return cursor.items()
-    except CorruptSegmentError:
-        raise
-    except ColumnarFormatError as exc:
-        raise CorruptSegmentError(
-            f"segment {meta.file} body is undecodable: {exc}") from None
-
-
-def scan_segment(directory: Path, meta: SegmentMeta,
-                 start: float = float("-inf"), end: float = float("inf"),
-                 verify: bool = False, use_mmap: bool = True,
-                 ) -> List[Tuple[SeriesKey, List[Tuple[float, Value]]]]:
-    """Change points inside ``[start, end]``, per series.
-
-    The time-range read path.  With ``use_mmap`` (the default) only the
-    columns the read decodes are paged in -- which is why ``verify``
-    defaults off here: checksumming would force a full read.
-    """
-    _check_format(meta)
-    path = Path(directory) / meta.file
-    try:
-        with path.open("rb") as fh:
-            if verify or not use_mmap:
-                raw = fh.read()
-                if verify and \
-                        hashlib.sha256(raw).hexdigest() != meta.sha256:
-                    raise CorruptSegmentError(
-                        f"segment {meta.file} fails its manifest checksum")
-                cursor = SegmentCursor(raw)
-                _check_header(meta, cursor.header)
-                return cursor.scan(start, end)
-            with mmap.mmap(fh.fileno(), 0,
-                           access=mmap.ACCESS_READ) as buffer:
-                # the cursor's memoryviews must be released before the
-                # mmap closes, even when header validation raises
-                with SegmentCursor(buffer) as cursor:
-                    _check_header(meta, cursor.header)
-                    return cursor.scan(start, end)
-    except OSError as exc:
-        raise CorruptSegmentError(
-            f"manifest references missing segment {meta.file}: {exc}") from None
     except CorruptSegmentError:
         raise
     except ColumnarFormatError as exc:

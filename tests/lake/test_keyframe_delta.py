@@ -309,19 +309,20 @@ class TestPagedSnapshots:
         try:
             last = lake.round_times()[-1]
             decoded, built = [], []
-            column, windows = SegmentCursor._column, SegmentCursor._windows
+            column, scan = SegmentCursor._column, SegmentCursor.scan
 
             def counting(cursor, name, *args, **kwargs):
                 decoded.append((id(cursor), name))
                 return column(cursor, name, *args, **kwargs)
 
             def recording(cursor, *args):
-                found = windows(cursor, *args)   # the series rows come from
-                built.extend((id(cursor), at) for at in found[0])
+                found = scan(cursor, *args)   # the series rows come from
+                built.extend((id(cursor), at)
+                             for at in found.series.tolist())
                 return found
 
             monkeypatch.setattr(SegmentCursor, "_column", counting)
-            monkeypatch.setattr(SegmentCursor, "_windows", recording)
+            monkeypatch.setattr(SegmentCursor, "scan", recording)
             total, page = lake.round_snapshot(last, self.LIMIT, self.LIMIT)
             first_page = list(built)
             # a second page over the same cursors decodes nothing again

@@ -3,6 +3,7 @@
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from repro.lake import (
@@ -211,8 +212,8 @@ def test_compact_preserves_change_points(tmp_path):
 
 def test_compaction_builds_no_per_series_python_objects(tmp_path,
                                                        monkeypatch):
-    """Compaction folds the decoded id columns: with the cursor's item,
-    key and row-list reads disabled it writes the same files."""
+    """Compaction folds the decoded id columns: with the cursor's item
+    and key reads disabled it writes the same files."""
     times = [T0 + 600 * i for i in range(4)] + \
         [T0 + DAY + 600 * i for i in range(4)]
     _fill(SpotDataLake(tmp_path / "plain"), times,
@@ -225,13 +226,56 @@ def test_compaction_builds_no_per_series_python_objects(tmp_path,
 
     def refuse(*_args, **_kwargs):
         raise AssertionError("compaction built per-series objects")
-    for name in ("items", "keys", "_lists"):
+    for name in ("items", "keys"):
         monkeypatch.setattr(SegmentCursor, name, refuse)
     columns = SpotDataLake(tmp_path / "columns")
     got = [columns.compact()["days_compacted"], columns.digest(),
            columns.compact(include_active=True)["days_compacted"],
            columns.digest()]
     assert got == want and want[0] == want[2] == 1
+
+
+def _row_lists(value, rows):
+    """Python lists with ``rows`` entries anywhere inside ``value``."""
+    if isinstance(value, list) and len(value) == rows:
+        yield value
+    if isinstance(value, dict):
+        items = value.values()
+    elif isinstance(value, (list, tuple)):
+        items = value
+    else:   # an object's attributes, slotted or not
+        items = [getattr(value, name, None)
+                 for name in getattr(value, "__slots__", ())]
+        items += list(getattr(value, "__dict__", {}).values())
+    for item in items:
+        if not isinstance(item, (str, bytes, memoryview, np.ndarray)):
+            yield from _row_lists(item, rows)
+
+
+def test_cold_reads_keep_no_python_row_lists(tmp_path):
+    """A per-pool history, a column scan and ``latest_values`` read the
+    decoded columns: no memoized cursor keeps a Python list with one
+    entry per file row."""
+    lake = SpotDataLake(tmp_path)
+    pools = [f"t{i}.large" for i in range(6)]
+    for r in range(5):
+        merger = RoundMerger()
+        merger.add("sps", [(t, "r1", "r1a", r + i, T0 + 600 * r)
+                           for i, t in enumerate(pools)])
+        merged = merger.take_round(T0 + 600 * r)
+        lake.append_round(merged, merged.rows)
+    lake.compact(include_active=True)
+    (day,) = lake.partitions
+    assert day.rows == 5 * len(pools)
+    pool = {"InstanceType": pools[2], "Region": "r1",
+            "AvailabilityZone": "r1a"}
+    assert [r.value for r in lake.change_points(
+        SPS_MEASURE, pool, T0 + 600, T0 + 1800)] == [3, 4, 5]
+    keys = [key for key, _ in lake.latest_values()]
+    assert lake.scan_column_arrays(SPS_MEASURE, {}, T0 + 600, T0 + 1800,
+                                   keys).counts.tolist() == [3] * 6
+    assert lake._cursor(day).header["series"] < day.rows
+    assert not list(_row_lists(lake._open(day), day.rows))
 
 
 def test_change_points_baseline_suppresses_window_edge_reemit(tmp_path):

@@ -16,7 +16,6 @@ from repro.storage import (
     SegmentCursor,
     encode_segment,
     read_segment,
-    scan_segment,
     write_segment,
 )
 from repro.storage.columnar import PREFIX_BYTES, Selection, header_bytes
@@ -29,6 +28,8 @@ from repro.timeseries.compression import (
     unpack_value_column,
 )
 from repro.timeseries.record import SeriesKey
+
+from .cursor_rows import float_columns, last_rows, scan_rows
 
 
 def build_items(points=40, series_count=3):
@@ -70,7 +71,8 @@ class TestEncodeDecode:
     def test_empty_segment_round_trips(self):
         cursor = SegmentCursor(encode_segment("t", 1, 0, []))
         assert cursor.items() == []
-        assert cursor.scan() == [] and cursor.last_rows() == []
+        assert scan_rows(cursor) == [] and last_rows(cursor) == []
+        assert [a.size for a in cursor.scan()] == [0, 0, 0]
 
     @pytest.mark.parametrize("values, dictionary", [
         ([i / 3 for i in range(300)], 0),           # distinct floats: raw f8
@@ -143,13 +145,14 @@ class TestZoneMapScan:
                 return [(k, [(t, type(v).__name__, repr(v)) for t, v in r])
                         for k, r in result]
 
-            assert rows_norm(cursor.scan(start, end)) == rows_norm(want)
+            assert rows_norm(scan_rows(cursor, start, end)) == \
+                rows_norm(want)
             last = [(key, rows[-1][0], type(rows[-1][1]).__name__,
                      repr(rows[-1][1])) for key, rows in
                     [(k, [(t, v) for t, v in zip(s.times, s.values)
                           if t <= end]) for k, s in items] if rows]
             assert [(k, t, type(v).__name__, repr(v)) for k, t, v in
-                    cursor.last_rows(end)] == last
+                    last_rows(cursor, end)] == last
 
     def test_out_of_range_chunks_are_never_decoded(self, monkeypatch):
         """A chunk is one series' slice: a window over the first series
@@ -157,16 +160,14 @@ class TestZoneMapScan:
         items = build_items(points=64)
         cursor = SegmentCursor(encode_segment("t", 1, 0, items))
         built = []
-        original = SegmentCursor._windows
+        original = SegmentCursor.values_at
 
-        def recording(self, *args):
-            found = original(self, *args)
-            built.extend(row for lo, hi in zip(*found[1:3])
-                         for row in range(lo, hi))
-            return found
+        def recording(self, rows):
+            built.extend(rows.tolist())
+            return original(self, rows)
 
-        monkeypatch.setattr(SegmentCursor, "_windows", recording)
-        ((key, rows),) = cursor.scan(0.0, 120.0)
+        monkeypatch.setattr(SegmentCursor, "values_at", recording)
+        ((key, rows),) = scan_rows(cursor, 0.0, 120.0)
         assert key == items[0][0] and len(rows) == 5
         assert built == [0, 1, 2, 3, 4]
         numeric = SegmentCursor(encode_segment("t", 1, 0, [
@@ -251,12 +252,12 @@ class TestSeriesSelection:
         assert list(cursor.select(select)) == want
 
         window = (50.0, 1500.0)
-        assert cursor.scan(*window, select) == \
-            [(key, rows) for key, rows in cursor.scan(*window)
+        assert scan_rows(cursor, *window, select) == \
+            [(key, rows) for key, rows in scan_rows(cursor, *window)
              if accept(key)]
-        got_keys, got_counts, got_t, got_v = cursor.scan_columns(
-            *window, select)
-        all_keys, counts, times, values = cursor.scan_columns(*window)
+        got_keys, got_counts, got_t, got_v = float_columns(
+            cursor, *window, select)
+        all_keys, counts, times, values = float_columns(cursor, *window)
         offsets = [0, *counts.cumsum().tolist()]
         kept = [j for j, key in enumerate(all_keys) if accept(key)]
         assert got_keys == [all_keys[j] for j in kept]
@@ -287,15 +288,16 @@ class TestSeriesSelection:
                 Selection(measure, keys=given_keys))) == \
                 [i for i, key in enumerate(keys) if key in wanted
                  and measure in (None, key.measure_name)]
-        assert cursor.scan(select=Selection(keys=wanted)) == \
-            [(key, rows) for key, rows in cursor.scan() if key in wanted]
+        assert scan_rows(cursor, select=Selection(keys=wanted)) == \
+            [(key, rows) for key, rows in scan_rows(cursor)
+             if key in wanted]
 
     def test_no_constraint_selects_everything_without_an_index(self):
         cursor = SegmentCursor(encode_segment("t", 1, 0, build_items()),
                                memoize=True)
         for select in (None, Selection(), Selection(None, {})):
             assert list(cursor.select(select)) == [0, 1, 2]
-            assert len(cursor.scan(select=select)) == 3
+            assert len(scan_rows(cursor, select=select)) == 3
         assert cursor._index is None   # nothing asked for it
 
     def test_index_lives_and_dies_with_the_cursor_memo(self):
@@ -308,8 +310,8 @@ class TestSeriesSelection:
         memoized.release()
         assert memoized._index is None
         one_shot = SegmentCursor(raw)
-        assert one_shot.scan(select=Selection("m", {"az": "az-1"})) == \
-            one_shot.scan()[1:2]
+        assert scan_rows(one_shot, select=Selection("m", {"az": "az-1"})) \
+            == scan_rows(one_shot)[1:2]
         assert one_shot._index is None            # built per call, not kept
 
     def test_series_without_rows_never_enter_first_tmin(self):
@@ -343,7 +345,7 @@ class TestSeriesSelection:
         raw = encode_segment("t", 1, 0, numeric_items(coords))
         selections = [Selection("sps", {"type": "x7.large"}),
                       Selection(None, {"region": "eu-west-1", "zone": "b"})]
-        want = [SegmentCursor(raw, memoize=True).scan(select=s)
+        want = [scan_rows(SegmentCursor(raw, memoize=True), select=s)
                 for s in selections]
         assert all(want)
 
@@ -357,7 +359,7 @@ class TestSeriesSelection:
 
                 def first_touch(i):
                     barrier.wait(timeout=30)
-                    got[i] = shared.scan(select=selections[i])
+                    got[i] = scan_rows(shared, select=selections[i])
 
                 threads = [threading.Thread(target=first_touch, args=(i,))
                            for i in range(len(selections))]
@@ -395,30 +397,6 @@ class TestCorruption:
         path.write_bytes(path.read_bytes()[: meta.bytes // 2])
         with pytest.raises(CorruptSegmentError):
             read_segment(tmp_path, meta, verify=False)
-        with pytest.raises(CorruptSegmentError):
-            scan_segment(tmp_path, meta)
-
-
-class TestFileScan:
-    @pytest.mark.parametrize("use_mmap", [True, False])
-    def test_scan_segment_windows(self, tmp_path, use_mmap):
-        items = build_items(points=50)
-        meta = write_segment(tmp_path, 1, "t", 0, items)
-        got = scan_segment(tmp_path, meta, 0.0, 600.0, use_mmap=use_mmap)
-        want = [(key, series.change_points(0.0, 600.0))
-                for key, series in items
-                if series.change_points(0.0, 600.0)]
-        assert [(k, [(t, repr(v)) for t, v in r]) for k, r in got] == \
-            [(k, [(t, repr(v)) for t, v in r]) for k, r in want]
-
-    def test_scan_segment_verify_checks_checksum(self, tmp_path):
-        meta = write_segment(tmp_path, 1, "t", 0, build_items())
-        path = tmp_path / meta.file
-        raw = bytearray(path.read_bytes())
-        raw[-1] ^= 0xFF
-        path.write_bytes(bytes(raw))
-        with pytest.raises(CorruptSegmentError, match="checksum"):
-            scan_segment(tmp_path, meta, verify=True)
 
 
 class TestColumnPrimitives:

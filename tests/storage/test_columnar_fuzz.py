@@ -3,9 +3,11 @@
 Every case starts from a small valid file and damages it -- truncation at
 any offset, any single-byte flip, column directory entries pointing
 outside the file, per-series row counts that no longer add up to the row
-count, and ids at or past their dictionary's length.  Whatever the
-damage, a reader either raises ``ColumnarFormatError`` (the storage
-layer's ``CorruptSegmentError``) or decodes well-formed rows: no leaked
+count or point past the time column, and ids at or past their
+dictionary's length.  Whatever the damage, a reader -- ``items()``, the
+window primitive ``scan`` and the ``scan_columns`` gather behind it --
+either raises ``ColumnarFormatError`` (the storage layer's
+``CorruptSegmentError``) or decodes well-formed rows: no leaked
 ``IndexError`` / ``KeyError`` / numpy error, and no allocation sized by a
 count the file lies about.  Each case runs through a one-shot cursor,
 ``read_segment(verify=False)`` and the lake's memoized mmap-backed
@@ -18,6 +20,7 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.lake import (
@@ -37,6 +40,8 @@ from repro.storage import (
 from repro.storage.columnar import MAGIC, PREFIX_BYTES, Selection, header_bytes
 from repro.timeseries.compression import ChangePointSeries
 from repro.timeseries.record import SeriesKey
+
+from .cursor_rows import float_columns, last_rows, scan_rows
 
 SCALARS = (str, int, float, bool)
 #: a decode may allocate this much at most, however large a count claims
@@ -116,28 +121,34 @@ def _exercise(cursor):
     """Every read; raises ColumnarFormatError or returns checked rows."""
     items = cursor.items()
     _well_formed_items(items)
-    assert [(key, [t for t, _ in rows]) for key, rows in cursor.scan()] == \
-        [(key, s.times) for key, s in items if s.times]
+    assert [(key, [t for t, _ in rows]) for key, rows in scan_rows(cursor)] \
+        == [(key, s.times) for key, s in items if s.times]
     window = (1300.0, 2000.0)
+    # the window's id columns: ascending series, each one's rows in
+    # order, every position inside the file
+    found = cursor.scan(*window)
+    assert found.series.tolist() == sorted(set(found.series.tolist()))
+    assert found.counts.sum() == found.rows.size and (found.counts > 0).all()
+    assert ((0 <= found.rows) & (found.rows < cursor.header["rows"])).all()
     assert [(key, [t for t, _ in rows])
-            for key, rows in cursor.scan(*window)] == \
+            for key, rows in scan_rows(cursor, *window)] == \
         [(key, t) for key, t in (
             (key, [x for x in s.times if window[0] <= x <= window[1]])
             for key, s in items) if t]
-    assert [(key, t) for key, t, _ in cursor.last_rows(window[1])] == \
+    assert [(key, t) for key, t, _ in last_rows(cursor, window[1])] == \
         [(key, max(x for x in s.times if x <= window[1]))
          for key, s in items if any(x <= window[1] for x in s.times)]
     for key, _ in items[:2]:
         filters = dict(key.dimensions)
-        assert [k for k, _ in cursor.scan(select=Selection(
+        assert [k for k, _ in scan_rows(cursor, select=Selection(
             key.measure_name, filters))] == \
             [k for k, s in items if s.times
              and k.measure_name == key.measure_name
              and all(dict(k.dimensions).get(name) == value
                      for name, value in filters.items())]
     try:
-        cursor.scan_columns(*window, Selection(items[0][0].measure_name)
-                            if items else None)
+        float_columns(cursor, *window, Selection(items[0][0].measure_name)
+                      if items else None)
     except TypeError as exc:
         assert "non-numeric" in str(exc)
     return items
@@ -267,4 +278,26 @@ def test_ids_at_or_past_their_dictionary(base, data):
                 header["values"] if column == "value" else header["strings"])
     raw = _poke(RAW[base], column, data.draw(st.integers(0, 16)),
                 bound + data.draw(st.integers(0, 300)))
+    _check(raw, base)
+
+
+@FUZZ
+@given(base=bases, data=st.data())
+def test_series_rows_past_the_time_column(base, data):
+    """Counts that add up to a header ``rows`` larger than the time and
+    value columns: the last series' rows start or run past both, and
+    the gather behind the window refuses them."""
+    header, body = _split(RAW[base])
+    last = len(BASES[base][-1][1].times)
+    # past the columns, not past the file: the header check allows it
+    extra = data.draw(st.integers(1, min(255 - last,
+                                         len(body) - header["rows"])))
+    raw = _poke(RAW[base], "count", header["series"] - 1, last + extra)
+    header, body = _split(raw)
+    header["rows"] += extra
+    raw = _join(header, body)
+    cursor = SegmentCursor(raw)
+    assert cursor.scan().rows.max() >= header["rows"] - extra
+    with pytest.raises(ColumnarFormatError, match="entries"):
+        cursor.scan_columns()
     _check(raw, base)

@@ -17,7 +17,6 @@ from repro.storage import (
     read_segment,
     recover,
     sanitize_table_component,
-    scan_segment,
     segment_file_name,
     store_manifest,
     write_segment,
@@ -134,11 +133,9 @@ class TestLegacyFormat:
         # the error is still "unsupported format", not "missing segment"
         (tmp_path / meta.file).unlink()
         for legacy in v1_entries(meta):
-            for reader in (read_segment, scan_segment):
-                with pytest.raises(CorruptSegmentError,
-                                   match=f"unsupported format "
-                                         f"{legacy.format}"):
-                    reader(tmp_path, legacy)
+            with pytest.raises(CorruptSegmentError,
+                               match=f"unsupported format {legacy.format}"):
+                read_segment(tmp_path, legacy)
 
     def test_recover_surfaces_a_v1_entry(self, tmp_path):
         manifest = build_manifest(tmp_path)
@@ -154,9 +151,8 @@ class TestLegacyFormat:
         meta = write_segment(tmp_path, 1, "t", 0, build_items())
         raw = meta.as_dict()
         raw["format"] = 99
-        for reader in (read_segment, scan_segment):
-            with pytest.raises(CorruptSegmentError, match="format"):
-                reader(tmp_path, SegmentMeta.from_dict(raw))
+        with pytest.raises(CorruptSegmentError, match="format"):
+            read_segment(tmp_path, SegmentMeta.from_dict(raw))
 
 
 class TestTableNameSanitization:
