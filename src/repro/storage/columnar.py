@@ -338,6 +338,8 @@ def _postings(codes: np.ndarray, owners: np.ndarray,
     """Per distinct code, the ascending owners carrying it."""
     order = np.lexsort((owners, codes))
     codes, owners = codes[order], owners[order].astype(np.int32)
+    # select() hands a posting out as is: nobody may write through it
+    owners.flags.writeable = False
     cuts = np.flatnonzero(np.diff(codes)) + 1
     heads = codes[np.concatenate(([0], cuts))].tolist() if codes.size else []
     return list(zip(heads, np.split(owners, cuts)))
