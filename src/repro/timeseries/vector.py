@@ -7,8 +7,8 @@ functions) and the kernels here compute it from flat decoded columns --
 ``(times, values, series-index)`` arrays -- without ever touching a
 Python row loop.  The same kernels serve all three tiers:
 
-* **cold** -- columns come from ``SegmentCursor.scan_columns`` via the
-  lake's partition assembly;
+* **cold** -- columns come from the lake's one cold reader
+  (``SpotDataLake.scan_column_arrays``);
 * **hot** -- columns are packed per-series float64 views cached on
   ``Table`` and invalidated by the existing generation stamps;
 * **federated** -- each tier produces a :class:`Partials` block and
