@@ -17,8 +17,10 @@ across a UTC midnight, series first seen in a delta, empty deltas,
 mid-day gaps, row times that tie across adjacent partitions, closed days
 after ``compact()`` and ``compact(include_active=True)`` -- every live
 reader must answer exactly what the oracle answers: ``Record`` lists
-with their order and value types, ``TierColumns`` bit for bit,
-``latest_values`` and every page of every round snapshot.
+with their order and value types, ``latest_values``, every page of
+every round snapshot, and -- for draws with one numeric type per
+series, as every dataset stores -- ``TierColumns`` bit for bit with the
+same counters.
 """
 
 import dataclasses
