@@ -58,6 +58,7 @@ def main() -> None:
     archive = SpotLakeArchive()
     collector = SpsCollector(cloud, archive, pool, plan)
     report = collector.collect()
+    archive.commit_round(cloud.clock.now())
     print(f"full collection round: {report.queries_issued} queries, "
           f"{report.queries_failed} failed, "
           f"{report.records_written} zone scores archived, "

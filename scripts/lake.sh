@@ -5,8 +5,9 @@
 # columnar cursor's suite (its series index and decoded columns are
 # shared by the serving workers), its hostile-bytes fuzz and the
 # encoder / day-fold oracle property must pass with the runtime
-# sanitizer armed, and every lake publish window must recover
-# byte-identical under doublerun --durability --lake.  Ingest
+# sanitizer armed.  The crash windows -- the lake publish windows among
+# them -- are CI's storage job (doublerun --durability), which runs the
+# lake shape because every durable archive carries the lake.  Ingest
 # reduction, cold-scan and federation cost are measured by
 # benchmarks/e2e.
 set -euo pipefail
@@ -18,6 +19,3 @@ echo "== sanitized lake suite (merge/diff, cold store, federation, cold-read ora
 SPOTCONC_SANITIZE=1 python -m pytest tests/lake tests/storage/test_columnar.py \
     tests/storage/test_columnar_fuzz.py tests/storage/test_columnar_oracle.py \
     tests/serving/test_rounds_route.py -q
-
-echo "== lake crash windows (doublerun --durability --lake) =="
-python -m repro.devtools.doublerun --durability --lake --rounds 4

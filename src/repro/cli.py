@@ -43,9 +43,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_collect(args: argparse.Namespace) -> int:
-    if args.lake and not args.data_dir:
-        print("--lake requires --data-dir", file=sys.stderr)
-        return 2
     config = ServiceConfig(seed=args.seed,
                            instance_types=args.types or None,
                            chaos_profile=args.chaos_profile,
@@ -54,7 +51,6 @@ def _cmd_collect(args: argparse.Namespace) -> int:
                            checkpoint_every=args.checkpoint_every,
                            workers=args.workers,
                            plan_cache=args.plan_cache,
-                           lake=args.lake,
                            lake_full_refresh_every=args.lake_full_refresh,
                            retention_max_age=(
                                args.retention_hours * 3600.0
@@ -94,7 +90,7 @@ def _cmd_collect(args: argparse.Namespace) -> int:
         print(line)
         service.cloud.clock.advance_minutes(args.interval_minutes)
     # per-table ingest stats (the archive's stats() adds a "lake" summary
-    # key in lake mode; the store's view is tables only)
+    # key when durable; the store's view is tables only)
     for table, stats in service.archive.store.stats().items():
         print(f"{table}: {stats['records_written']} written -> "
               f"{stats['change_points_stored']} stored "
@@ -118,7 +114,6 @@ def _cmd_collect(args: argparse.Namespace) -> int:
               f"wal {stats['wal_bytes_written']}B, "
               f"segments {stats['live_segment_bytes']}B live "
               f"(amplification {stats['write_amplification']:.2f}x)")
-    if service.archive.lake is not None:
         census = service.archive.lake.census()
         archive = service.archive
         avoided = archive.rows_merged - archive.rows_ingested
@@ -430,8 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
     collect.add_argument("--chaos-seed", type=int, default=None,
                          help="fault-schedule seed (default: --seed)")
     collect.add_argument("--data-dir", default=None,
-                         help="durable storage directory (WAL + segments); "
-                              "restarts recover committed rounds from it")
+                         help="durable storage directory (WAL + segments "
+                              "+ cold lake); restarts recover committed "
+                              "rounds from it")
     collect.add_argument("--checkpoint-every", type=int, default=4,
                          help="fold the WAL into segments every N rounds "
                               "(default 4; 0 = only at exit)")
@@ -443,16 +439,12 @@ def build_parser() -> argparse.ArgumentParser:
                          action=argparse.BooleanOptionalAction,
                          help="reuse solved query packings across rounds "
                               "and restarts (default on)")
-    collect.add_argument("--lake", action="store_true",
-                         help="tiered-lake mode: land only each round's "
-                              "changed rows, hot and cold (a day's first "
-                              "round lands cold whole; requires --data-dir)")
     collect.add_argument("--lake-full-refresh", type=int, default=0,
                          help="emit all rows (not just changes) every Nth "
                               "round (default 0 = never)")
     collect.add_argument("--retention-hours", type=float, default=None,
                          help="evict hot change points older than this; "
-                              "with --lake they stay queryable cold")
+                              "with --data-dir they stay queryable cold")
     collect.set_defaults(func=_cmd_collect)
 
     recover_cmd = sub.add_parser(
@@ -474,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "into deduped day files")
     lake_cmd.add_argument("--data-dir", required=True,
                           help="storage directory written by "
-                               "'collect --data-dir --lake'")
+                               "'collect --data-dir'")
     lake_cmd.add_argument("--include-active", action="store_true",
                           help="also compact the newest (still collecting) "
                                "day")

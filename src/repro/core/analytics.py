@@ -39,6 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..lake.federated import FederatedHistory
 from ..lake.schema import MERGED_TABLES
 from ..timeseries.record import SeriesKey
 from ..timeseries.table import Table
@@ -147,13 +148,11 @@ class AnalyticsRuntime:
         n_groups = max(len(labels), 1)
         edges = bucket_edges(spec.start, spec.end, spec.bucket_seconds)
 
-        plan = None
-        federated = self.archive._federated
-        if federated is not None and spec.table in MERGED_TABLES:
-            plan = federated.plan(spec.measure, spec.start, spec.end,
-                                  self.archive.evicted_through(spec.table))
-        use_cold = plan is not None and plan.use_cold
-        boundary = plan.boundary if plan is not None else float("-inf")
+        evicted = self.archive.evicted_through(spec.table) \
+            if spec.table in MERGED_TABLES else None
+        plan = FederatedHistory.plan(spec.measure, spec.start, spec.end,
+                                     evicted)
+        use_cold, boundary = plan.use_cold, plan.boundary
 
         if not use_cold and _rollup_eligible(spec):
             part = self._rollup_partials(spec, table, keys, group_of,

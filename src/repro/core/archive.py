@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import threading
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from ..lake import (
     KeyMemo,
     LAKE_DIR_NAME,
     MERGED_TABLES,
+    MergedRound,
     PRICE_MEASURE,
     PRICE_TABLE,
     RoundDiffer,
@@ -45,6 +47,7 @@ from ..lake import (
     SPS_TABLE,
     SpotDataLake,
 )
+from ..lake.schema import Point
 from ..storage import StorageEngine
 from ..timeseries import (
     QueryCache,
@@ -58,7 +61,6 @@ from ..timeseries import (
     resample_matrix,
     update_intervals,
 )
-from ..timeseries.cache import DEFAULT_MAX_ENTRIES
 from .analytics import AnalyticsRuntime
 
 # The merged-record schema constants (SPS_TABLE, SPS_MEASURE, DIM_TYPE,
@@ -75,64 +77,153 @@ DIM_KEY = "Key"
 DIM_REASON = "Reason"
 
 
+class MemoryTiers:
+    """The memory shape's storage tiers: nothing persists and nothing is
+    cold, so every hook the archive calls does nothing."""
+
+    engine: Optional[StorageEngine] = None
+    lake: Optional[SpotDataLake] = None
+
+    def __init__(self) -> None:
+        self.store = TimeSeriesStore()
+
+    def _nothing(self, *args) -> None:
+        pass
+
+    #: the hooks :class:`DurableTiers` implements that have nothing to do
+    refuse_unloggable = log_create_table = log_points = land = \
+        commit_round = checkpoint = close = _nothing
+
+    def evict(self, name: str, table: Table, cutoff: float) -> int:
+        return table.evict_before(cutoff)
+
+    def evicted_through(self, table_name: str) -> Optional[float]:
+        return None
+
+    def history(self, table_name: str, measure: str, filters: Dict[str, str],
+                start: float, end: float,
+                hot_scan: Callable[[], List[Record]]) -> List[Record]:
+        return hot_scan()
+
+    def stats(self, **write_path) -> Dict[str, dict]:
+        return {}
+
+
+class DurableTiers(MemoryTiers):
+    """The durable shape: the WAL engine, the cold lake and federated
+    history reads, always together under one ``data_dir`` -- a restarted
+    differ seeds from the lake and the lake trims to the WAL's last
+    commit, so neither tier can stand alone."""
+
+    def __init__(self, data_dir: Union[str, Path], checkpoint_every: int,
+                 crash_hook, differ: RoundDiffer):
+        self.engine = StorageEngine(data_dir, crash_hook=crash_hook)
+        self.checkpoint_every = checkpoint_every
+        # a restarted archive adopts whatever the last committed round
+        # left behind; a fresh directory recovers an empty store
+        self.store = self.engine.recovered.store
+        self.engine.attach(self.store)
+        self.lake = SpotDataLake(Path(data_dir) / LAKE_DIR_NAME,
+                                 crash_hook=crash_hook)
+        # rounds land in the lake before the hot WAL's group commit: drop
+        # any round the crashed run archived but never committed (it is
+        # re-collected deterministically)
+        self.lake.trim_to(self.engine.last_commit_time)
+        differ.seed(self.lake.latest_values(), rounds=self.lake.round_count)
+        self.federated = FederatedHistory(self.lake)
+
+    def refuse_unloggable(self, dataset: str, rows: Sequence[tuple]) -> None:
+        """Refuse a batch the strict-JSON WAL cannot log (a non-finite
+        value or time) before the merger takes any of it."""
+        columns = list(zip(*rows))[len(DATASETS[dataset].dims):]
+        if not all(np.isfinite(np.asarray(c, dtype=np.float64)).all()
+                   for c in columns):
+            raise ValueError(f"non-finite value in a {dataset!r} batch: "
+                             "the write-ahead log cannot record it")
+
+    def log_create_table(self, name: str,
+                         retention: Optional[RetentionPolicy]) -> None:
+        self.engine.log_create_table(name, retention)
+
+    def log_points(self, table_name: str, points: List[Point]) -> None:
+        self.engine.log_points(table_name, points)
+
+    def evict(self, name: str, table: Table, cutoff: float) -> int:
+        """Log the sweep, apply it, and mark dirty only the series it
+        trimmed: the next checkpoint re-flushes those, not the table."""
+        self.engine.log_eviction(name, cutoff)
+        trimmed: List[SeriesKey] = []
+        dropped = table.evict_before(cutoff, trimmed)
+        self.engine.mark_dirty(name, trimmed)
+        return dropped
+
+    def land(self, merged: MergedRound, changed: Dict[str, list]) -> None:
+        self.lake.append_round(merged, changed)
+
+    def commit_round(self, time: float) -> None:
+        self.engine.commit_round(time)
+        if self.checkpoint_every > 0 and \
+                self.engine.rounds_committed % self.checkpoint_every == 0:
+            self.engine.checkpoint(time)
+
+    def checkpoint(self, time: float) -> None:
+        self.engine.checkpoint(time)
+
+    def close(self) -> None:
+        self.lake.close()
+        self.engine.close()
+
+    def evicted_through(self, table_name: str) -> Optional[float]:
+        return self.engine.evicted_through(table_name)
+
+    def history(self, table_name: str, measure: str, filters: Dict[str, str],
+                start: float, end: float,
+                hot_scan: Callable[[], List[Record]]) -> List[Record]:
+        if table_name not in MERGED_TABLES:
+            return hot_scan()
+        return self.federated.query(measure, filters, start, end,
+                                    self.evicted_through(table_name),
+                                    hot_scan=hot_scan)
+
+    def stats(self, **write_path) -> Dict[str, dict]:
+        return {"lake": {**self.lake.census(), **write_path,
+                         "federated": self.federated.stats()}}
+
+
 class SpotLakeArchive:
-    """Facade the collectors write to and the serving layer reads from."""
+    """Facade the collectors write to and the serving layer reads from.
+
+    One write path: ``append`` buffers rows in the round merger and
+    ``commit_round`` lands what changed, so rows become readable at the
+    commit (gaps are the one direct write, :meth:`put_gap`).  Without a
+    ``data_dir`` the tiers are :class:`MemoryTiers`, with one
+    :class:`DurableTiers`.  ``cache=False`` is the serving oracle.
+    """
 
     def __init__(self, retention: Optional[RetentionPolicy] = None,
                  cache: bool = True,
-                 cache_entries: int = DEFAULT_MAX_ENTRIES,
                  data_dir: Optional[Union[str, Path]] = None,
                  checkpoint_every: int = 4,
                  crash_hook=None,
-                 lake: bool = False,
                  lake_full_refresh_every: int = 0):
-        #: durable storage engine, or None for a purely in-memory archive
-        self.engine: Optional[StorageEngine] = None
-        self.checkpoint_every = checkpoint_every
-        if data_dir is not None:
-            self.engine = StorageEngine(data_dir, crash_hook=crash_hook)
-            # a restarted archive adopts whatever the last committed round
-            # left behind; a fresh directory recovers an empty store
-            self.store = self.engine.recovered.store
-        else:
-            self.store = TimeSeriesStore()
+        self._merger = RoundMerger()
+        self._differ = RoundDiffer(full_refresh_every=lake_full_refresh_every)
+        self._tiers = MemoryTiers() if data_dir is None else DurableTiers(
+            data_dir, checkpoint_every, crash_hook, self._differ)
+        self.store = self._tiers.store
+        #: the durable WAL engine and cold lake (None in the memory shape)
+        self.engine, self.lake = self._tiers.engine, self._tiers.lake
         for name in MERGED_TABLES:
             self._ensure_table(name, retention)
-        if self.engine is not None:
-            self.engine.attach(self.store)
-        #: tiered-lake mode: collectors feed a round merger; commits diff
-        #: the round and land its changed rows in both tiers (the cold one
-        #: also keeps a day's first round whole); history queries federate
-        #: across the eviction boundary
-        self.lake: Optional[SpotDataLake] = None
-        self._merger: Optional[RoundMerger] = None
-        self._differ: Optional[RoundDiffer] = None
-        self._federated: Optional[FederatedHistory] = None
-        #: lifetime ingest-avoidance counters (lake mode): rows the merger
-        #: captured vs rows the diff actually wrote to the hot engine
+        #: lifetime ingest-avoidance counters: rows the merger captured
+        #: vs rows the diff actually wrote to the hot tables
         self.rows_merged = 0
         self.rows_ingested = 0
-        if lake:
-            if data_dir is None:
-                raise ValueError("lake mode requires a data_dir")
-            self.lake = SpotDataLake(Path(data_dir) / LAKE_DIR_NAME,
-                                     crash_hook=crash_hook)
-            # rounds land in the lake before the hot WAL's group commit:
-            # drop any round the crashed run archived but never committed
-            # (it is re-collected deterministically)
-            self.lake.trim_to(self.engine.last_commit_time)
-            self._merger = RoundMerger()
-            self._differ = RoundDiffer(
-                full_refresh_every=lake_full_refresh_every)
-            self._differ.seed(self.lake.latest_values(),
-                              rounds=self.lake.round_count)
-            self._federated = FederatedHistory(self.lake)
         #: generation-stamped read caches, one per table (lazily created;
         #: creation is guarded so concurrent serving workers agree on one
         #: cache instance per table)
         self._caches: Dict[str, QueryCache] = {}
         self._caches_lock = threading.Lock()
-        self._cache_entries = cache_entries
         self.cache_enabled = cache
         #: vectorized aggregation engine (lazily created under the same
         #: guard as the query caches so serving workers share one)
@@ -149,75 +240,49 @@ class SpotLakeArchive:
         """Create (and WAL-log) a table unless it already exists."""
         if name in self.store.table_names():
             return self.store.table(name)
-        if self.engine is not None:
-            self.engine.log_create_table(name, retention)
+        self._tiers.log_create_table(name, retention)
         return self.store.create_table(name, retention)
 
     def apply_retention(self, now: float) -> Dict[str, int]:
-        """Run the retention sweep, WAL-logging each eviction.
-
-        Only the series a sweep trimmed become dirty: the next checkpoint
-        re-flushes those, not the table.
-        """
+        """Run the retention sweep; the tiers WAL-log each eviction."""
         dropped: Dict[str, int] = {}
         for name in self.store.table_names():
             cutoff = self.store.policy(name).cutoff(now)
-            if cutoff is None:
-                continue
-            if self.engine is not None:
-                self.engine.log_eviction(name, cutoff)
-            trimmed: List[SeriesKey] = []
-            dropped[name] = self.store.table(name).evict_before(cutoff,
-                                                                trimmed)
-            if self.engine is not None:
-                self.engine.mark_dirty(name, trimmed)
+            if cutoff is not None:
+                dropped[name] = self._tiers.evict(
+                    name, self.store.table(name), cutoff)
         return dropped
 
     def commit_round(self, time: float) -> Dict[str, int]:
         """End-of-round hook: land the round, sweep retention, group-commit.
 
-        The collection round is the crash-atomicity unit; every
-        ``checkpoint_every`` committed rounds the log is folded into
-        segments.  Without a storage engine only the sweep runs.  In lake
-        mode the buffered merged round is diffed first; its changed rows
-        land in the cold tier (the whole round on a day's first), then in
-        the hot engine -- strictly before the WAL's group commit, so
-        recovery can trim the lake to ``last_commit_time`` and re-collect
-        the tail.
+        The merged round is diffed; its changed rows land cold (the whole
+        round on a day's first), then hot -- strictly before the WAL's
+        group commit, so recovery can trim the lake to
+        ``last_commit_time`` and re-collect the tail.  The round is the
+        crash-atomicity unit; every ``checkpoint_every`` committed rounds
+        the log is folded into segments.
         """
-        if self._merger is not None:
-            self._commit_lake_round(time)
-        dropped = self.apply_retention(time)
-        if self.engine is not None:
-            self.engine.commit_round(time)
-            if self.checkpoint_every > 0 and \
-                    self.engine.rounds_committed % self.checkpoint_every == 0:
-                self.engine.checkpoint(time)
-        return dropped
-
-    def _commit_lake_round(self, time: float) -> None:
-        """Diff the merged round; land what changed cold, then hot."""
         merged = self._merger.take_round(time)
-        if merged.row_count == 0:
-            return
-        diff = self._differ.diff(merged)
-        self.lake.append_round(merged, diff.rows)
-        self.rows_merged += diff.rows_seen
-        self.rows_ingested += diff.rows_changed
-        for table, rows in diff.rows.items():
-            if rows:
-                self._put_rows(table, rows)
+        if merged.row_count:
+            diff = self._differ.diff(merged)
+            self._tiers.land(merged, diff.rows)
+            self.rows_merged += diff.rows_seen
+            self.rows_ingested += diff.rows_changed
+            for table, rows in diff.rows.items():
+                if rows:
+                    self._put_points(table, DATASETS[table].points(
+                        rows, self._key_memos[table].__getitem__))
+        dropped = self.apply_retention(time)
+        self._tiers.commit_round(time)
+        return dropped
 
     def checkpoint(self, time: float) -> None:
         """Force a checkpoint now (used at shutdown)."""
-        if self.engine is not None:
-            self.engine.checkpoint(time)
+        self._tiers.checkpoint(time)
 
     def close(self) -> None:
-        if self.lake is not None:
-            self.lake.close()
-        if self.engine is not None:
-            self.engine.close()
+        self._tiers.close()
 
     # -- read caching -------------------------------------------------------
 
@@ -228,8 +293,7 @@ class SpotLakeArchive:
         with self._caches_lock:
             cache = self._caches.get(table_name)
             if cache is None:
-                cache = QueryCache(self.store.table(table_name),
-                                   max_entries=self._cache_entries)
+                cache = QueryCache(self.store.table(table_name))
                 self._caches[table_name] = cache
             return cache
 
@@ -288,30 +352,22 @@ class SpotLakeArchive:
     # -- writes (used by collectors) ------------------------------------------
 
     def append(self, dataset: str, rows: Sequence[tuple]) -> int:
-        """Land one collector's rows; returns the archive records written.
+        """Buffer one collector's rows; returns the records captured.
 
         ``dataset`` names an entry of :data:`repro.lake.schema.DATASETS`,
         which fixes the row layout and the series each row fans out to.
-        In lake mode the rows go to the round merger instead (the count
-        then reflects records captured for the merge): ``commit_round``
-        diffs the merged round and lands only what changed.
+        ``commit_round`` diffs the merged round and lands what changed;
+        a batch the tiers cannot log is refused before any of it buffers.
         """
-        if self._merger is not None:
-            self._merger.add(dataset, rows)
-            return len(DATASETS[dataset].measures) * len(rows)
-        return self._put_rows(dataset, rows)
-
-    def _put_rows(self, dataset: str, rows: Sequence[tuple]) -> int:
-        """Fan ``rows`` out to their series and write them hot."""
-        return self._put_points(dataset, DATASETS[dataset].points(
-            rows, self._key_memos[dataset].__getitem__))
+        self._tiers.refuse_unloggable(dataset, rows)
+        self._merger.add(dataset, rows)
+        return len(DATASETS[dataset].measures) * len(rows)
 
     def _put_points(self, table_name: str,
                     points: Iterable[Tuple[SeriesKey, float, Value]]) -> int:
         """Log-then-apply a batch: WAL first (in order), then the table."""
         points = list(points)
-        if self.engine is not None:
-            self.engine.log_points(table_name, points)
+        self._tiers.log_points(table_name, points)
         self.store.table(table_name).append_many(points)
         return len(points)
 
@@ -379,7 +435,7 @@ class SpotLakeArchive:
 
         Served through the table's generation-stamped read cache when
         caching is enabled; treat the returned list as immutable.  In
-        lake mode the query federates across the retention boundary:
+        the durable shape the query federates across the retention boundary:
         rows the hot engine evicted are reconstructed from the cold
         tier, rows after the boundary come from the hot path unchanged.
         Cache coherence holds because an eviction that changes the hot
@@ -388,14 +444,10 @@ class SpotLakeArchive:
         federated results bitwise unchanged (the cold reconstruction
         emits the identical rows the hot side stops serving).
         """
-        hot = self._hot_history
-        if self._federated is not None and table_name in MERGED_TABLES:
-            boundary = self.evicted_through(table_name)
-            return self._federated.query(
-                measure, filters, start, end, boundary,
-                hot_scan=lambda: hot(table_name, measure, filters,
-                                     start, end))
-        return hot(table_name, measure, filters, start, end)
+        return self._tiers.history(
+            table_name, measure, filters, start, end,
+            lambda: self._hot_history(table_name, measure, filters,
+                                      start, end))
 
     def _hot_history(self, table_name: str, measure: str,
                      filters: Dict[str, str], start: float,
@@ -407,9 +459,7 @@ class SpotLakeArchive:
 
     def evicted_through(self, table_name: str) -> Optional[float]:
         """The table's hot/cold boundary, or None when nothing is evicted."""
-        if self.engine is None:
-            return None
-        return self.engine.evicted_through(table_name)
+        return self._tiers.evicted_through(table_name)
 
     # -- analysis-facing bulk reads ------------------------------------------------
 
@@ -455,12 +505,7 @@ class SpotLakeArchive:
     def stats(self) -> Dict[str, dict]:
         out = self.store.stats()
         out["analytics"] = self.analytics.stats()
-        if self.lake is not None:
-            out["lake"] = {
-                **self.lake.census(),
-                "differ": self._differ.stats(),
-                "federated": self._federated.stats(),
-                "rows_merged": self.rows_merged,
-                "rows_ingested": self.rows_ingested,
-            }
+        out.update(self._tiers.stats(
+            differ=self._differ.stats(), rows_merged=self.rows_merged,
+            rows_ingested=self.rows_ingested))
         return out

@@ -41,10 +41,10 @@ from .resilience import CallOutcome, ResilientExecutor
 class CollectionReport:
     """What one collection round actually did.
 
-    In tiered-lake mode ``records_written`` counts the records captured
-    into the round merger (the collector's whole output); how many of
-    them the diff actually ingests into the hot engine is decided at the
-    round commit and reported by the archive's lake stats.
+    ``records_written`` counts the records captured into the round
+    merger (the collector's whole output); how many of them the diff
+    actually ingests into the hot tables is decided at the round commit
+    (the archive's ``rows_merged`` / ``rows_ingested``).
     """
 
     queries_issued: int = 0

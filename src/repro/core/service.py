@@ -9,14 +9,15 @@ gateway.  Two population paths exist:
   service's records do.  Use it for integration testing and modest windows.
 * :meth:`bulk_backfill` -- the *fast* path for research-scale windows (the
   paper's 181 days x 10-minute cadence is ~26k rounds): it samples the
-  dataset engines directly and writes the archive in bulk.  The data is
-  identical -- both paths read the same deterministic engines -- only the
-  API quota accounting is skipped.
+  dataset engines directly and commits one round per sample time.  The
+  data is identical -- both paths read the same deterministic engines and
+  share the archive's one write path -- only the API quota accounting is
+  skipped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -47,50 +48,37 @@ from .serving import ApiGateway
 
 @dataclass
 class ServiceConfig:
-    """Knobs of a SpotLake deployment."""
+    """Knobs of a SpotLake deployment; ``data_dir`` alone picks its shape
+    (memory, or durable: WAL + lake), and both share one write path."""
 
     seed: int = 0
-    #: accounts in the SPS collection pool; sized for the full plan by
-    #: default when left at 0.
-    account_pool_size: int = 0
     #: collection cadence (the paper used 10 minutes).
     collection_interval: float = DEFAULT_INTERVAL_SECONDS
     #: restrict collection to these instance types (None = whole catalog).
     instance_types: Optional[Sequence[str]] = None
-    #: packing algorithm for the query plan ("exact", "ffd", "naive").
-    plan_algorithm: str = "exact"
     #: named fault-injection profile ("none" disables injection).
     chaos_profile: str = "none"
     #: seed of the fault schedule; defaults to the world seed.
     chaos_seed: Optional[int] = None
-    #: run collectors behind retry/breaker/gap-record protection.
-    resilience: bool = True
     #: retry attempts per call (1 initial + N-1 retries).
     retry_attempts: int = 4
-    #: first backoff delay in sim-seconds.
-    retry_base_delay: float = 2.0
     #: consecutive failures before a data source's breaker opens.
     breaker_threshold: int = 5
     #: sim-seconds an open breaker waits before half-open probing.
     breaker_reset: float = 1800.0
-    #: serve reads through the generation-stamped query cache.
-    serving_cache: bool = True
-    #: per-table cache entry bound (LRU beyond it).
-    cache_entries: int = 1024
-    #: durable storage directory (None = purely in-memory archive).
+    #: durable storage directory: the WAL engine, the cold lake and
+    #: federated reads, always together (None = the memory shape).
     data_dir: Optional[str] = None
     #: checkpoint cadence in committed collection rounds (0 = never).
     checkpoint_every: int = 4
-    #: tiered-lake mode: diff every merged round and land only changed
-    #: rows, in the hot engine and in the date-partitioned cold tier (a
-    #: day's first round lands there whole); history queries federate
-    #: across the retention boundary.  Requires ``data_dir``.
-    lake: bool = False
+    #: not a knob: derived as ``data_dir is not None`` (anything else
+    #: raises); kept only because ``benchmarks/e2e`` passes ``lake=True``.
+    lake: Optional[bool] = None
     #: emit every row (not just changes) each Nth round (0 = never).
     lake_full_refresh_every: int = 0
     #: hot-tier retention: evict change points older than this many
-    #: sim-seconds at each round commit (None = keep all).  With the
-    #: lake enabled, evicted history remains queryable from the cold
+    #: sim-seconds at each round commit (None = keep all).  In the
+    #: durable shape evicted history remains queryable from the cold
     #: tier through the same ``history`` routes.
     retention_max_age: Optional[float] = None
     #: storage crash-hook (doublerun --durability installs a CrashInjector).
@@ -103,10 +91,12 @@ class ServiceConfig:
     plan_cache: bool = True
     #: serving worker threads behind the admission-controlled frontend.
     frontend_workers: int = 4
-    #: bound on queued-but-undispatched serving requests (overflow sheds).
-    frontend_queue_depth: int = 64
-    #: virtual-seconds a shed frontend refuses new work.
-    frontend_shed_cooldown: float = 5.0
+
+    def __post_init__(self) -> None:
+        if self.lake is None:
+            self.lake = self.data_dir is not None
+        elif self.lake != (self.data_dir is not None):
+            raise ValueError("lake must equal data_dir is not None")
 
 
 class SpotLakeService:
@@ -122,12 +112,9 @@ class SpotLakeService:
                 max_age_seconds=self.config.retention_max_age)
         self.archive = SpotLakeArchive(
             retention=retention,
-            cache=self.config.serving_cache,
-            cache_entries=self.config.cache_entries,
             data_dir=self.config.data_dir,
             checkpoint_every=self.config.checkpoint_every,
             crash_hook=self.config.storage_crash_hook,
-            lake=self.config.lake,
             lake_full_refresh_every=self.config.lake_full_refresh_every)
 
         profile = resolve_profile(self.config.chaos_profile)
@@ -145,31 +132,28 @@ class SpotLakeService:
             offering_map = {t: rz for t, rz in offering_map.items() if t in wanted}
         self.plan: QueryPlan = self._build_plan(offering_map)
 
-        pool_size = self.config.account_pool_size or AccountPool.size_for(
-            self.plan.optimized_query_count)
-        self.accounts = AccountPool(pool_size)
+        self.accounts = AccountPool(AccountPool.size_for(
+            self.plan.optimized_query_count))
 
-        self.executors: Dict[str, ResilientExecutor] = {}
-        if self.config.resilience:
-            policy = RetryPolicy(max_attempts=self.config.retry_attempts,
-                                 base_delay=self.config.retry_base_delay,
-                                 seed=self.config.seed)
-            for source in ("sps", "advisor", "price"):
-                self.executors[source] = ResilientExecutor(
-                    source, self.cloud.clock, policy,
-                    CircuitBreaker(self.cloud.clock,
-                                   self.config.breaker_threshold,
-                                   self.config.breaker_reset))
+        policy = RetryPolicy(max_attempts=self.config.retry_attempts,
+                             seed=self.config.seed)
+        self.executors: Dict[str, ResilientExecutor] = {
+            source: ResilientExecutor(
+                source, self.cloud.clock, policy,
+                CircuitBreaker(self.cloud.clock,
+                               self.config.breaker_threshold,
+                               self.config.breaker_reset))
+            for source in ("sps", "advisor", "price")}
 
         self.engine = ParallelCollectionEngine(self.config.workers)
 
         self.sps_collector = SpsCollector(
             self.cloud, self.archive, self.accounts, self.plan,
-            resilience=self.executors.get("sps"),
+            resilience=self.executors["sps"],
             engine=self.engine)
         self.advisor_collector = AdvisorCollector(
             self.cloud, self.archive,
-            resilience=self.executors.get("advisor"))
+            resilience=self.executors["advisor"])
         price_pools = None
         if self.config.instance_types is not None:
             wanted = set(self.config.instance_types)
@@ -177,7 +161,7 @@ class SpotLakeService:
                            if p[0] in wanted]
         self.price_collector = PriceCollector(
             self.cloud, self.archive, price_pools,
-            resilience=self.executors.get("price"))
+            resilience=self.executors["price"])
 
         self.scheduler = CollectionScheduler(self.cloud.clock)
         self.scheduler.register("sps", self.sps_collector.collect,
@@ -205,13 +189,12 @@ class SpotLakeService:
         service replans without a single solver call.
         """
         if not self.config.plan_cache:
-            return plan_for_offering_map(
-                offering_map, algorithm=self.config.plan_algorithm)
+            return plan_for_offering_map(offering_map)
         cache = PlanCache.shared()
         path = self._plan_cache_path()
         if path is not None:
             cache.load(path)
-        plan = cache.plan(offering_map, algorithm=self.config.plan_algorithm)
+        plan = cache.plan(offering_map)
         if path is not None and cache.dirty:
             cache.save(path)
         return plan
@@ -259,7 +242,7 @@ class SpotLakeService:
         return self.cloud.faults is not None
 
     def resilience_stats(self) -> Dict[str, dict]:
-        """Per-data-source retry/gap/breaker counters (empty when off)."""
+        """Per-data-source retry/gap/breaker counters."""
         return {source: executor.stats()
                 for source, executor in self.executors.items()}
 
@@ -285,8 +268,6 @@ class SpotLakeService:
         its 503 ``retry_after`` hints to this, so shed clients back off
         until degraded collection can plausibly have recovered.
         """
-        if not self.executors:
-            return 0.0
         return max(e.breaker.cooldown_remaining()
                    for e in self.executors.values())
 
@@ -295,13 +276,11 @@ class SpotLakeService:
                  **kwargs) -> ServingFrontend:
         """An admission-controlled frontend over this service's gateway.
 
-        Config supplies the worker/queue/shed defaults; keyword
-        arguments pass straight through to :class:`ServingFrontend`.
-        The frontend is not started -- use it as a context manager or
-        call ``start()``.
+        Config supplies the worker count; keyword arguments (a test's
+        ``queue_depth`` / ``shed_cooldown``, say) pass straight through
+        to :class:`ServingFrontend`.  The frontend is not started -- use
+        it as a context manager or call ``start()``.
         """
-        kwargs.setdefault("queue_depth", self.config.frontend_queue_depth)
-        kwargs.setdefault("shed_cooldown", self.config.frontend_shed_cooldown)
         kwargs.setdefault("breaker_cooldown", self.breaker_cooldown)
         return ServingFrontend(
             self.gateway,
@@ -326,22 +305,15 @@ class SpotLakeService:
 
         Writes, for every pool and every sample time: the zone placement
         score, the advisor measures (per (type, region), deduplicated), and
-        optionally the spot price.  Returns records written (pre-dedup).
+        optionally the spot price -- one committed round per sample time,
+        through the same merge -> diff path the collectors use.  Returns
+        records captured (pre-diff).
         """
         cloud = self.cloud
         archive = self.archive
-        if archive.lake is not None:
-            raise RuntimeError(
-                "bulk_backfill bypasses the round-merge stage and is not "
-                "supported in lake mode; collect through collect_once / "
-                "run_collection instead")
         pool_list = list(pools) if pools is not None else self._selected_pools()
-        pair_seen = set()
-        pairs: List[Tuple[str, str]] = []
-        for itype, region, _zone in pool_list:
-            if (itype, region) not in pair_seen:
-                pair_seen.add((itype, region))
-                pairs.append((itype, region))
+        # the (type, region) pairs, in first-seen order
+        pairs = list(dict.fromkeys((t, r) for t, r, _zone in pool_list))
         written = 0
         # spotlint: disable=QUO001 -- the documented fast path (see class
         # docstring): research-scale backfill samples the engines directly;
@@ -366,4 +338,5 @@ class SpotLakeService:
             written += archive.append(SPS_TABLE, sps)
             written += archive.append(ADVISOR_TABLE, advisor)
             written += archive.append(PRICE_TABLE, price)
+            archive.commit_round(ts)
         return written

@@ -296,7 +296,6 @@ def durability_run(seed: int = 0,
                    checkpoint_every: int = 2,
                    chaos_profile: str = "none",
                    chaos_seed: Optional[int] = None,
-                   lake: bool = False,
                    cloud_factory=None) -> DurabilityResult:
     """Kill the service at every storage crash window; verify recovery.
 
@@ -313,16 +312,16 @@ def durability_run(seed: int = 0,
     reference ended.  (Not under a chaos profile: the fault schedule
     counts calls per process, so a restart draws different faults.)
 
-    ``lake`` runs the matrix in tiered-lake mode: the window list extends
-    to the lake's publish protocol (``lake.segment`` / ``lake.manifest``
-    / ``lake.publish``), and each recovery additionally trims the cold
-    tier to the hot store's ``last_commit_time`` and byte-compares the
-    lake digest (a ``"lake"`` pseudo-table) against the reference at the
-    recovered round count -- the lake-ahead-of-WAL protocol's invariant.
-    The lake run crosses a UTC midnight, placed so the seeded
-    ``lake.segment`` crash hits the new day's keyframe round, and keeps
-    two rounds hot, so restarts re-collect a keyframe, re-seed the differ
-    from keyframe + deltas and replay evictions from the WAL tail.
+    A durable service always carries the cold lake, so the window list
+    covers the lake's publish protocol too (``lake.segment`` /
+    ``lake.manifest`` / ``lake.publish``), and each recovery additionally
+    trims the cold tier to the hot store's ``last_commit_time`` and
+    byte-compares the lake digest (a ``"lake"`` pseudo-table) against the
+    reference at the recovered round count -- the lake-ahead-of-WAL
+    protocol's invariant.  The run crosses a UTC midnight, placed so the
+    seeded ``lake.segment`` crash hits the new day's keyframe round, and
+    keeps two rounds hot, so restarts re-collect a keyframe, re-seed the
+    differ from keyframe + deltas and replay evictions from the WAL tail.
     """
     from ..cloudsim import SimulatedCloud
     from ..cloudsim.clock import PAPER_WINDOW_START, SECONDS_PER_DAY
@@ -335,10 +334,9 @@ def durability_run(seed: int = 0,
     from ..storage import CRASH_WINDOWS, recover
 
     interval = interval_minutes * 60.0
-    first = PAPER_WINDOW_START
-    if lake:
-        keyframe_hit = seeded_crash_point(seed, "lake.segment", rounds).hit
-        first += SECONDS_PER_DAY - max(1, keyframe_hit) * interval
+    keyframe_hit = seeded_crash_point(seed, "lake.segment", rounds).hit
+    first = PAPER_WINDOW_START + SECONDS_PER_DAY \
+        - max(1, keyframe_hit) * interval
 
     def build(data_dir: Path, hook=None, done: int = 0) -> SpotLakeService:
         """A service on ``data_dir`` about to collect round ``done + 1``."""
@@ -353,22 +351,19 @@ def durability_run(seed: int = 0,
             data_dir=str(data_dir),
             checkpoint_every=checkpoint_every,
             storage_crash_hook=hook,
-            lake=lake,
-            retention_max_age=2 * interval if lake else None),
+            retention_max_age=2 * interval),
             cloud=cloud)
 
     base = Path(tempfile.mkdtemp(prefix="spotlake-durability-"))
     try:
         # -- reference: uninterrupted, digested at every round boundary ----
         reference = build(base / "reference")
-        ref: Dict[int, Dict[str, str]] = {0: {}}
-        if lake:
-            ref[0]["lake"] = reference.archive.lake.digest()
+        ref: Dict[int, Dict[str, str]] = {
+            0: {"lake": reference.archive.lake.digest()}}
         for committed in range(1, rounds + 1):
             reference.collect_once()
             ref[committed] = _store_digests(reference.archive.store)
-            if lake:
-                ref[committed]["lake"] = reference.archive.lake.digest()
+            ref[committed]["lake"] = reference.archive.lake.digest()
             reference.cloud.clock.advance_minutes(interval_minutes)
         reference.archive.close()
 
@@ -380,15 +375,12 @@ def durability_run(seed: int = 0,
             "checkpoint.manifest": checkpoints,
             "checkpoint.publish": checkpoints,
             "checkpoint.gc": checkpoints,
-        }
-        windows = list(CRASH_WINDOWS)
-        if lake:
             # the lake publish protocol runs once per (non-empty) round
-            windows.extend(LAKE_CRASH_WINDOWS)
-            expected_hits.update({w: rounds for w in LAKE_CRASH_WINDOWS})
+            **{w: rounds for w in LAKE_CRASH_WINDOWS},
+        }
 
         cases: List[CrashCaseResult] = []
-        for window in windows:
+        for window in (*CRASH_WINDOWS, *LAKE_CRASH_WINDOWS):
             max_hits = expected_hits[window]
             if max_hits == 0:
                 continue  # cadence too short to ever reach this window
@@ -407,11 +399,10 @@ def durability_run(seed: int = 0,
 
             state = recover(crash_dir)
             got = _store_digests(state.store)
-            if lake:
-                recovered_lake = SpotDataLake(crash_dir / LAKE_DIR_NAME)
-                recovered_lake.trim_to(state.last_commit_time)
-                got["lake"] = recovered_lake.digest()
-                recovered_lake.close()
+            recovered_lake = SpotDataLake(crash_dir / LAKE_DIR_NAME)
+            recovered_lake.trim_to(state.last_commit_time)
+            got["lake"] = recovered_lake.digest()
+            recovered_lake.close()
             mismatched = _mismatches(got, ref.get(state.rounds_committed, {}))
 
             resumed_rounds = 0
@@ -422,8 +413,7 @@ def durability_run(seed: int = 0,
                     resumed.collect_once()
                     resumed.cloud.clock.advance_minutes(interval_minutes)
                 final = _store_digests(resumed.archive.store)
-                if lake:
-                    final["lake"] = resumed.archive.lake.digest()
+                final["lake"] = resumed.archive.lake.digest()
                 resumed.archive.close()
                 mismatched.extend(f"resumed {table}" for table in
                                   _mismatches(final, ref[rounds]))
@@ -454,15 +444,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:  # pragma: no cover
                              "uncached responses must be byte-identical)")
     parser.add_argument("--durability", action="store_true",
                         help="crash-matrix mode: kill the service at every "
-                             "storage crash window and byte-compare the "
-                             "recovered archive against an uninterrupted run")
+                             "storage and lake crash window and "
+                             "byte-compare the recovered archive and lake "
+                             "against an uninterrupted run")
     parser.add_argument("--checkpoint-every", type=int, default=2,
                         help="checkpoint cadence of the durability run "
                              "(rounds; default 2)")
-    parser.add_argument("--lake", action="store_true",
-                        help="durability mode only: run in tiered-lake mode "
-                             "and extend the crash matrix to the lake "
-                             "publish windows")
     parser.add_argument("--workers-sweep", default=None, metavar="N,N,...",
                         help="worker-sweep mode: byte-compare workers=1 "
                              "against each listed --workers count "
@@ -475,14 +462,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:  # pragma: no cover
                               chaos_seed=args.chaos_seed)
         print(result.summary())
         return 0 if result.identical else 1
-    if args.lake and not args.durability:
-        parser.error("--lake requires --durability")
     if args.durability:
         result = durability_run(seed=args.seed, rounds=args.rounds,
                                 checkpoint_every=args.checkpoint_every,
                                 chaos_profile=args.chaos_profile,
-                                chaos_seed=args.chaos_seed,
-                                lake=args.lake)
+                                chaos_seed=args.chaos_seed)
         for case in result.cases:
             print(case.summary())
         print(result.summary())

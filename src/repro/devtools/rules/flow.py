@@ -38,8 +38,11 @@ WAL_GATES = frozenset({"log_points", "log_create_table", "log_eviction"})
 #: Qualname suffixes marking collection-side entry points.  The archive's
 #: ``append`` is named explicitly: the call graph never resolves a bare
 #: ``.append(`` (a builtin-collection method name) through a receiver.
+#: It only buffers rows; ``commit_round`` applies them, and is named too
+#: because a scheduler tick reaches it through an unresolvable callback.
 DEFAULT_ENTRIES: Tuple[str, ...] = (
     "collect", "collect_once", "run_sps_round", "SpotLakeArchive.append",
+    "SpotLakeArchive.commit_round",
 )
 
 

@@ -315,9 +315,10 @@ def run_sanitized_probe(seed: int = 11, workers: int = 4,
     """Run a small parallel collection under the sanitizer.
 
     This is the ``repro lint --sanitize`` entry point: a real
-    multi-worker SPS collection (the repo's most threaded code path)
-    executed with lock tracking on, returning whatever the sanitizer
-    observed.  Deterministic for fixed arguments.
+    multi-worker SPS collection (the repo's most threaded code path),
+    each round committed into the durable tiers, executed with lock
+    tracking on, returning whatever the sanitizer observed.
+    Deterministic for fixed arguments.
     """
     import shutil
     import tempfile
@@ -337,6 +338,7 @@ def run_sanitized_probe(seed: int = 11, workers: int = 4,
             try:
                 for _ in range(rounds):
                     service.sps_collector.collect()
+                    service.archive.commit_round(service.cloud.clock.now())
                     service.cloud.clock.advance(600.0)
             finally:
                 service.close()

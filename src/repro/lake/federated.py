@@ -56,7 +56,8 @@ class FederatedHistory:
         self.cold_queries = 0
         self.cold_rows = 0
 
-    def plan(self, measure: str, start: float, end: float,
+    @staticmethod
+    def plan(measure: str, start: float, end: float,
              evicted_through: Optional[float]) -> FederatedPlan:
         boundary = float("-inf")
         if evicted_through is not None and math.isfinite(evicted_through):

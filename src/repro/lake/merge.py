@@ -1,12 +1,12 @@
 """Round merge: capture the three per-source outputs of one round.
 
-The :class:`RoundMerger` is the collectors' *sink* in lake mode: instead
-of writing rows straight into the hot engine, the archive hands each
-collector's rows to the merger, and the round commit takes the whole
-merged round at once -- diffing it against the previous round (see
-:mod:`repro.lake.diff`) and landing the changed rows in both tiers; the
-cold tier additionally keeps the whole round once per UTC day, as that
-day's keyframe (see :mod:`repro.lake.store`).
+The :class:`RoundMerger` is the collectors' *sink*: instead of writing
+rows straight into the hot tables, the archive hands each collector's
+rows to the merger, and the round commit takes the whole merged round at
+once -- diffing it against the previous round (see :mod:`repro.lake.diff`)
+and landing the changed rows in every tier; a durable archive's cold
+tier additionally keeps the whole round once per UTC day, as that day's
+keyframe (see :mod:`repro.lake.store`).
 
 It is written to by the round's serial control thread only (the SPS
 engine materializes rows on workers but lands them serially), so no

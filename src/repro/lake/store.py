@@ -111,7 +111,7 @@ from .schema import (
 )
 
 #: Lake crash windows, in the order one round commit reaches them
-#: (armed by ``doublerun --durability --lake``).
+#: (armed by ``doublerun --durability``).
 LAKE_CRASH_WINDOWS = ("lake.segment", "lake.manifest", "lake.publish")
 
 LAKE_DIR_NAME = "lake"

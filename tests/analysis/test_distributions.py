@@ -9,6 +9,8 @@ from repro.analysis import (
 )
 from repro.core import SpotLakeArchive
 
+from tests.conftest import land
+
 
 class TestValueDistribution:
     def test_percentages_sum_to_100(self, filled_service, sample_times):
@@ -45,10 +47,10 @@ class TestScoreDifference:
 
     def test_known_construction(self):
         archive = SpotLakeArchive()
-        archive.append("sps", [("a.large", "r1", "r1a", 3, 0)])
-        archive.append("advisor", [("a.large", "r1", 0.3, 1.0, 60, 0)])  # full clash
-        archive.append("sps", [("b.large", "r1", "r1a", 2, 0)])
-        archive.append("advisor", [("b.large", "r1", 0.12, 2.0, 60, 0)])  # agree
+        land(archive, "sps", [("a.large", "r1", "r1a", 3, 0)])
+        land(archive, "advisor", [("a.large", "r1", 0.3, 1.0, 60, 0)])  # full clash
+        land(archive, "sps", [("b.large", "r1", "r1a", 2, 0)])
+        land(archive, "advisor", [("b.large", "r1", 0.12, 2.0, 60, 0)])  # agree
         histogram = score_difference_histogram(archive, [10.0])
         assert histogram == {0.0: 50.0, 2.0: 50.0}
 

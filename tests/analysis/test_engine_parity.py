@@ -121,7 +121,7 @@ class TestTieredParity:
     def _lake_archive(self, base: Path, retention_rounds: int,
                       churn: int = 3):
         archive = SpotLakeArchive(
-            data_dir=base, lake=True,
+            data_dir=base,
             retention=RetentionPolicy(
                 max_age_seconds=retention_rounds * INTERVAL))
         last = _drive(archive, churn=churn)
@@ -157,7 +157,7 @@ class TestTieredParity:
         match the row fold."""
         six_hours = 21600.0
         archive = SpotLakeArchive(
-            data_dir=tmp_path, lake=True,
+            data_dir=tmp_path,
             retention=RetentionPolicy(max_age_seconds=2 * six_hours))
         try:
             for r in range(ROUNDS):  # three UTC days
@@ -201,7 +201,7 @@ def test_parity_property(retention_rounds, churn, start_off, width, bucket,
     """Any eviction boundary x any window x any bucketing: engine == oracle."""
     base = Path(tempfile.mkdtemp(prefix="analytics-parity-"))
     archive = SpotLakeArchive(
-        data_dir=base, lake=True,
+        data_dir=base,
         retention=RetentionPolicy(max_age_seconds=retention_rounds * INTERVAL))
     try:
         _drive(archive, churn=churn)

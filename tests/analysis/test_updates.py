@@ -7,6 +7,8 @@ import numpy as np
 from repro.analysis import update_frequency_study
 from repro.core import SpotLakeArchive
 
+from tests.conftest import land
+
 
 class TestUpdateFrequencyStudy:
     def test_ordering_matches_paper(self, filled_service):
@@ -35,6 +37,6 @@ class TestUpdateFrequencyStudy:
     def test_known_construction(self):
         archive = SpotLakeArchive()
         for t, v in [(0, 3), (3600, 2), (7200, 3)]:
-            archive.append("sps", [("a.large", "r1", "r1a", v, t)])
+            land(archive, "sps", [("a.large", "r1", "r1a", v, t)])
         study = update_frequency_study(archive)
         assert study.median_hours("sps") == 1.0

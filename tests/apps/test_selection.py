@@ -14,6 +14,8 @@ from repro.apps import (
     snapshot_pools,
 )
 
+from tests.conftest import land
+
 
 def view(pool, price, sps, ifs, sps_hist=None, if_hist=None):
     return PoolView(pool, price, sps, ifs, sps_hist, if_hist)
@@ -83,9 +85,9 @@ class TestSnapshot:
         t = cloud.clock.start + 10 * 86400.0
         pool = cloud.catalog.all_pools()[0]
         archive = SpotLakeArchive()
-        archive.append("sps", [(*pool, 2, t - 20 * 86400.0)])
-        archive.append("advisor", [(pool[0], pool[1], 0.12, 2.0, 70,
-                                    t - 20 * 86400.0)])
+        land(archive, "sps", [(*pool, 2, t - 20 * 86400.0)])
+        land(archive, "advisor", [(pool[0], pool[1], 0.12, 2.0, 70,
+                                   t - 20 * 86400.0)])
         views = snapshot_pools(cloud, [pool], t, archive)
         assert views[0].sps_mean_30d == 2.0
         assert views[0].if_mean_30d == 2.0

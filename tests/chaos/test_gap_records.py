@@ -81,6 +81,7 @@ class TestCollectorGaps:
         collector = SpsCollector(cloud, archive, AccountPool(2), plan,
                                  resilience=executor_for(cloud, "sps"))
         report = collector.collect()
+        archive.commit_round(cloud.clock.now())
         assert report.queries_issued == plan.optimized_query_count
         assert report.queries_failed == plan.optimized_query_count
         assert report.gaps == plan.optimized_query_count

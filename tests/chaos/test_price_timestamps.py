@@ -47,6 +47,7 @@ class TestRetriedSweepTimestamps:
         before = cloud.clock.now()
         report = collector.collect()
         after = cloud.clock.now()
+        archive.commit_round(after)
 
         assert report.retries == 1
         assert report.records_written > 0
@@ -65,6 +66,8 @@ class TestRetriedSweepTimestamps:
         cloud, archive, collector = _collector_with_outage(1.0)
         collector.collect()
         stamp = cloud.clock.now()
+        archive.commit_round(stamp)
+        assert archive.store.table(PRICE_TABLE).scan()
         for record in archive.store.table(PRICE_TABLE).scan():
             dims = record.dimension_dict
             expected = cloud.pricing.spot_price(
@@ -79,5 +82,6 @@ class TestRetriedSweepTimestamps:
                                    resilience=_price_executor(cloud))
         now = cloud.clock.now()
         report = collector.collect()
+        archive.commit_round(now)
         assert report.retries == 0
         assert {r.time for r in archive.store.table(PRICE_TABLE).scan()} == {now}

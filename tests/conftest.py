@@ -95,3 +95,13 @@ def _spotconc_autosanitize():
         PlanCache.reset_shared()
     result = sanitizer.result()
     assert result.clean, "\n" + render_text(result)
+
+
+def land(archive, dataset, rows, time=None):
+    """``archive.append`` then ``archive.commit_round``: rows become
+    readable only at a round commit.  The round commits at ``time``, by
+    default at the latest row time; returns the records captured."""
+    captured = archive.append(dataset, rows)
+    archive.commit_round(max(float(row[-1]) for row in rows)
+                         if time is None else time)
+    return captured

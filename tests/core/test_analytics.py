@@ -18,6 +18,8 @@ from repro.timeseries.vector import AggSpec
 
 from ..analysis.reference import compare_aggregates, reference_aggregate
 
+from tests.conftest import land
+
 DAY = 86400.0
 EPOCH = 1640995200.0  # 2022-01-01 UTC, day-aligned
 DAYS = 5
@@ -31,8 +33,8 @@ def _fill(archive: SpotLakeArchive, days: int = DAYS) -> float:
         for s in range(PER_DAY):
             t = EPOCH + d * DAY + s * (DAY / PER_DAY)
             for p in range(TYPES):
-                archive.append("sps", [(f"pool{p}.large", "r1", "r1a",
-                                        (d + s + p) % 3 + 1, t)])
+                land(archive, "sps", [(f"pool{p}.large", "r1", "r1a",
+                                       (d + s + p) % 3 + 1, t)])
             last = t
     return last
 
@@ -104,7 +106,7 @@ class TestRollupGenerationStamps:
             # one new observation on the last day bumps every touched
             # series' generation, so the result memo must NOT serve the
             # stale result -- but day partials before the frontier stay
-            archive.append("sps", [("pool0.large", "r1", "r1a", 9, last + 1.0)])
+            land(archive, "sps", [("pool0.large", "r1", "r1a", 9, last + 1.0)])
             result = archive.analytics.run(spec)
             stats = archive.analytics.stats()
             assert stats["result_hits"] == baseline["result_hits"]
@@ -170,7 +172,7 @@ class TestEvictionInvalidation:
             # another write plus a retention sweep advances the cutoff,
             # evicting rows and bumping the eviction generation
             t2 = last + 2 * DAY
-            archive.append("sps", [("pool0.large", "r1", "r1a", 2, t2)])
+            land(archive, "sps", [("pool0.large", "r1", "r1a", 2, t2)])
             archive.commit_round(t2)
             assert archive.store.table("sps").eviction_generation > 0
 

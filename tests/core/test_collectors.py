@@ -27,6 +27,7 @@ class TestSpsCollector:
         cloud, plan, archive = setup
         collector = SpsCollector(cloud, archive, AccountPool(2), plan)
         report = collector.collect()
+        archive.commit_round(cloud.clock.now())
         assert report.queries_issued == plan.optimized_query_count
         assert report.queries_failed == 0
         assert report.records_written > 0
@@ -36,6 +37,7 @@ class TestSpsCollector:
         cloud, plan, archive = setup
         SpsCollector(cloud, archive, AccountPool(2), plan).collect()
         now = cloud.clock.now()
+        archive.commit_round(now)
         zone = cloud.catalog.supported_zones("m5.large", "us-east-1")[0]
         archived = archive.sps_at("m5.large", "us-east-1", zone, now)
         direct = cloud.placement.zone_score("m5.large", "us-east-1", zone, now)
@@ -81,6 +83,7 @@ class TestAdvisorCollector:
         archive = SpotLakeArchive()
         AdvisorCollector(fresh_cloud, archive).collect()
         now = fresh_cloud.clock.now()
+        archive.commit_round(now)
         score = archive.if_score_at("m5.large", "us-east-1", now)
         assert score in (1.0, 1.5, 2.0, 2.5, 3.0)
 
@@ -93,6 +96,7 @@ class TestPriceCollector:
         report = PriceCollector(fresh_cloud, archive, pools).collect()
         assert report.records_written == len(pools)
         now = fresh_cloud.clock.now()
+        archive.commit_round(now)
         itype, region, zone = pools[0]
         assert archive.price_at(itype, region, zone, now) == \
             fresh_cloud.pricing.spot_price(itype, region, now, zone)

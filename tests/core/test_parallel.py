@@ -43,6 +43,7 @@ def _run_service(workers, chaos="none", rounds=3, seed=11):
     try:
         for _ in range(rounds):
             reports.append(service.sps_collector.collect())
+            service.archive.commit_round(service.cloud.clock.now())
             service.cloud.clock.advance(600.0)
         now = service.cloud.clock.now()
         quotas = {account.name: account.unique_queries_used(now)

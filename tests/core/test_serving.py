@@ -13,13 +13,15 @@ from repro.core import (
     encode_cursor,
 )
 
+from tests.conftest import land
+
 
 def populated_archive(**kwargs):
     archive = SpotLakeArchive(**kwargs)
-    archive.append("sps", [("m5.large", "us-east-1", "us-east-1a", 3, 0)])
-    archive.append("sps", [("m5.large", "us-east-1", "us-east-1a", 2, 100)])
-    archive.append("advisor", [("m5.large", "us-east-1", 0.03, 3.0, 70, 0)])
-    archive.append("price", [("m5.large", "us-east-1", "us-east-1a", 0.035, 0)])
+    land(archive, "sps", [("m5.large", "us-east-1", "us-east-1a", 3, 0)])
+    land(archive, "sps", [("m5.large", "us-east-1", "us-east-1a", 2, 100)])
+    land(archive, "advisor", [("m5.large", "us-east-1", 0.03, 3.0, 70, 0)])
+    land(archive, "price", [("m5.large", "us-east-1", "us-east-1a", 0.035, 0)])
     return archive
 
 
@@ -140,8 +142,8 @@ class TestNonFiniteTimestamps:
 
 class TestJsonEnvelope:
     def test_nan_measure_serializes_as_null(self, archive, gateway):
-        archive.append("price", [("m5.large", "us-east-1", "us-east-1a",
-                                  float("nan"), 50)])
+        land(archive, "price", [("m5.large", "us-east-1", "us-east-1a",
+                                 float("nan"), 50)])
         response = gateway.get("/price/history", {"start": "0", "end": "100"})
         assert response.status == 200
         parsed = json.loads(response.json())  # spec-compliant parse
@@ -149,8 +151,8 @@ class TestJsonEnvelope:
         assert "NaN" not in response.json()
 
     def test_infinite_measure_serializes_as_null(self, archive, gateway):
-        archive.append("price", [("m5.large", "us-east-1", "us-east-1a",
-                                  float("inf"), 50)])
+        land(archive, "price", [("m5.large", "us-east-1", "us-east-1a",
+                                 float("inf"), 50)])
         response = gateway.get("/price/history", {"start": "0", "end": "100"})
         assert json.loads(response.json())["rows"][-1]["value"] is None
 
@@ -227,8 +229,8 @@ class TestRouteMatrix:
 class TestPagination:
     def fill(self, archive, n=10):
         for i in range(n):
-            archive.append("sps", [("m5.large", "us-east-1", "us-east-1a",
-                                    (i % 3) + 1, 200 + i * 10)])
+            land(archive, "sps", [("m5.large", "us-east-1", "us-east-1a",
+                                   (i % 3) + 1, 200 + i * 10)])
 
     def test_limit_bounds_the_page(self, archive, gateway):
         self.fill(archive)
@@ -267,8 +269,8 @@ class TestPagination:
             "next_token": page1.body["next_token"]}).body["rows"]
         # a write lands between page fetches (including one sorting
         # *before* the cursor, via a brand-new series with an old time)
-        archive.append("sps", [("a1.large", "us-east-1", "us-east-1a", 1, 5)])
-        archive.append("sps", [("m5.large", "us-east-1", "us-east-1a", 3, 99999)])
+        land(archive, "sps", [("a1.large", "us-east-1", "us-east-1a", 1, 5)])
+        land(archive, "sps", [("m5.large", "us-east-1", "us-east-1a", 3, 99999)])
         page2 = gateway.get("/sps/history", {
             "start": "0", "end": "1e9", "limit": "3",
             "next_token": page1.body["next_token"]})
@@ -343,7 +345,7 @@ class TestCacheBehaviourThroughGateway:
                                                            gateway):
         params = {"start": "0", "end": "1e9"}
         assert gateway.get("/sps/history", params).body["total"] == 2
-        archive.append("sps", [("m5.large", "us-east-1", "us-east-1a", 1, 500)])
+        land(archive, "sps", [("m5.large", "us-east-1", "us-east-1a", 1, 500)])
         assert gateway.get("/sps/history", params).body["total"] == 3
 
     def test_cache_disabled_archive_serves_identically(self):

@@ -8,6 +8,8 @@ from repro.cloudsim import ALLOWED_TRANSITIONS, RequestState
 from repro.core import SpotLakeArchive
 from repro.timeseries import Record, SeriesKey, Table
 
+from tests.conftest import land
+
 #: One shared world for the property tests (hypothesis re-runs are cheap
 #: against the lazily evaluated market).
 _CLOUD = SimulatedCloud(seed=0)
@@ -91,7 +93,7 @@ class TestArchiveInvariants:
         archive = SpotLakeArchive()
         writes = sorted(writes, key=lambda wv: wv[0])
         for t, v in writes:
-            archive.append("sps", [("a.large", "r1", "r1a", v, float(t))])
+            land(archive, "sps", [("a.large", "r1", "r1a", v, float(t))])
         for t, _ in writes:
             expected = [v for (wt, v) in writes if wt <= t][-1]
             assert archive.sps_at("a.large", "r1", "r1a", float(t)) == expected

@@ -1,4 +1,4 @@
-"""Shared helpers for the tiered-lake suite.
+"""Shared helpers for the lake suite.
 
 Tests drive archives with a small synthetic workload that is a pure
 function of (round, series): a rotating 1-in-``churn`` schedule decides

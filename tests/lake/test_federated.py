@@ -70,7 +70,7 @@ class TestPlanner:
 class TestFederatedArchive:
     def test_history_matches_unevicted_reference(self, tmp_path):
         archive = SpotLakeArchive(
-            data_dir=tmp_path, lake=True,
+            data_dir=tmp_path,
             retention=RetentionPolicy(max_age_seconds=4 * INTERVAL))
         reference = SpotLakeArchive(cache=False)
         try:
@@ -80,7 +80,7 @@ class TestFederatedArchive:
                 fed = archive.history(table, measure, filters, EPOCH, last)
                 hot = reference.history(table, measure, filters, EPOCH, last)
                 assert fed == hot, (table, measure, filters)
-            stats = archive._federated.stats()
+            stats = archive.stats()["lake"]["federated"]
             assert stats["cold_queries"] == len(QUERIES)
             assert stats["cold_rows"] > 0
         finally:
@@ -89,7 +89,7 @@ class TestFederatedArchive:
 
     def test_compaction_keeps_federation_exact(self, tmp_path):
         archive = SpotLakeArchive(
-            data_dir=tmp_path, lake=True,
+            data_dir=tmp_path,
             retention=RetentionPolicy(max_age_seconds=3 * INTERVAL))
         reference = SpotLakeArchive(cache=False)
         try:
@@ -117,7 +117,7 @@ def test_federated_walk_matches_reference(retention_rounds, churn, limit):
     """
     base = Path(tempfile.mkdtemp(prefix="lake-fed-"))
     archive = SpotLakeArchive(
-        data_dir=base, lake=True,
+        data_dir=base,
         retention=RetentionPolicy(max_age_seconds=retention_rounds * INTERVAL))
     reference = SpotLakeArchive(cache=False)
     try:
@@ -164,7 +164,7 @@ def test_lake_crash_window_recovers_byte_identical(tmp_path, window):
 
     rounds = 5
     reference = SpotLakeArchive(data_dir=tmp_path / "reference",
-                                checkpoint_every=2, lake=True)
+                                checkpoint_every=2)
     ref_lake = {0: reference.lake.digest()}
     for committed in range(1, rounds + 1):
         drive_round(reference, committed - 1, types=3)
@@ -174,7 +174,7 @@ def test_lake_crash_window_recovers_byte_identical(tmp_path, window):
     point = seeded_crash_point(0, window, rounds)
     crash_dir = tmp_path / "victim"
     victim = SpotLakeArchive(data_dir=crash_dir, checkpoint_every=2,
-                             lake=True, crash_hook=CrashInjector([point]))
+                             crash_hook=CrashInjector([point]))
     with pytest.raises(SimulatedCrash):
         for r in range(rounds):
             drive_round(victim, r, types=3)
@@ -186,8 +186,7 @@ def test_lake_crash_window_recovers_byte_identical(tmp_path, window):
     assert recovered.digest() == ref_lake[state.rounds_committed]
 
     # a restarted lake archive adopts the trimmed tier and can keep going
-    resumed = SpotLakeArchive(data_dir=crash_dir, checkpoint_every=2,
-                              lake=True)
+    resumed = SpotLakeArchive(data_dir=crash_dir, checkpoint_every=2)
     try:
         assert resumed.lake.round_count == state.rounds_committed
         for r in range(state.rounds_committed, rounds):

@@ -166,7 +166,7 @@ def test_readers_see_the_merged_rounds_whatever_the_layout(data):
 
     base = Path(tempfile.mkdtemp(prefix="lake-kd-"))
     archive = SpotLakeArchive(
-        data_dir=base, lake=True, cache=False,
+        data_dir=base, cache=False,
         retention=RetentionPolicy(max_age_seconds=2 * INTERVAL))
     reference = SpotLakeArchive(cache=False)
     model = Model()
@@ -255,7 +255,7 @@ class TestPagedSnapshots:
     MISSED = (TYPES[1], ZONES[0])
 
     def _day(self, root):
-        archive = SpotLakeArchive(data_dir=root, lake=True, cache=False)
+        archive = SpotLakeArchive(data_dir=root, cache=False)
         model = Model()
         series = [("advisor", t) for t in (*self.DAY_TYPES, LATE_TYPE)] + [
             (table, t, z) for table in ("sps", "price")
@@ -358,7 +358,7 @@ class TestQuietRounds:
     """A round in which nothing changed is still a round."""
 
     def test_zero_change_round_is_published_empty(self, tmp_path):
-        archive = SpotLakeArchive(data_dir=tmp_path, lake=True)
+        archive = SpotLakeArchive(data_dir=tmp_path)
         try:
             # churn far beyond the run: nothing moves after round 0
             times = [drive_round(archive, r, churn=10_000) for r in range(3)]
@@ -382,7 +382,7 @@ class TestQuietRounds:
     def test_refresh_cadence_survives_a_restart_over_quiet_rounds(
             self, tmp_path):
         def build():
-            return SpotLakeArchive(data_dir=tmp_path, lake=True,
+            return SpotLakeArchive(data_dir=tmp_path,
                                    lake_full_refresh_every=3)
         archive = build()
         for r in range(3):
@@ -407,7 +407,7 @@ class TestQuietRounds:
             SimulatedCrash,
         )
         archive = SpotLakeArchive(
-            data_dir=tmp_path, lake=True,
+            data_dir=tmp_path,
             crash_hook=CrashInjector([CrashPoint(window, hit=2)]))
         try:
             drive_round(archive, 0, churn=10_000)

@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 
 from repro.core import SPS_MEASURE
 
+from tests.conftest import land
+
 from .conftest import build_serving_service, full_range, generous_tenant
 
 
@@ -81,7 +83,7 @@ def test_paginated_walk_consistent_under_interleaved_writes(
                 for _ in range(min(writes_per_page, writes_left)):
                     writes_left -= 1
                     itype, region, zone = rng.choice(pools)
-                    service.archive.append("sps", [
+                    land(service.archive, "sps", [
                         (itype, region, zone, rng.randint(0, 10),
                          write_time)])
                     write_time += 30.0

@@ -8,11 +8,10 @@ from .conftest import build_serving_service, full_range
 
 
 def _lake_service(tmp_path, rounds: int = 3) -> SpotLakeService:
-    """A small durable lake-mode service populated via real collections.
+    """A small durable service populated via real collections.
 
-    ``bulk_backfill`` is refused in lake mode (it bypasses the round
-    merger), so the cold tier is fed the faithful way: one
-    ``collect_once`` per interval.  Uses the same tiny catalog as
+    The cold tier is fed the faithful way: one ``collect_once`` per
+    interval.  Uses the same tiny catalog as
     :func:`build_serving_service` to keep rounds sub-second.
     """
     families = [InstanceFamily("m9", "M", "general", ("large", "xlarge"))]

@@ -73,14 +73,17 @@ class TestSeededCrashPoint:
 
 class TestDurabilityMatrix:
     """Kill the collection service at every crash window; the recovered
-    archive must be byte-identical to an uninterrupted run at however
-    many rounds recovery reports as committed (the acceptance gate)."""
+    archive and lake must be byte-identical to an uninterrupted run at
+    however many rounds recovery reports as committed (the acceptance
+    gate).  A durable service always carries the lake, so every run
+    covers the storage and the lake windows alike."""
 
     def test_every_window_recovers_byte_identical(self):
         result = durability_run(rounds=2, checkpoint_every=1,
                                 instance_types=None,
                                 cloud_factory=build_tiny_cloud)
-        assert len(result.cases) == len(CRASH_WINDOWS)
+        assert len(result.cases) == \
+            len(CRASH_WINDOWS) + len(LAKE_CRASH_WINDOWS)
         for case in result.cases:
             assert case.crashed, f"{case.window} never fired"
             assert case.identical, case.summary()
@@ -115,9 +118,10 @@ class TestDurabilityMatrix:
         re-collect the new day's keyframe, re-seed the differ from
         keyframe + deltas and replay evictions from the WAL tail."""
         result = durability_run(rounds=4, checkpoint_every=2,
-                                instance_types=None, lake=True,
+                                instance_types=None,
                                 cloud_factory=build_tiny_cloud)
-        assert len(result.cases) == len(CRASH_WINDOWS) + len(LAKE_CRASH_WINDOWS)
+        assert len(result.cases) == \
+            len(CRASH_WINDOWS) + len(LAKE_CRASH_WINDOWS)
         for case in result.cases:
             assert case.crashed, f"{case.window} never fired"
             assert case.identical, case.summary()

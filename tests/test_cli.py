@@ -109,7 +109,7 @@ class TestCommands:
     def test_lake_stats_says_what_a_day_is_made_of(self, capsys, tmp_path):
         data_dir = str(tmp_path / "data")
         assert main(["collect", "--types", "m5.large", "--rounds", "3",
-                     "--data-dir", data_dir, "--lake"]) == 0
+                     "--data-dir", data_dir]) == 0
         capsys.readouterr()
         assert main(["lake", "stats", "--data-dir", data_dir]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -132,7 +132,7 @@ class TestCommands:
             self, capsys, tmp_path):
         data_dir = tmp_path / "data"
         assert main(["collect", "--types", "m5.large", "--rounds", "3",
-                     "--data-dir", str(data_dir), "--lake"]) == 0
+                     "--data-dir", str(data_dir)]) == 0
         capsys.readouterr()
         assert main(["lake", "stats", "--data-dir", str(data_dir)]) == 0
         day_line = capsys.readouterr().out.splitlines()[1]
@@ -174,7 +174,7 @@ class TestCommands:
     def test_recover_refuses_an_older_lake_format(self, capsys, tmp_path):
         data = tmp_path / "data"
         assert main(["collect", "--types", "m5.large", "--rounds", "1",
-                     "--data-dir", str(data), "--lake"]) == 0
+                     "--data-dir", str(data)]) == 0
         path = data / "lake" / "LAKE_MANIFEST"
         path.write_text(json.dumps(dict(json.loads(path.read_text()),
                                         format=1)))

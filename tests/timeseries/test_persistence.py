@@ -11,6 +11,8 @@ from repro.timeseries.persistence import (
     load_table_with_policy,
 )
 
+from tests.conftest import land
+
 
 def build_table():
     table = Table("sps")
@@ -124,8 +126,8 @@ class TestStoreRoundTrip:
         """A SpotLake archive survives dump/load through its store."""
         from repro.core import SpotLakeArchive
         archive = SpotLakeArchive()
-        archive.append("sps", [("m5.large", "us-east-1", "us-east-1a", 3, 0)])
-        archive.append("advisor", [("m5.large", "us-east-1", 0.03, 3.0, 70, 0)])
+        land(archive, "sps", [("m5.large", "us-east-1", "us-east-1a", 3, 0)])
+        land(archive, "advisor", [("m5.large", "us-east-1", 0.03, 3.0, 70, 0)])
         dump_store(archive.store, tmp_path / "arch")
 
         restored = SpotLakeArchive()
