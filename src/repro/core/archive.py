@@ -134,12 +134,15 @@ class DurableTiers(MemoryTiers):
 
     def refuse_unloggable(self, dataset: str, rows: Sequence[tuple]) -> None:
         """Refuse a batch the strict-JSON WAL cannot log (a non-finite
-        value or time) before the merger takes any of it."""
-        columns = list(zip(*rows))[len(DATASETS[dataset].dims):]
-        if not all(np.isfinite(np.asarray(c, dtype=np.float64)).all()
-                   for c in columns):
-            raise ValueError(f"non-finite value in a {dataset!r} batch: "
-                             "the write-ahead log cannot record it")
+        value or time) before the merger takes any of it.  One column at
+        a time: ``zip(*rows)`` would allocate an iterator per row, and
+        that many short-lived objects set off full GC passes."""
+        width = len(DATASETS[dataset].dims)
+        for slot in range(width, width + len(DATASETS[dataset].measures) + 1):
+            column = np.asarray([row[slot] for row in rows], dtype=np.float64)
+            if not np.isfinite(column).all():
+                raise ValueError(f"non-finite value in a {dataset!r} batch: "
+                                 "the write-ahead log cannot record it")
 
     def log_create_table(self, name: str,
                          retention: Optional[RetentionPolicy]) -> None:

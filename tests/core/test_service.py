@@ -21,6 +21,17 @@ class TestWiring:
         names = {job.name for job in small_service.scheduler.jobs()}
         assert names == {"sps", "advisor", "price"}
 
+    def test_lake_is_derived_from_data_dir(self, tmp_path):
+        """A data_dir always means WAL + lake: ``lake`` follows it, and
+        any other value is refused."""
+        assert ServiceConfig().lake is False
+        assert ServiceConfig(data_dir=str(tmp_path)).lake is True
+        assert ServiceConfig(data_dir=str(tmp_path), lake=True).lake is True
+        with pytest.raises(ValueError):
+            ServiceConfig(lake=True)
+        with pytest.raises(ValueError):
+            ServiceConfig(data_dir=str(tmp_path), lake=False)
+
 
 class TestCollection:
     def test_collect_once_populates_all_tables(self, small_service):
