@@ -90,15 +90,13 @@ class MemoryTiers:
     def _nothing(self, *args) -> None:
         pass
 
-    #: the hooks :class:`DurableTiers` implements that have nothing to do
+    #: the hooks :class:`DurableTiers` implements that have nothing to
+    #: do here (with no cold tier there is no boundary: None)
     refuse_unloggable = log_create_table = log_points = land = \
-        commit_round = checkpoint = close = _nothing
+        commit_round = checkpoint = close = evicted_through = _nothing
 
     def evict(self, name: str, table: Table, cutoff: float) -> int:
         return table.evict_before(cutoff)
-
-    def evicted_through(self, table_name: str) -> Optional[float]:
-        return None
 
     def history(self, table_name: str, measure: str, filters: Dict[str, str],
                 start: float, end: float,
@@ -134,9 +132,8 @@ class DurableTiers(MemoryTiers):
 
     def refuse_unloggable(self, dataset: str, rows: Sequence[tuple]) -> None:
         """Refuse a batch the strict-JSON WAL cannot log (a non-finite
-        value or time) before the merger takes any of it.  One column at
-        a time: ``zip(*rows)`` would allocate an iterator per row, and
-        that many short-lived objects set off full GC passes."""
+        value or time) before the merger takes any of it.  Column by
+        column: ``zip(*rows)``'s iterator per row sets off full GC passes."""
         width = len(DATASETS[dataset].dims)
         for slot in range(width, width + len(DATASETS[dataset].measures) + 1):
             column = np.asarray([row[slot] for row in rows], dtype=np.float64)
