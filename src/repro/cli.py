@@ -49,15 +49,15 @@ def _cmd_collect(args: argparse.Namespace) -> int:
                            chaos_seed=args.chaos_seed,
                            data_dir=args.data_dir,
                            checkpoint_every=args.checkpoint_every,
-                           workers=args.workers,
                            plan_cache=args.plan_cache,
-                           lake_full_refresh_every=args.lake_full_refresh,
                            retention_max_age=(
                                args.retention_hours * 3600.0
                                if args.retention_hours else None))
-    service = SpotLakeService(config)
-    if args.workers > 1:
-        print(f"parallel collection engine: {args.workers} worker(s)")
+    try:
+        service = SpotLakeService(config)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.plan_cache:
         from .core.plan_cache import PlanCache
         from .solver import STATS as solver_stats
@@ -431,17 +431,10 @@ def build_parser() -> argparse.ArgumentParser:
     collect.add_argument("--checkpoint-every", type=int, default=4,
                          help="fold the WAL into segments every N rounds "
                               "(default 4; 0 = only at exit)")
-    collect.add_argument("--workers", type=int, default=1,
-                         help="SPS materialization worker threads (default "
-                              "1: inline, no thread pool; archives are "
-                              "byte-identical for every count)")
     collect.add_argument("--plan-cache", default=True,
                          action=argparse.BooleanOptionalAction,
                          help="reuse solved query packings across rounds "
                               "and restarts (default on)")
-    collect.add_argument("--lake-full-refresh", type=int, default=0,
-                         help="emit all rows (not just changes) every Nth "
-                              "round (default 0 = never)")
     collect.add_argument("--retention-hours", type=float, default=None,
                          help="evict hot change points older than this; "
                               "with --data-dir they stay queryable cold")
@@ -520,7 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated rule codes to disable, "
                            "overriding [tool.spotlint] ignore")
     lint.add_argument("--sanitize", action="store_true",
-                      help="also run a parallel collection probe under the "
+                      help="also run a probe (frontend workers serving "
+                           "while collection rounds commit) under the "
                            "runtime concurrency sanitizer (SAN001/SAN002)")
     lint.add_argument("--rules", default=None,
                       help="comma-separated rule codes (default: all)")

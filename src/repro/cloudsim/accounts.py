@@ -131,9 +131,8 @@ class AccountPool:
         #: be charged), so a validated hint is exact; a stale hint (charge
         #: never happened, or the window rolled) falls back to the scan.
         self._charged: Dict[QueryKey, Account] = {}
-        # acquisition must stay race-free under the parallel collection
-        # engine; its control pass is single-threaded, the lock makes the
-        # invariant explicit rather than incidental
+        # an SPS round admits on one thread; the lock keeps acquisition
+        # race-free should a second caller share the pool
         self._lock = threading.Lock()
 
     def __len__(self) -> int:

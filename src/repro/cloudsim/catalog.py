@@ -12,7 +12,6 @@ Everything here is deterministic given the catalog ``seed``; no global state.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Mapping, Sequence, Tuple
@@ -367,8 +366,6 @@ class Catalog:
                 self._types[itype.name] = itype
         self._regions: Dict[str, Region] = {r.code: r for r in self.regions}
         self._offering_cache: Dict[Tuple[str, str], Tuple[str, ...]] = {}
-        # supported_zones() memoizes from pool workers (core.parallel)
-        self._cache_lock = threading.Lock()
 
     # -- lookup -----------------------------------------------------------
 
@@ -449,8 +446,7 @@ class Catalog:
             all_zones = region.zones
             start = int(stable_uniform("zone-start", self.seed, itype.name, region.code) * region.az_count)
             zones = tuple(sorted(all_zones[(start + i) % region.az_count] for i in range(count)))
-        with self._cache_lock:
-            self._offering_cache[key] = zones
+        self._offering_cache[key] = zones
         return zones
 
     def is_offered(self, itype: InstanceType | str, region: Region | str) -> bool:

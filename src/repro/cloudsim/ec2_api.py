@@ -181,9 +181,8 @@ class Ec2Client:
         the fault schedule advances here -- but returns a
         :class:`DeferredScoreCall` handle instead of rows.  Materializing
         the handle at the admission timestamp yields byte-identical rows;
-        the parallel collection engine uses this split to keep all
-        account/quota/fault control strictly serial while fanning the pure
-        score arithmetic out to worker threads.
+        the collection engine admits a whole round this way, in plan order,
+        before it evaluates any score.
         """
         self._sps_admission(instance_types, regions, target_capacity,
                             single_availability_zone, max_results)
@@ -296,9 +295,9 @@ class Ec2Client:
 class DeferredScoreCall:
     """Admitted-but-unevaluated SPS call (see the deferred client entry).
 
-    ``rows_at(timestamp)`` is pure and thread-safe: quota was charged and
-    faults were drawn at admission, so evaluation can happen on any worker
-    thread at any later moment without touching shared simulation state.
+    ``rows_at(timestamp)`` is pure: quota was charged and faults were
+    drawn at admission, so evaluation can happen at any later moment
+    without touching shared simulation state.
     """
 
     compiled: "CompiledScoreQuery"

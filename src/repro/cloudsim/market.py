@@ -27,7 +27,6 @@ re-created simulation reproduces the identical world; nothing is stored.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
@@ -198,9 +197,6 @@ class SpotMarket:
     epoch: float = PAPER_WINDOW_START
     events: list = field(default_factory=default_events)
     _base_cache: Dict[Tuple[str, str, str], float] = field(default_factory=dict, repr=False)
-    #: base_headroom() memoizes from pool workers (core.parallel)
-    _cache_lock: threading.Lock = field(default_factory=threading.Lock,
-                                        repr=False, compare=False)
 
     # -- headroom -----------------------------------------------------------
 
@@ -221,8 +217,7 @@ class SpotMarket:
                              "spatial-type", self.seed, itype.name, region)
         base += stable_range(-SPATIAL_ZONE_SPREAD, SPATIAL_ZONE_SPREAD,
                              "spatial-zone", self.seed, itype.name, region, zone)
-        with self._cache_lock:
-            self._base_cache[key] = base
+        self._base_cache[key] = base
         return base
 
     def _event_depth(self, itype_name: str, day: float) -> float:

@@ -204,10 +204,9 @@ class SpotLakeArchive:
                  cache: bool = True,
                  data_dir: Optional[Union[str, Path]] = None,
                  checkpoint_every: int = 4,
-                 crash_hook=None,
-                 lake_full_refresh_every: int = 0):
+                 crash_hook=None):
         self._merger = RoundMerger()
-        self._differ = RoundDiffer(full_refresh_every=lake_full_refresh_every)
+        self._differ = RoundDiffer()
         self._tiers = MemoryTiers() if data_dir is None else DurableTiers(
             data_dir, checkpoint_every, crash_hook, self._differ)
         self.store = self._tiers.store

@@ -63,13 +63,14 @@ class CollectionReport:
     def merge(self, other: "CollectionReport") -> "CollectionReport":
         """Fold two partial reports into one.
 
-        ``accounts_used`` is *not* additive: two shards running on disjoint
-        accounts would double-count under ``+``, and ``max`` undercounts
-        them.  Neither merge rule can be exact from partial counts alone,
-        so collectors keep shard sub-reports **sum-free by construction**
-        (``accounts_used == 0``) and stamp the true value once at round
-        end, from the pool itself (``max`` then just propagates the single
-        authoritative stamp unchanged).
+        ``accounts_used`` is *not* additive: two partial reports whose
+        queries charged the same account would double-count it under
+        ``+``, and ``max`` undercounts partials on disjoint accounts.
+        Neither merge rule can be exact from partial counts alone, so
+        partial reports stay **sum-free by construction**
+        (``accounts_used == 0``) and the collector stamps the true value
+        once at round end, from the pool itself (``max`` then just
+        propagates the single authoritative stamp unchanged).
         """
         return CollectionReport(
             self.queries_issued + other.queries_issued,
@@ -113,20 +114,18 @@ class SpsCollector:
     accounts, quota charges, fault draws, retries, gap records -- all in
     canonical plan order); the
     :class:`~repro.core.parallel.ParallelCollectionEngine` runs the round
-    around it (see :mod:`repro.core.parallel` for the three phases).
+    around it (see :mod:`repro.core.parallel` for the two phases).
     """
 
     def __init__(self, cloud: SimulatedCloud, archive: SpotLakeArchive,
                  accounts: AccountPool, plan: Optional[QueryPlan] = None,
-                 resilience: Optional[ResilientExecutor] = None,
-                 engine: Optional[ParallelCollectionEngine] = None):
+                 resilience: Optional[ResilientExecutor] = None):
         self.cloud = cloud
         self.archive = archive
         self.accounts = accounts
         self.plan = plan or plan_for_catalog(cloud.catalog)
         self.resilience = resilience
-        #: runs the round; the default materializes inline (no threads)
-        self.engine = engine or ParallelCollectionEngine()
+        self.engine = ParallelCollectionEngine()
 
     @staticmethod
     def query_fingerprint(query: SpsQuery) -> str:
@@ -141,10 +140,9 @@ class SpsCollector:
         account; an expired token is refreshed before the error surfaces
         to the retry loop (re-auth is cheap, the retry backoff models it).
         The full admission gauntlet (account, credentials, fault hook,
-        quota charge) runs here, on the caller's thread; only the score
-        computation is deferred: the returned
-        :class:`~repro.cloudsim.ec2_api.DeferredScoreCall` is pure and
-        can be materialized on any worker thread.
+        quota charge) runs here; only the score computation is deferred:
+        the returned :class:`~repro.cloudsim.ec2_api.DeferredScoreCall`
+        is pure, and the engine materializes it after admission.
         """
         key = make_query_key([query.instance_type], query.regions,
                              query.target_capacity,

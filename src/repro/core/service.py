@@ -37,7 +37,6 @@ from .collectors import (
     PriceCollector,
     SpsCollector,
 )
-from .parallel import ParallelCollectionEngine
 from .plan_cache import PlanCache
 from .query_planner import QueryPlan, plan_for_offering_map
 from .resilience import CircuitBreaker, ResilientExecutor, RetryPolicy
@@ -74,8 +73,6 @@ class ServiceConfig:
     #: not a knob: derived as ``data_dir is not None`` (anything else
     #: raises); kept only because ``benchmarks/e2e`` passes ``lake=True``.
     lake: Optional[bool] = None
-    #: emit every row (not just changes) each Nth round (0 = never).
-    lake_full_refresh_every: int = 0
     #: hot-tier retention: evict change points older than this many
     #: sim-seconds at each round commit (None = keep all).  In the
     #: durable shape evicted history remains queryable from the cold
@@ -83,8 +80,9 @@ class ServiceConfig:
     retention_max_age: Optional[float] = None
     #: storage crash-hook (doublerun --durability installs a CrashInjector).
     storage_crash_hook: Optional[object] = None
-    #: SPS materialization worker threads (1 = inline, no thread pool;
-    #: archives are byte-identical for every count).
+    #: not a knob: any value >= 1 is accepted and selects nothing (SPS
+    #: rounds run on the calling thread); kept only because
+    #: ``benchmarks/e2e`` passes ``workers=2``.
     workers: int = 1
     #: reuse solved query packings via the content-addressed plan cache
     #: (in-memory always; persisted under ``data_dir`` when durable).
@@ -93,6 +91,8 @@ class ServiceConfig:
     frontend_workers: int = 4
 
     def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
         if self.lake is None:
             self.lake = self.data_dir is not None
         elif self.lake != (self.data_dir is not None):
@@ -106,6 +106,12 @@ class SpotLakeService:
                  cloud: Optional[SimulatedCloud] = None):
         self.config = config or ServiceConfig()
         self.cloud = cloud or SimulatedCloud(seed=self.config.seed)
+        if self.config.instance_types is not None:
+            unknown = sorted(set(self.config.instance_types)
+                             - set(self.cloud.catalog.instance_type_names))
+            if unknown:
+                raise ValueError("unknown instance type(s): "
+                                 + ", ".join(unknown))
         retention = None
         if self.config.retention_max_age is not None:
             retention = RetentionPolicy(
@@ -114,8 +120,7 @@ class SpotLakeService:
             retention=retention,
             data_dir=self.config.data_dir,
             checkpoint_every=self.config.checkpoint_every,
-            crash_hook=self.config.storage_crash_hook,
-            lake_full_refresh_every=self.config.lake_full_refresh_every)
+            crash_hook=self.config.storage_crash_hook)
 
         profile = resolve_profile(self.config.chaos_profile)
         if profile.total_rate > 0.0:
@@ -145,22 +150,14 @@ class SpotLakeService:
                                self.config.breaker_reset))
             for source in ("sps", "advisor", "price")}
 
-        self.engine = ParallelCollectionEngine(self.config.workers)
-
         self.sps_collector = SpsCollector(
             self.cloud, self.archive, self.accounts, self.plan,
-            resilience=self.executors["sps"],
-            engine=self.engine)
+            resilience=self.executors["sps"])
         self.advisor_collector = AdvisorCollector(
             self.cloud, self.archive,
             resilience=self.executors["advisor"])
-        price_pools = None
-        if self.config.instance_types is not None:
-            wanted = set(self.config.instance_types)
-            price_pools = [p for p in self.cloud.catalog.all_pools()
-                           if p[0] in wanted]
         self.price_collector = PriceCollector(
-            self.cloud, self.archive, price_pools,
+            self.cloud, self.archive, self._selected_pools(),
             resilience=self.executors["price"])
 
         self.scheduler = CollectionScheduler(self.cloud.clock)
@@ -202,8 +199,7 @@ class SpotLakeService:
     # -- lifecycle ---------------------------------------------------------------
 
     def close(self) -> None:
-        """Release the worker pool and the archive's storage engine."""
-        self.engine.close()
+        """Release the archive's storage engine."""
         self.archive.close()
 
     # -- faithful collection ---------------------------------------------------

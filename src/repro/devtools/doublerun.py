@@ -115,8 +115,7 @@ def snapshot_digests(seed: int = 0,
                      directory: Optional[Path] = None,
                      chaos_profile: str = "none",
                      chaos_seed: Optional[int] = None,
-                     include_serving: bool = False,
-                     workers: int = 1) -> Dict[str, str]:
+                     include_serving: bool = False) -> Dict[str, str]:
     """Run one fresh service for ``rounds`` collection rounds; hash tables.
 
     Returns ``{table_name: sha256_of_snapshot_file}``.  The service, cloud
@@ -125,16 +124,13 @@ def snapshot_digests(seed: int = 0,
     schedule (and hence any gap records) must replay identically too.
     With ``include_serving``, a ``"serving"`` pseudo-table digests the
     canonical API battery (see :func:`serving_digest`), extending the
-    byte-determinism contract over the cached read path.  ``workers``
-    sizes the SPS materialization pool -- the digests must not depend on
-    it.
+    byte-determinism contract over the cached read path.
     """
     config = ServiceConfig(
         seed=seed,
         instance_types=list(instance_types) if instance_types else None,
         chaos_profile=chaos_profile,
-        chaos_seed=chaos_seed,
-        workers=workers)
+        chaos_seed=chaos_seed)
     service = SpotLakeService(config)
     for _ in range(rounds):
         service.collect_once()
@@ -180,58 +176,6 @@ def double_run(seed: int = 0,
     return DoubleRunResult(identical=not mismatched,
                            digests_a=digests_a, digests_b=digests_b,
                            mismatched_tables=mismatched)
-
-
-@dataclass
-class WorkerSweepResult:
-    """Byte-identity verdict of the worker-count sweep."""
-
-    identical: bool
-    worker_counts: List[int] = field(default_factory=list)
-    #: per-worker-count table digests, keyed by "workers=N"
-    digests: Dict[str, Dict[str, str]] = field(default_factory=dict)
-    mismatched: List[str] = field(default_factory=list)
-
-    def summary(self) -> str:
-        labels = ", ".join(sorted(self.digests))
-        if self.identical:
-            return (f"deterministic: identical snapshots across worker "
-                    f"counts ({labels})")
-        return ("NONDETERMINISTIC: worker counts diverge from workers=1: "
-                + ", ".join(self.mismatched))
-
-
-def worker_sweep(worker_counts: Sequence[int],
-                 seed: int = 0,
-                 instance_types: Optional[Sequence[str]] = DEFAULT_TYPES,
-                 rounds: int = 2,
-                 interval_minutes: float = 10.0,
-                 chaos_profile: str = "none",
-                 chaos_seed: Optional[int] = None) -> WorkerSweepResult:
-    """Byte-compare inline materialization against every worker count.
-
-    The parallel collection engine's contract is that archive bytes (gap
-    records included) are a function of the configuration alone, never of
-    the worker count; the sweep runs the identical schedule at
-    ``workers=1`` (inline, no threads -- the in-tree reference; the
-    row-at-a-time oracle lives in ``tests/core``) and at each requested
-    ``--workers N`` and diffs every table digest.
-    """
-    kwargs = dict(seed=seed, instance_types=instance_types, rounds=rounds,
-                  interval_minutes=interval_minutes,
-                  chaos_profile=chaos_profile, chaos_seed=chaos_seed)
-    reference = snapshot_digests(workers=1, **kwargs)
-    digests: Dict[str, Dict[str, str]] = {"workers=1": reference}
-    mismatched: List[str] = []
-    for workers in worker_counts:
-        got = snapshot_digests(workers=workers, **kwargs)
-        digests[f"workers={workers}"] = got
-        if got != reference:
-            bad = _mismatches(got, reference)
-            mismatched.append(f"workers={workers} ({', '.join(bad)})")
-    return WorkerSweepResult(identical=not mismatched,
-                             worker_counts=list(worker_counts),
-                             digests=digests, mismatched=mismatched)
 
 
 def _store_digests(store) -> Dict[str, str]:
@@ -450,18 +394,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:  # pragma: no cover
     parser.add_argument("--checkpoint-every", type=int, default=2,
                         help="checkpoint cadence of the durability run "
                              "(rounds; default 2)")
-    parser.add_argument("--workers-sweep", default=None, metavar="N,N,...",
-                        help="worker-sweep mode: byte-compare workers=1 "
-                             "against each listed --workers count "
-                             "(e.g. \"1,4,8\")")
     args = parser.parse_args(argv)
-    if args.workers_sweep:
-        counts = [int(part) for part in args.workers_sweep.split(",") if part]
-        result = worker_sweep(counts, seed=args.seed, rounds=args.rounds,
-                              chaos_profile=args.chaos_profile,
-                              chaos_seed=args.chaos_seed)
-        print(result.summary())
-        return 0 if result.identical else 1
     if args.durability:
         result = durability_run(seed=args.seed, rounds=args.rounds,
                                 checkpoint_every=args.checkpoint_every,

@@ -1,8 +1,8 @@
 """Concurrency rules CONC001-CONC003 (the static half of spotconc).
 
-PR 5 put real threads under the collection round and ROADMAP item 1
-threads the serving front end next; these rules make the thread-safety
-obligations checkable instead of conventional:
+The serving front end drains its admission queue on a thread pool
+while collection rounds commit on the calling thread; these rules make
+the thread-safety obligations checkable instead of conventional:
 
 * CONC001 -- a function reachable from a thread-pool ``submit``/``map``
   target mutates shared state (``self``/``cls`` attributes, module

@@ -309,22 +309,30 @@ class ConcurrencySanitizer:
         return result
 
 
-def run_sanitized_probe(seed: int = 11, workers: int = 4,
-                        rounds: int = 2,
+def run_sanitized_probe(seed: int = 11, rounds: int = 2,
                         chaos_profile: str = "none") -> LintResult:
-    """Run a small parallel collection under the sanitizer.
+    """Serve a fixed request list while rounds commit, under the sanitizer.
 
-    This is the ``repro lint --sanitize`` entry point: a real
-    multi-worker SPS collection (the repo's most threaded code path),
-    each round committed into the durable tiers, executed with lock
-    tracking on, returning whatever the sanitizer observed.
-    Deterministic for fixed arguments.
+    This is the ``repro lint --sanitize`` entry point.  The product's
+    threads are the serving frontend's workers, so the probe starts
+    ``service.frontend()`` (the default four workers) over a small
+    durable service and, per round, submits the canonical
+    request battery (:func:`~repro.devtools.doublerun.build_workload`),
+    collects and commits the round on this thread while the workers
+    answer, then waits for every response -- all with lock tracking on,
+    returning whatever the sanitizer observed.  Deterministic for fixed
+    arguments: the requests and the rounds are fixed, and a warm-up pass
+    over the battery on this thread first constructs every object the
+    workers share (route and tenant metrics, read caches), so every
+    worker write is off-owner whichever worker serves which request.
     """
     import shutil
     import tempfile
 
+    from ..core.frontend import Tenant
     from ..core.plan_cache import PlanCache
     from ..core.service import ServiceConfig, SpotLakeService
+    from .doublerun import build_workload
 
     types = ["m5.large", "c5.xlarge", "p3.2xlarge", "i3.large", "t3.micro"]
     sanitizer = ConcurrencySanitizer()
@@ -333,13 +341,22 @@ def run_sanitized_probe(seed: int = 11, workers: int = 4,
     try:
         with sanitizer:
             service = SpotLakeService(ServiceConfig(
-                seed=seed, instance_types=types, workers=workers,
+                seed=seed, instance_types=types,
                 chaos_profile=chaos_profile, data_dir=data_dir))
+            tenant = Tenant("probe", rate=1e9, burst=1e9)
             try:
-                for _ in range(rounds):
-                    service.sps_collector.collect()
-                    service.archive.commit_round(service.cloud.clock.now())
-                    service.cloud.clock.advance(600.0)
+                for path, params in build_workload(service):
+                    service.gateway.get(path, params, tenant=tenant.name)
+                with service.frontend(tenants=[tenant]) as frontend:
+                    for _ in range(rounds):
+                        now = service.cloud.clock.now()
+                        tickets = [frontend.submit(tenant.api_key, path,
+                                                   params, arrival_time=now)
+                                   for path, params in build_workload(service)]
+                        service.collect_once()
+                        for ticket in tickets:
+                            ticket.result(60.0)
+                        service.cloud.clock.advance(600.0)
             finally:
                 service.close()
     finally:

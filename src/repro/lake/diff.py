@@ -17,12 +17,9 @@ Comparison semantics are :func:`~repro.timeseries.compression.values_equal`
 (type- and NaN-aware), matching the store's own dedup rule.  A row is
 emitted when *any* of its measures changed (an advisor row's unchanged
 measures ride along; the table absorbs them without new change points).
-
-``full_refresh_every`` is the cadence knob from the production pipeline:
-every Nth round the diff emits all rows regardless, so a reader that
-joined late (or a hot store whose retention evicted deep history) never
-needs unbounded history to reconstruct current state.  0 disables
-refreshes (the first round is always a de-facto full refresh).
+The periodic full image is the lake's day keyframe, not the diff: every
+row a reader needs to reconstruct a day's state is in that day's
+keyframe plus its deltas.
 """
 
 from __future__ import annotations
@@ -41,7 +38,6 @@ class RoundDiff:
     """The changed-rows subset of one merged round, per dataset."""
 
     time: float
-    full_refresh: bool
     rows: Dict[str, List[Row]] = field(default_factory=empty_rows)
     #: source rows the differ examined (the pre-diff volume)
     rows_seen: int = 0
@@ -54,13 +50,9 @@ class RoundDiff:
 class RoundDiffer:
     """Stateful whole-round change detector."""
 
-    def __init__(self, full_refresh_every: int = 0):
-        if full_refresh_every < 0:
-            raise ValueError("full_refresh_every must be >= 0")
-        self.full_refresh_every = full_refresh_every
-        #: rounds diffed so far; refresh rounds are 0, N, 2N, ...  A
-        #: restarted differ is re-seeded to the lake's round count, so
-        #: the refresh schedule survives crash recovery unchanged.
+    def __init__(self):
+        #: rounds diffed so far (a restarted differ is re-seeded to the
+        #: lake's round count)
         self.rounds = 0
         #: per dataset: coords -> the previous round's values, one per
         #: measure (None where a restart seed had no archived value)
@@ -75,7 +67,7 @@ class RoundDiffer:
 
         ``items`` is each series' latest archived value (see
         :meth:`SpotDataLake.latest_values`); ``rounds`` restores the
-        full-refresh cadence position.
+        round counter.
         """
         self.rounds = rounds
         for key, value in items:
@@ -96,10 +88,7 @@ class RoundDiffer:
         (a collection gap) keeps its previous value, mirroring what the
         hot store's series would hold.
         """
-        refresh = (self.full_refresh_every > 0
-                   and self.rounds % self.full_refresh_every == 0)
-        out = RoundDiff(time=merged.time, full_refresh=refresh,
-                        rows_seen=merged.row_count)
+        out = RoundDiff(time=merged.time, rows_seen=merged.row_count)
         for table, rows in merged.rows.items():
             width = len(DATASETS[table].dims)
             previous = self._previous[table]
@@ -108,7 +97,7 @@ class RoundDiffer:
                 coords = row[:width]
                 values = row[width:-1]
                 before = previous.get(coords)
-                if refresh or before is None or not all(
+                if before is None or not all(
                         map(values_equal, before, values)):
                     emit(row)
                 previous[coords] = values
@@ -120,5 +109,4 @@ class RoundDiffer:
             "rounds": self.rounds,
             "tracked": {table: len(previous)
                         for table, previous in self._previous.items()},
-            "full_refresh_every": self.full_refresh_every,
         }

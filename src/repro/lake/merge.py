@@ -8,9 +8,8 @@ and landing the changed rows in every tier; a durable archive's cold
 tier additionally keeps the whole round once per UTC day, as that day's
 keyframe (see :mod:`repro.lake.store`).
 
-It is written to by the round's serial control thread only (the SPS
-engine materializes rows on workers but lands them serially), so no
-locking is needed.
+It is written to by the collecting thread only (an SPS round admits and
+materializes on the calling thread), so no locking is needed.
 """
 
 from __future__ import annotations

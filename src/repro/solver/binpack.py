@@ -38,7 +38,8 @@ class SolverStats:
     ffd_calls: int = 0
     bfd_calls: int = 0
     bnb_calls: int = 0
-    #: guards the counters; solvers may run on pool workers (PR 5)
+    #: guards the counters: spotconc's CONC003 holds a process
+    #: singleton's writes to a lock whether or not a thread shares it
     lock: threading.Lock = field(default_factory=threading.Lock,
                                  repr=False, compare=False)
 

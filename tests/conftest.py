@@ -73,8 +73,9 @@ def conc_sanitizer():
 def _spotconc_autosanitize():
     """Whole-suite sanitizer sweep, gated on SPOTCONC_SANITIZE=1.
 
-    The CI ``conc`` job runs the parallel and chaos suites with the
-    sanitizer wrapped around every test; local runs pay nothing.
+    The CI ``conc``, ``frontend``, ``lake`` and ``analytics`` jobs run
+    their suites with the sanitizer wrapped around every test; local
+    runs pay nothing.
     """
     import os
 

@@ -32,6 +32,18 @@ class TestWiring:
         with pytest.raises(ValueError):
             ServiceConfig(data_dir=str(tmp_path), lake=False)
 
+    def test_unknown_instance_types_refused_before_any_tier_opens(
+            self, tmp_path):
+        data_dir = tmp_path / "data"
+        with pytest.raises(ValueError,
+                           match=r"unknown instance type\(s\): nope\.xlarge$"):
+            SpotLakeService(ServiceConfig(
+                instance_types=["m5.large", "nope.xlarge"],
+                data_dir=str(data_dir)))
+        assert not data_dir.exists()
+        with pytest.raises(ValueError, match=r"nope\.large"):
+            SpotLakeService(ServiceConfig(instance_types=["nope.large"]))
+
 
 class TestCollection:
     def test_collect_once_populates_all_tables(self, small_service):

@@ -1,5 +1,6 @@
 """The runtime concurrency sanitizer: proxies, cycles, write tracking."""
 
+import contextlib
 import threading
 
 import pytest
@@ -167,12 +168,29 @@ class TestSharedWrites:
 
 
 class TestProbe:
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_parallel_collection_is_sanitizer_clean(self, workers):
-        result = run_sanitized_probe(workers=workers, rounds=2)
+    """The probe commits collection rounds in parallel with the serving
+    frontend's workers answering the request battery."""
+
+    @pytest.mark.parametrize("rounds", [2, 4])
+    def test_parallel_collection_is_sanitizer_clean(self, rounds):
+        result = run_sanitized_probe(rounds=rounds)
         assert result.clean, "\n".join(
             f"{f.rule} {f.message}" for f in result.findings)
 
     def test_probe_reports_sanitizer_codes(self):
-        result = run_sanitized_probe(workers=2, rounds=1)
+        result = run_sanitized_probe(rounds=1)
         assert result.rules_run == ["SAN001", "SAN002"]
+
+    def test_probe_sees_an_unguarded_frontend_write(self, monkeypatch):
+        """With the metrics registry's lock a no-op, every worker's
+        route-counter update is an unguarded off-owner write."""
+        init = MetricsRegistry.__init__
+
+        def unlocked_init(registry, *args, **kwargs):
+            init(registry, *args, **kwargs)
+            registry._lock = contextlib.nullcontext()
+
+        monkeypatch.setattr(MetricsRegistry, "__init__", unlocked_init)
+        result = run_sanitized_probe(rounds=1)
+        assert "SAN002" in {f.rule for f in result.findings}
+        assert any("RouteMetrics" in f.message for f in result.findings)

@@ -379,25 +379,6 @@ class TestQuietRounds:
         finally:
             archive.close()
 
-    def test_refresh_cadence_survives_a_restart_over_quiet_rounds(
-            self, tmp_path):
-        def build():
-            return SpotLakeArchive(data_dir=tmp_path,
-                                   lake_full_refresh_every=3)
-        archive = build()
-        for r in range(3):
-            drive_round(archive, r, churn=10_000)
-        archive.close()
-        archive = build()
-        try:
-            assert archive._differ.rounds == 3
-            ingested = archive.rows_ingested
-            drive_round(archive, 3, churn=10_000)   # round 3: a refresh
-            assert archive.rows_ingested - ingested == archive.rows_merged
-            assert archive.lake.partitions[-1].rows == 6 * 2 * 2 + 6 * 3
-        finally:
-            archive.close()
-
     @pytest.mark.parametrize("window", LAKE_CRASH_WINDOWS)
     def test_quiet_rounds_reach_every_lake_crash_window(self, tmp_path,
                                                         window):

@@ -1,7 +1,5 @@
 """Units for the round merger and the changed-rows differ."""
 
-import pytest
-
 from repro.lake import (
     IF_SCORE_MEASURE,
     INTERRUPTION_RATIO_MEASURE,
@@ -79,7 +77,6 @@ class TestDiffer:
         diff = differ.diff(_round(T0, sps=[("a.large", "r1", "r1a", 3, T0)],
                                   price=[("a.large", "r1", "r1a", 1.5, T0)]))
         assert diff.rows_changed == diff.rows_seen == 2
-        assert not diff.full_refresh
 
     def test_unchanged_rows_are_suppressed(self):
         differ = RoundDiffer()
@@ -109,23 +106,8 @@ class TestDiffer:
                                         T0 + 600)]))
         assert diff.rows_changed == 1
 
-    def test_full_refresh_cadence(self):
-        differ = RoundDiffer(full_refresh_every=3)
-        emitted = []
-        for r in range(7):
-            diff = differ.diff(_round(
-                T0 + 600 * r, sps=[("a.large", "r1", "r1a", 3, T0 + 600 * r)]))
-            emitted.append((diff.full_refresh, diff.rows_changed))
-        # rounds 0, 3 and 6 refresh; steady-state rounds emit nothing
-        assert emitted == [(True, 1), (False, 0), (False, 0), (True, 1),
-                           (False, 0), (False, 0), (True, 1)]
-
-    def test_negative_refresh_cadence_rejected(self):
-        with pytest.raises(ValueError):
-            RoundDiffer(full_refresh_every=-1)
-
     def test_seed_restores_values_and_cadence(self):
-        first = RoundDiffer(full_refresh_every=4)
+        first = RoundDiffer()
         merged = _round(T0, sps=[("a.large", "r1", "r1a", 3, T0)],
                         price=[("a.large", "r1", "r1a", 1.5, T0)],
                         advisor=[("a.large", "r1", 0.05, 2.0, 60, T0)])
@@ -134,7 +116,7 @@ class TestDiffer:
         # a restarted differ seeded from the lake's latest values must
         # behave exactly like the uninterrupted one
         items = [(key, series.values[-1]) for key, series in merged.items()]
-        restarted = RoundDiffer(full_refresh_every=4)
+        restarted = RoundDiffer()
         restarted.seed(items, rounds=first.rounds)
         assert restarted.stats() == first.stats()
 

@@ -36,6 +36,11 @@ class TestCommands:
         assert "round 0" in out and "round 1" in out
         assert (tmp_path / "snap" / "sps.jsonl").exists()
 
+    def test_collect_refuses_unknown_types(self, capsys):
+        assert main(["collect", "--types", "m5.large", "nope.xlarge"]) == 2
+        assert "unknown instance type(s): nope.xlarge" in \
+            capsys.readouterr().err
+
     def test_query(self, capsys):
         assert main(["query", "--type", "m5.large",
                      "--region", "us-east-1", "--zone", "us-east-1a"]) == 0
