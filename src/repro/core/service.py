@@ -107,6 +107,9 @@ class SpotLakeService:
         self.config = config or ServiceConfig()
         self.cloud = cloud or SimulatedCloud(seed=self.config.seed)
         if self.config.instance_types is not None:
+            if not self.config.instance_types:
+                raise ValueError("instance_types names no type (None "
+                                 "collects the whole catalog)")
             unknown = sorted(set(self.config.instance_types)
                              - set(self.cloud.catalog.instance_type_names))
             if unknown:

@@ -43,6 +43,8 @@ class TestWiring:
         assert not data_dir.exists()
         with pytest.raises(ValueError, match=r"nope\.large"):
             SpotLakeService(ServiceConfig(instance_types=["nope.large"]))
+        with pytest.raises(ValueError, match="names no type"):
+            SpotLakeService(ServiceConfig(instance_types=[]))
 
 
 class TestCollection:
