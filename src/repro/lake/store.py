@@ -92,6 +92,7 @@ from ..storage.columnar import (
     value_id,
 )
 from ..timeseries.record import Record, SeriesKey, Value
+from ..timeseries.store import update_series_digest
 from ..timeseries.vector import TierColumns
 from ..storage.wal import NoopCrashHook
 from .merge import MergedRound
@@ -526,11 +527,7 @@ class SpotDataLake:
         for part in self.partitions:
             sha.update(json.dumps([part.kind, part.rounds]).encode("utf-8"))
             for key, series in self._cursor(part).items():
-                sha.update(json.dumps([
-                    key.measure_name, key.dimensions, series.times,
-                    [(type(v).__name__, repr(v)) for v in series.values],
-                    series.observed_until, series.observation_count,
-                ]).encode("utf-8"))
+                update_series_digest(sha, key, series)
         return sha.hexdigest()
 
     # -- recovery ------------------------------------------------------------

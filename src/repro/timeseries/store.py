@@ -6,11 +6,29 @@ batched writes, per-table retention windows, and store-wide statistics.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
-from .record import Record
+from .compression import ChangePointSeries
+from .record import Record, SeriesKey
 from .table import Table
+
+
+def update_series_digest(sha, key: SeriesKey,
+                         series: ChangePointSeries) -> None:
+    """Feed one series' content into ``sha``: measure, dimensions, times,
+    type-tagged values, ``observed_until`` and ``observation_count``.
+
+    The one content encoding of a series, shared by the hot store's and
+    the lake's content digests.
+    """
+    sha.update(json.dumps([
+        key.measure_name, key.dimensions, series.times,
+        [(type(v).__name__, repr(v)) for v in series.values],
+        series.observed_until, series.observation_count,
+    ]).encode("utf-8"))
 
 
 @dataclass
@@ -77,6 +95,25 @@ class TimeSeriesStore:
             if cutoff is not None:
                 dropped[name] = table.evict_before(cutoff)
         return dropped
+
+    def content_digests(self) -> Dict[str, str]:
+        """``{table: sha256}`` of what each table holds.
+
+        Hashes the table's name, ``records_written`` and retention age,
+        then every series in :meth:`Table.series_keys` order.  Two stores
+        with equal digests hold the same data, however they were built
+        (live writes, WAL replay, segment load).
+        """
+        digests = {}
+        for name in self.table_names():
+            table = self._tables[name]
+            sha = hashlib.sha256(json.dumps([
+                name, table.stats.records_written,
+                self._policies[name].max_age_seconds]).encode("utf-8"))
+            for key in table.series_keys():
+                update_series_digest(sha, key, table.series(key))
+            digests[name] = sha.hexdigest()
+        return digests
 
     def stats(self) -> Dict[str, dict]:
         """Ingestion statistics per table."""
