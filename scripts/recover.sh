@@ -1,21 +1,18 @@
 #!/usr/bin/env bash
-# Inspect (and optionally export) a durable collection data directory.
+# Inspect a durable collection data directory.
 # Wraps `repro recover`: replays MANIFEST + segments + WAL tail, prints
-# the recovered state (rounds, per-table stats, any discarded torn
-# tail), and exits 0 only when the directory recovers consistently.
-#   scripts/recover.sh ./spotlake-data            # inspect
-#   scripts/recover.sh ./spotlake-data ./snapshot # also export snapshot
+# the recovered state (rounds, per-table stats, the store's content
+# digest, any discarded torn tail), and exits 0 only when the directory
+# recovers consistently.
+#   scripts/recover.sh ./spotlake-data
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-if [[ $# -lt 1 || $# -gt 2 ]]; then
-    echo "usage: $0 <data-dir> [output-snapshot-dir]" >&2
+if [[ $# -ne 1 ]]; then
+    echo "usage: $0 <data-dir>" >&2
     exit 2
 fi
 
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
 
-if [[ $# -eq 2 ]]; then
-    exec python -m repro.cli recover --data-dir "$1" --output "$2"
-fi
 exec python -m repro.cli recover --data-dir "$1"

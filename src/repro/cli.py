@@ -14,6 +14,7 @@ collection rounds, query the archive, and run the availability experiment.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -21,6 +22,7 @@ from typing import List, Optional, Sequence
 from . import ServiceConfig, SimulatedCloud, SpotLakeService
 from .cloudsim import CHAOS_PROFILES
 from .core import plan_for_catalog
+from .core.plan_cache import PlanCache
 from .experiments import ExperimentRunner, sample_cases, table3
 from .lake import (
     LAKE_DIR_NAME,
@@ -28,7 +30,20 @@ from .lake import (
     LakeFormatError,
     SpotDataLake,
 )
+from .solver import STATS as solver_stats
 from .storage.columnar import PREFIX_BYTES, header_bytes
+from .timeseries import TimeSeriesStore
+
+
+def _print_content_digest(store: TimeSeriesStore) -> None:
+    """One line identifying what the hot store holds: sha256 over each
+    table's name and content digest, in name order.  A durable
+    ``collect`` and a later ``recover`` of its directory print the same."""
+    sha = hashlib.sha256()
+    for name, digest in sorted(store.content_digests().items()):
+        sha.update(name.encode("utf-8"))
+        sha.update(digest.encode("utf-8"))
+    print(f"content digest: {sha.hexdigest()}")
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
@@ -49,7 +64,6 @@ def _cmd_collect(args: argparse.Namespace) -> int:
                            chaos_seed=args.chaos_seed,
                            data_dir=args.data_dir,
                            checkpoint_every=args.checkpoint_every,
-                           plan_cache=args.plan_cache,
                            retention_max_age=(
                                args.retention_hours * 3600.0
                                if args.retention_hours else None))
@@ -58,13 +72,10 @@ def _cmd_collect(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.plan_cache:
-        from .core.plan_cache import PlanCache
-        from .solver import STATS as solver_stats
-        cache_stats = PlanCache.shared().stats()
-        print(f"plan cache: {cache_stats['entries']} entries, "
-              f"{cache_stats['hits']} hits / {cache_stats['misses']} misses "
-              f"(solver calls this process: {solver_stats.total_calls})")
+    cache_stats = PlanCache.shared().stats()
+    print(f"plan cache: {cache_stats['entries']} entries, "
+          f"{cache_stats['hits']} hits / {cache_stats['misses']} misses "
+          f"(solver calls this process: {solver_stats.total_calls})")
     engine = service.archive.engine
     if engine is not None and engine.rounds_committed:
         print(f"recovered {engine.rounds_committed} committed round(s) "
@@ -125,10 +136,7 @@ def _cmd_collect(args: argparse.Namespace) -> int:
         print(f"lake diff: {archive.rows_merged} rows merged, "
               f"{archive.rows_ingested} ingested hot "
               f"({avoided} avoided, {ratio:.1f}x reduction)")
-    if args.output:
-        from .timeseries import dump_store
-        written = dump_store(service.archive.store, args.output)
-        print(f"snapshot written to {args.output}: {written}")
+    _print_content_digest(service.archive.store)
     service.close()
     return 0
 
@@ -172,10 +180,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
               f"round(s), {census['bytes']} bytes, {span}"
               + (f" ({ahead} uncommitted round(s) pending trim)"
                  if ahead else ""))
-    if args.output:
-        from .timeseries import dump_store
-        written = dump_store(state.store, args.output)
-        print(f"snapshot written to {args.output}: {written}")
+    _print_content_digest(state.store)
     if state.data_loss:
         print("note: an in-flight (uncommitted) round was discarded; "
               "every committed round is intact")
@@ -416,8 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="restrict to these instance types")
     collect.add_argument("--rounds", type=int, default=1)
     collect.add_argument("--interval-minutes", type=float, default=10.0)
-    collect.add_argument("--output", default=None,
-                         help="directory for an archive snapshot")
     collect.add_argument("--chaos-profile", default="none",
                          choices=sorted(CHAOS_PROFILES),
                          help="inject deterministic transient faults "
@@ -431,10 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     collect.add_argument("--checkpoint-every", type=int, default=4,
                          help="fold the WAL into segments every N rounds "
                               "(default 4; 0 = only at exit)")
-    collect.add_argument("--plan-cache", default=True,
-                         action=argparse.BooleanOptionalAction,
-                         help="reuse solved query packings across rounds "
-                              "and restarts (default on)")
     collect.add_argument("--retention-hours", type=float, default=None,
                          help="evict hot change points older than this; "
                               "with --data-dir they stay queryable cold")
@@ -445,9 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     recover_cmd.add_argument("--data-dir", required=True,
                              help="storage directory written by "
                                   "'collect --data-dir'")
-    recover_cmd.add_argument("--output", default=None,
-                             help="write a snapshot of the recovered "
-                                  "archive to this directory")
     recover_cmd.set_defaults(func=_cmd_recover)
 
     lake_cmd = sub.add_parser(

@@ -53,8 +53,10 @@ class RouteMetrics:
     _sample_stride: int = 1
     _sample_clock: int = 0
     # serving workers share route objects; counter updates take this
-    # (the registry nests it inside its own lock, always in that order)
-    _lock: threading.Lock = field(default_factory=threading.Lock,
+    # (the registry nests it inside its own lock, always in that order);
+    # the lambda looks ``threading.Lock`` up per instance, so a lock
+    # factory installed after import (the sanitizer's) applies
+    _lock: threading.Lock = field(default_factory=lambda: threading.Lock(),
                                   repr=False, compare=False)
 
     def observe(self, status: int, rows: int, latency_ms: float,
@@ -112,7 +114,8 @@ class TenantMetrics:
     rate_limited: int = 0
     shed: int = 0
     rows_served: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock,
+    # looked up per instance, as RouteMetrics._lock
+    _lock: threading.Lock = field(default_factory=lambda: threading.Lock(),
                                   repr=False, compare=False)
 
     def observe(self, status: int, rows: int) -> None:

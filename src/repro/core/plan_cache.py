@@ -54,7 +54,7 @@ def type_signature(itype: str, region_zones: Mapping[str, int],
 
 
 class PlanCache:
-    """Memoized query planner with optional on-disk persistence.
+    """Memoized query planner, optionally saved to and loaded from disk.
 
     Two cache layers compose:
 
@@ -74,7 +74,7 @@ class PlanCache:
         self.hits = 0
         self.misses = 0
         self._dirty = False
-        # reentrant: plan() and the persistence hooks may nest via the
+        # reentrant: plan() and the load/save hooks may nest via the
         # service's save-on-close path
         self._lock = threading.RLock()
 
@@ -137,7 +137,7 @@ class PlanCache:
         pair_bound = len(offering_map) * len(all_regions)
         return QueryPlan(queries, naive, algorithm, pair_bound)
 
-    # -- persistence ---------------------------------------------------------
+    # -- on disk -------------------------------------------------------------
 
     def save(self, path: str) -> None:
         """Write the per-type groups to ``path`` (atomic replace)."""

@@ -38,7 +38,7 @@ from .collectors import (
     SpsCollector,
 )
 from .plan_cache import PlanCache
-from .query_planner import QueryPlan, plan_for_offering_map
+from .query_planner import QueryPlan
 from .resilience import CircuitBreaker, ResilientExecutor, RetryPolicy
 from .frontend import ServingFrontend, Tenant
 from .scheduler import CollectionScheduler, DEFAULT_INTERVAL_SECONDS
@@ -84,9 +84,6 @@ class ServiceConfig:
     #: rounds run on the calling thread); kept only because
     #: ``benchmarks/e2e`` passes ``workers=2``.
     workers: int = 1
-    #: reuse solved query packings via the content-addressed plan cache
-    #: (in-memory always; persisted under ``data_dir`` when durable).
-    plan_cache: bool = True
     #: serving worker threads behind the admission-controlled frontend.
     frontend_workers: int = 4
 
@@ -181,15 +178,14 @@ class SpotLakeService:
         return str(Path(self.config.data_dir) / "plan-cache.json")
 
     def _build_plan(self, offering_map) -> QueryPlan:
-        """Build the packed plan, through the plan cache when enabled.
+        """Build the packed plan through the shared plan cache.
 
-        The cached and uncached constructions produce identical plans; the
-        cache only skips solver work.  With durable storage the cache also
-        round-trips through ``data_dir/plan-cache.json`` so a restarted
-        service replans without a single solver call.
+        The cache only skips solver work: its plans equal
+        :func:`~repro.core.query_planner.plan_for_offering_map`'s.  With
+        durable storage the cache also round-trips through
+        ``data_dir/plan-cache.json`` so a restarted service replans
+        without a single solver call.
         """
-        if not self.config.plan_cache:
-            return plan_for_offering_map(offering_map)
         cache = PlanCache.shared()
         path = self._plan_cache_path()
         if path is not None:

@@ -2,10 +2,11 @@
 
 spotlint's static rules catch the *patterns* that break determinism; this
 harness checks the *property* end to end: two ``SpotLakeService`` instances
-built from the same config must produce byte-identical archive snapshots
-(via ``timeseries.persistence``) after identical collection schedules.  Any
-divergence -- wall-clock leakage, unseeded draws, hash-order iteration
-reaching the archive -- shows up as a digest mismatch in the named table.
+built from the same config must hold identical archive content
+(``TimeSeriesStore.content_digests``) after identical collection
+schedules.  Any divergence -- wall-clock leakage, unseeded draws,
+hash-order iteration reaching the archive -- shows up as a digest
+mismatch in the named table.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.service import ServiceConfig, SpotLakeService
-from ..timeseries.persistence import dump_store
 
 #: Default instance-type slice: one type per paper category keeps a run
 #: under a second while exercising every engine.
@@ -103,7 +103,7 @@ class DoubleRunResult:
     def summary(self) -> str:
         if self.identical:
             tables = ", ".join(sorted(self.digests_a)) or "none"
-            return f"deterministic: identical snapshots ({tables})"
+            return f"deterministic: identical content ({tables})"
         return ("NONDETERMINISTIC: tables differ: "
                 + ", ".join(self.mismatched_tables))
 
@@ -112,13 +112,12 @@ def snapshot_digests(seed: int = 0,
                      instance_types: Optional[Sequence[str]] = DEFAULT_TYPES,
                      rounds: int = 2,
                      interval_minutes: float = 10.0,
-                     directory: Optional[Path] = None,
                      chaos_profile: str = "none",
                      chaos_seed: Optional[int] = None,
                      include_serving: bool = False) -> Dict[str, str]:
     """Run one fresh service for ``rounds`` collection rounds; hash tables.
 
-    Returns ``{table_name: sha256_of_snapshot_file}``.  The service, cloud
+    Returns ``{table_name: content sha256}``.  The service, cloud
     and account pool are constructed from scratch so no state leaks
     between invocations.  With a chaos profile, the injected fault
     schedule (and hence any gap records) must replay identically too.
@@ -136,22 +135,11 @@ def snapshot_digests(seed: int = 0,
         service.collect_once()
         service.cloud.clock.advance_minutes(interval_minutes)
     serving = serving_digest(service) if include_serving else None
+    digests = service.archive.store.content_digests()
     service.close()
-
-    owns_dir = directory is None
-    directory = Path(tempfile.mkdtemp(prefix="spotlint-doublerun-")) \
-        if directory is None else Path(directory)
-    try:
-        dump_store(service.archive.store, directory)
-        digests = {}
-        for path in sorted(directory.glob("*.jsonl")):
-            digests[path.stem] = hashlib.sha256(path.read_bytes()).hexdigest()
-        if serving is not None:
-            digests["serving"] = serving
-        return digests
-    finally:
-        if owns_dir:
-            shutil.rmtree(directory, ignore_errors=True)
+    if serving is not None:
+        digests["serving"] = serving
+    return digests
 
 
 def double_run(seed: int = 0,
@@ -161,7 +149,7 @@ def double_run(seed: int = 0,
                chaos_profile: str = "none",
                chaos_seed: Optional[int] = None,
                include_serving: bool = False) -> DoubleRunResult:
-    """Two independent seeded runs; byte-compare their archive snapshots."""
+    """Two independent seeded runs; compare their archive content."""
     digests_a = snapshot_digests(seed, instance_types, rounds,
                                  interval_minutes,
                                  chaos_profile=chaos_profile,
@@ -176,17 +164,6 @@ def double_run(seed: int = 0,
     return DoubleRunResult(identical=not mismatched,
                            digests_a=digests_a, digests_b=digests_b,
                            mismatched_tables=mismatched)
-
-
-def _store_digests(store) -> Dict[str, str]:
-    """``{table: sha256}`` of a store's snapshot files (empty store = {})."""
-    directory = Path(tempfile.mkdtemp(prefix="spotlake-durability-digest-"))
-    try:
-        dump_store(store, directory)
-        return {path.stem: hashlib.sha256(path.read_bytes()).hexdigest()
-                for path in sorted(directory.glob("*.jsonl"))}
-    finally:
-        shutil.rmtree(directory, ignore_errors=True)
 
 
 @dataclass
@@ -306,7 +283,7 @@ def durability_run(seed: int = 0,
             0: {"lake": reference.archive.lake.digest()}}
         for committed in range(1, rounds + 1):
             reference.collect_once()
-            ref[committed] = _store_digests(reference.archive.store)
+            ref[committed] = reference.archive.store.content_digests()
             ref[committed]["lake"] = reference.archive.lake.digest()
             reference.cloud.clock.advance_minutes(interval_minutes)
         reference.archive.close()
@@ -342,7 +319,7 @@ def durability_run(seed: int = 0,
             victim.archive.close()
 
             state = recover(crash_dir)
-            got = _store_digests(state.store)
+            got = state.store.content_digests()
             recovered_lake = SpotDataLake(crash_dir / LAKE_DIR_NAME)
             recovered_lake.trim_to(state.last_commit_time)
             got["lake"] = recovered_lake.digest()
@@ -356,7 +333,7 @@ def durability_run(seed: int = 0,
                 for _ in range(resumed_rounds):
                     resumed.collect_once()
                     resumed.cloud.clock.advance_minutes(interval_minutes)
-                final = _store_digests(resumed.archive.store)
+                final = resumed.archive.store.content_digests()
                 final["lake"] = resumed.archive.lake.digest()
                 resumed.archive.close()
                 mismatched.extend(f"resumed {table}" for table in

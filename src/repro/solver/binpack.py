@@ -40,7 +40,9 @@ class SolverStats:
     bnb_calls: int = 0
     #: guards the counters: spotconc's CONC003 holds a process
     #: singleton's writes to a lock whether or not a thread shares it
-    lock: threading.Lock = field(default_factory=threading.Lock,
+    #: (the lambda looks ``threading.Lock`` up per instance, so a lock
+    #: factory installed after import applies)
+    lock: threading.Lock = field(default_factory=lambda: threading.Lock(),
                                  repr=False, compare=False)
 
     @property

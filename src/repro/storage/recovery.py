@@ -17,8 +17,8 @@ Opening a data directory replays three layers, each validated:
 Because segment flushes capture exact series state (including
 ``observed_until`` / ``observation_count``) and the WAL tail replays the
 original record stream through the same ingestion code, the recovered
-store is byte-identical -- ``dump_store`` output and all -- to the state
-an uninterrupted process held at its last committed round.
+store holds exactly what an uninterrupted process held at its last
+committed round: its ``TimeSeriesStore.content_digests`` are equal.
 """
 
 from __future__ import annotations

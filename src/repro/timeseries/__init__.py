@@ -8,13 +8,6 @@ from .cache import CacheStats, QueryCache
 from .compression import ChangePointSeries, values_equal
 from .query import QuerySpec, group_aggregate, resample_matrix, run_query, update_intervals
 from .record import DimensionKey, Record, SeriesKey, Value, dimension_key
-from .persistence import (
-    dump_store,
-    dump_table,
-    load_store,
-    load_table,
-    load_table_with_policy,
-)
 from .store import RetentionPolicy, TimeSeriesStore
 from .table import Table, TableStats
 from .vector import (
@@ -35,8 +28,6 @@ __all__ = [
     "QuerySpec", "group_aggregate", "resample_matrix", "run_query", "update_intervals",
     "DimensionKey", "Record", "SeriesKey", "Value", "dimension_key",
     "RetentionPolicy", "TimeSeriesStore",
-    "dump_store", "dump_table", "load_store", "load_table",
-    "load_table_with_policy",
     "Table", "TableStats",
     "AGGREGATES", "AggResult", "AggSpec", "Partials", "TierColumns",
     "bucket_edges", "compute_partials", "finish_aggregates",

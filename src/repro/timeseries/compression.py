@@ -166,17 +166,8 @@ def pack_time_column(times: Sequence[float]) -> bytes:
     return b"F" + arr.tobytes()
 
 
-def unpack_time_column(blob: bytes) -> List[float]:
-    """Invert :func:`pack_time_column`; returns plain Python floats."""
-    return unpack_time_array(blob).tolist()
-
-
 def unpack_time_array(blob: bytes) -> np.ndarray:
-    """Invert :func:`pack_time_column` straight into a float64 array.
-
-    The array form is the analytics fast path: column decode without the
-    list materialization (and re-boxing) ``unpack_time_column`` pays.
-    """
+    """Invert :func:`pack_time_column` into a float64 array."""
     tag = blob[:1]
     try:
         dtype, delta = _TIME_TAGS[tag]
@@ -235,17 +226,6 @@ def pack_index_column(indices: Sequence[int]) -> bytes:
     if top < 1 << 16:
         return b"v" + arr.astype("<u2").tobytes()
     return b"w" + arr.astype("<u4").tobytes()
-
-
-def unpack_value_column(blob: bytes) -> Tuple[bool, list]:
-    """Invert a packed value column.
-
-    Returns ``(is_indices, items)``: raw columns come back as typed
-    Python scalars (floats or ints), index columns as plain ints the
-    caller resolves against its value dictionary.
-    """
-    is_indices, arr = unpack_value_array(blob)
-    return is_indices, arr.tolist()
 
 
 def unpack_value_array(blob: bytes) -> Tuple[bool, np.ndarray]:

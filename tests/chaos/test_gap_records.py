@@ -1,8 +1,5 @@
 """Gap-record archival: terminal failures leave explicit, queryable holes."""
 
-import tempfile
-from pathlib import Path
-
 from repro import AccountPool
 from repro.cloudsim import FaultInjector, FaultPlan, FaultWindow
 from repro.core import (
@@ -19,8 +16,6 @@ from repro.core import (
     SpsCollector,
     plan_for_catalog,
 )
-from repro.timeseries import dump_store
-
 from .conftest import build_tiny_cloud
 
 
@@ -68,9 +63,7 @@ class TestArchiveGapTable:
     def test_gaps_survive_snapshot_round_trip(self):
         archive = SpotLakeArchive()
         archive.put_gap("price", "sweep", "retries-exhausted", 2, 50.0)
-        with tempfile.TemporaryDirectory() as tmp:
-            dump_store(archive.store, tmp)
-            assert (Path(tmp) / "gaps.jsonl").exists()
+        assert GAPS_TABLE in archive.store.content_digests()
 
 
 class TestCollectorGaps:

@@ -10,17 +10,12 @@ default's bytes.
 """
 
 import dataclasses
-import hashlib
-import shutil
-import tempfile
-from pathlib import Path
 
 import pytest
 
 from repro import ServiceConfig, SpotLakeService
 from repro.core.collectors import CollectionReport
 from repro.core.plan_cache import PlanCache
-from repro.timeseries import dump_store
 
 from .serial_reference import use_serial_collector
 
@@ -28,7 +23,8 @@ TYPES = ["m5.large", "c5.xlarge", "p3.2xlarge", "i3.large", "t3.micro"]
 
 
 def _run_service(workers, chaos="none", rounds=3, seed=11):
-    """Collect ``rounds`` rounds; returns (digest, reports, quota map).
+    """Collect ``rounds`` rounds; returns (content digests, reports,
+    quota map).
 
     ``workers=None`` collects through the serial reference collector.
     """
@@ -47,16 +43,7 @@ def _run_service(workers, chaos="none", rounds=3, seed=11):
         now = service.cloud.clock.now()
         quotas = {account.name: account.unique_queries_used(now)
                   for account in service.accounts.accounts}
-        directory = Path(tempfile.mkdtemp(prefix="test-parallel-"))
-        try:
-            dump_store(service.archive.store, directory)
-            digest = hashlib.sha256()
-            for path in sorted(directory.glob("*.jsonl")):
-                digest.update(path.name.encode("utf-8"))
-                digest.update(path.read_bytes())
-            return digest.hexdigest(), reports, quotas
-        finally:
-            shutil.rmtree(directory, ignore_errors=True)
+        return service.archive.store.content_digests(), reports, quotas
     finally:
         service.close()
 

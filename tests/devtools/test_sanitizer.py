@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from repro.core.metrics import MetricsRegistry
+from repro.core.metrics import MetricsRegistry, RouteMetrics, TenantMetrics
 from repro.core.plan_cache import PlanCache
 from repro.devtools.sanitizer import (
     ConcurrencySanitizer,
@@ -33,6 +33,14 @@ class TestInstallation:
         with ConcurrencySanitizer():
             assert "__setattr__" in vars(MetricsRegistry)
         assert "__setattr__" not in vars(MetricsRegistry)
+
+    def test_dataclass_locks_are_tracked(self):
+        # a default_factory bound to threading.Lock at import would keep
+        # handing out untracked locks after install
+        with ConcurrencySanitizer():
+            assert isinstance(MetricsRegistry()._lock, TrackedLock)
+            assert isinstance(RouteMetrics()._lock, TrackedLock)
+            assert isinstance(TenantMetrics()._lock, TrackedLock)
 
     def test_leftover_tracked_lock_still_works_after_uninstall(self):
         with ConcurrencySanitizer():
@@ -182,15 +190,25 @@ class TestProbe:
         assert result.rules_run == ["SAN001", "SAN002"]
 
     def test_probe_sees_an_unguarded_frontend_write(self, monkeypatch):
-        """With the metrics registry's lock a no-op, every worker's
-        route-counter update is an unguarded off-owner write."""
+        """With the metrics registry's lock and each route's own lock
+        no-ops, every worker's route-counter update is an unguarded
+        off-owner write."""
         init = MetricsRegistry.__init__
+        route = MetricsRegistry.route
 
         def unlocked_init(registry, *args, **kwargs):
             init(registry, *args, **kwargs)
             registry._lock = contextlib.nullcontext()
 
+        def unlocked_route(registry, name):
+            metrics = route(registry, name)
+            # the probe's warm-up builds every route on its own thread
+            if not isinstance(metrics._lock, contextlib.nullcontext):
+                metrics._lock = contextlib.nullcontext()
+            return metrics
+
         monkeypatch.setattr(MetricsRegistry, "__init__", unlocked_init)
+        monkeypatch.setattr(MetricsRegistry, "route", unlocked_route)
         result = run_sanitized_probe(rounds=1)
         assert "SAN002" in {f.rule for f in result.findings}
         assert any("RouteMetrics" in f.message for f in result.findings)

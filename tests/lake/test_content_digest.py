@@ -2,10 +2,11 @@
 
 ``SpotDataLake.digest()`` hashes file bytes, so any change to the segment
 codec moves it.  The content digest hashes the decoded partitions
-instead, and ``dump_store`` renders the recovered hot tier row by row;
-``HOT_STORE_CONTENT`` hashes the same tables in memory through
-``TimeSeriesStore.content_digests``.  These constants were recorded once and must survive a new segment
-format unchanged -- the proof that the new files hold the same data.
+instead, and ``HOT_STORE_CONTENT`` hashes the recovered hot tier's
+tables through ``TimeSeriesStore.content_digests``, with the same
+per-series encoding.  Both constants were recorded once and must
+survive a new segment format unchanged -- the proof that the new files
+hold the same data.
 ``SEGMENT_FILES`` pins the bytes themselves, every ``.seg`` under the
 data directory (lake rounds, the compacted day file, hot segments): it
 holds across a rewrite of the encoder or of compaction that keeps the
@@ -19,7 +20,6 @@ from repro.cloudsim.clock import PAPER_WINDOW_START, SECONDS_PER_DAY
 from repro.core.service import ServiceConfig, SpotLakeService
 from repro.lake import LAKE_DIR_NAME, SpotDataLake
 from repro.storage import recover
-from repro.timeseries import dump_store
 
 SEED = 11
 TYPES = 16
@@ -29,18 +29,8 @@ INTERVAL_MINUTES = 180.0
 FIRST = PAPER_WINDOW_START + SECONDS_PER_DAY - 2 * INTERVAL_MINUTES * 60.0
 
 LAKE_CONTENT = "c985baf996e5e2c0933884f97c6c7222e39b45b50d6a32355befbf1bcecd3123"
-HOT_STORE = "6989ead1afd45a697f3c50619925a5d37d7300fc92e64b1cf1cede7e7156fd8d"
 HOT_STORE_CONTENT = "8d5c0912eea77008f12b776d3cbba4b13fb1cf3906f05d4feb1df81e0505aa8a"
 SEGMENT_FILES = "70e85e9136bf3da86e27dabca7ba36a1dd122c34600aea5c18303f5864dac1f5"
-
-
-def _store_digest(store, directory):
-    dump_store(store, directory)
-    sha = hashlib.sha256()
-    for path in sorted(directory.iterdir()):
-        sha.update(path.name.encode("utf-8"))
-        sha.update(path.read_bytes())
-    return sha.hexdigest()
 
 
 def _content_digest(store):
@@ -93,5 +83,4 @@ def test_lake_content_and_recovered_hot_store_are_pinned(tmp_path):
         reopened.close()
     state = recover(data)
     assert state.rounds_committed == ROUNDS
-    assert _store_digest(state.store, tmp_path / "dump") == HOT_STORE
     assert _content_digest(state.store) == HOT_STORE_CONTENT

@@ -24,8 +24,8 @@ from repro.timeseries.compression import (
     int_column_fits,
     pack_index_column,
     pack_time_column,
-    unpack_time_column,
-    unpack_value_column,
+    unpack_time_array,
+    unpack_value_array,
 )
 from repro.timeseries.record import SeriesKey
 
@@ -407,19 +407,19 @@ class TestColumnPrimitives:
         for d in deltas:
             t += d
             times.append(float(t))
-        assert unpack_time_column(pack_time_column(times)) == times
+        assert unpack_time_array(pack_time_column(times)).tolist() == times
 
     @given(st.lists(st.floats(min_value=0, max_value=1e12,
                               allow_nan=False), min_size=1, max_size=50))
     def test_arbitrary_float_times_round_trip(self, times):
         times = sorted(times)
-        assert unpack_time_column(pack_time_column(times)) == times
+        assert unpack_time_array(pack_time_column(times)).tolist() == times
 
     def test_fractional_times_fall_back_to_raw_floats(self):
         times = [0.1, 0.30000000000000004, 1e17 + 0.5]
         blob = pack_time_column(times)
         assert blob[:1] == b"F"
-        assert unpack_time_column(blob) == times
+        assert unpack_time_array(blob).tolist() == times
 
     def test_integral_deltas_pack_narrow(self):
         blob = pack_time_column([1000.0, 1300.0, 1600.0])
@@ -430,8 +430,8 @@ class TestColumnPrimitives:
                     max_size=50))
     def test_index_columns_round_trip_at_narrowest_width(self, indices):
         blob = pack_index_column(indices)
-        is_indices, got = unpack_value_column(blob)
-        assert is_indices and got == indices
+        is_indices, got = unpack_value_array(blob)
+        assert is_indices and got.tolist() == indices
         top = max(indices, default=0)
         assert blob[:1] == (b"u" if top < 256 else
                             b"v" if top < 65536 else b"w")
@@ -456,6 +456,6 @@ class TestColumnPrimitives:
 
     def test_unknown_tags_rejected(self):
         with pytest.raises(ValueError, match="tag"):
-            unpack_time_column(b"zjunk")
+            unpack_time_array(b"zjunk")
         with pytest.raises(ValueError, match="tag"):
-            unpack_value_column(b"zjunk")
+            unpack_value_array(b"zjunk")

@@ -1,7 +1,5 @@
 """StorageEngine end-to-end: log-then-apply, checkpoint, recover, restart."""
 
-import hashlib
-
 import pytest
 
 from repro.storage import StorageEngine, recover
@@ -11,21 +9,11 @@ from repro.timeseries import (
     RetentionPolicy,
     SeriesKey,
     TimeSeriesStore,
-    dump_store,
 )
 
 
-def digests(store, directory):
-    dump_store(store, directory)
-    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(directory.glob("*.jsonl"))}
-
-
-def assert_stores_identical(tmp_path, a, b):
-    dir_a = tmp_path / "digest-a"
-    dir_b = tmp_path / "digest-b"
-    dir_a.mkdir(), dir_b.mkdir()
-    assert digests(a, dir_a) == digests(b, dir_b)
+def assert_stores_identical(a, b):
+    assert a.content_digests() == b.content_digests()
 
 
 def build_engine(data_dir, **kwargs):
@@ -70,7 +58,7 @@ class TestRecoveryParity:
         state = recover(data)
         assert state.rounds_committed == 3
         assert not state.data_loss
-        assert_stores_identical(tmp_path, store, state.store)
+        assert_stores_identical(store, state.store)
 
     def test_checkpointed_recovery_is_byte_identical(self, tmp_path):
         data = tmp_path / "data"
@@ -80,7 +68,7 @@ class TestRecoveryParity:
         engine.close()
         state = recover(data)
         assert state.rounds_committed == 6
-        assert_stores_identical(tmp_path, store, state.store)
+        assert_stores_identical(store, state.store)
         # the checkpoints garbage-collected every superseded WAL file
         wal_files = [p.name for p in data.glob("wal-*.log")]
         assert wal_files == [wal_file_name(engine.manifest.next_wal_number)]
@@ -91,7 +79,7 @@ class TestRecoveryParity:
         create_table(engine, store, "t")
         run_rounds(engine, store, 4, checkpoint_every=3)
         engine.close()
-        assert_stores_identical(tmp_path, recover(data).store,
+        assert_stores_identical(recover(data).store,
                                 recover(data).store)
 
     def test_fresh_directory_recovers_empty(self, tmp_path):
@@ -110,7 +98,7 @@ class TestRecoveryParity:
         engine.close()
         state = recover(data)
         assert state.rounds_committed == 2
-        assert_stores_identical(tmp_path, reference.store, state.store)
+        assert_stores_identical(reference.store, state.store)
 
 
 class TestRetentionDurability:
@@ -136,7 +124,7 @@ class TestRetentionDurability:
         engine.commit_round(400.0)
         engine.close()
         state = recover(data)
-        assert_stores_identical(tmp_path, store, state.store)
+        assert_stores_identical(store, state.store)
 
     def test_eviction_survives_wal_garbage_collection(self, tmp_path):
         # evict, then checkpoint (GC's the evict op); evicted_through in
@@ -155,7 +143,7 @@ class TestRetentionDurability:
         assert engine.manifest.tables["t"].evicted_through == 150.0
         engine.close()
         state = recover(data)
-        assert_stores_identical(tmp_path, store, state.store)
+        assert_stores_identical(store, state.store)
 
 
 class TestRestart:
@@ -172,7 +160,7 @@ class TestRestart:
         engine2.close()
         state = recover(data)
         assert state.rounds_committed == 5
-        assert_stores_identical(tmp_path, store2, state.store)
+        assert_stores_identical(store2, state.store)
 
     def test_restart_preserves_records_written_counter(self, tmp_path):
         data = tmp_path / "data"
@@ -236,7 +224,7 @@ class TestEngineContract:
         assert len(manifest.tables["t"].segments) >= 1
         engine.close()
         state = recover(data)
-        assert_stores_identical(tmp_path, store, state.store)
+        assert_stores_identical(store, state.store)
 
     def test_checkpoint_rejects_uncommitted_batch(self, tmp_path):
         engine, store = build_engine(tmp_path / "data")
@@ -262,7 +250,7 @@ class TestEngineContract:
         assert engine.compaction_stats.merges > 0
         engine.close()
         state = recover(data)
-        assert_stores_identical(tmp_path, store, state.store)
+        assert_stores_identical(store, state.store)
 
     def test_stats_payload(self, tmp_path):
         engine, store = build_engine(tmp_path / "data")

@@ -10,6 +10,11 @@ from repro.cli import build_parser, main
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
+def content_digest_lines(out):
+    return [line for line in out.splitlines()
+            if line.startswith("content digest: ")]
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -28,13 +33,13 @@ class TestCommands:
         assert "packed queries" in out
         assert "9299" in out.replace(",", "")
 
-    def test_collect_restricted(self, capsys, tmp_path):
+    def test_collect_restricted(self, capsys):
         code = main(["collect", "--types", "m5.large", "c5.xlarge",
-                     "--rounds", "2", "--output", str(tmp_path / "snap")])
+                     "--rounds", "2"])
         assert code == 0
         out = capsys.readouterr().out
         assert "round 0" in out and "round 1" in out
-        assert (tmp_path / "snap" / "sps.jsonl").exists()
+        assert len(content_digest_lines(out)) == 1
 
     def test_collect_refuses_unknown_types(self, capsys):
         assert main(["collect", "--types", "m5.large", "nope.xlarge"]) == 2
@@ -73,16 +78,18 @@ class TestCommands:
         code = main(["collect", "--types", "m5.large", "--rounds", "1",
                      "--data-dir", data_dir])
         assert code == 0
-        assert "recovered 2 committed round(s)" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "recovered 2 committed round(s)" in out
+        collected = content_digest_lines(out)
 
-        snap = tmp_path / "snap"
-        code = main(["recover", "--data-dir", data_dir,
-                     "--output", str(snap)])
+        code = main(["recover", "--data-dir", data_dir])
         assert code == 0
         out = capsys.readouterr().out
         assert "3 committed round(s)" in out
         assert "sps:" in out and "retention keep-all" in out
-        assert (snap / "sps.jsonl").exists()
+        # recovery rebuilds exactly what the collecting process held
+        assert len(collected) == 1
+        assert content_digest_lines(out) == collected
 
     def test_recover_missing_directory_is_empty_not_error(self, capsys,
                                                           tmp_path):

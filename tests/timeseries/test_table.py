@@ -1,6 +1,6 @@
 """Tests for the dimensioned time-series table."""
 
-from repro.timeseries import Record, Table
+from repro.timeseries import ChangePointSeries, Record, Table
 
 
 def rec(value, t, it="m5.large", region="us-east-1", zone="a",
@@ -185,3 +185,44 @@ class TestGenerationStamps:
         table = Table("t")
         table.write(rec(3, 0))
         assert table.generation_stamp() == table.generation
+
+
+class TestInstallSeries:
+    """``install_series`` is how recovery loads segment state: the
+    installed table must count, serve and dedup like the written one."""
+
+    @staticmethod
+    def installed_copy(table):
+        copy = Table(table.name)
+        for key in table.series_keys():
+            series = table.series(key)
+            copy.install_series(key, ChangePointSeries(
+                times=list(series.times), values=list(series.values),
+                observed_until=series.observed_until,
+                observation_count=series.observation_count))
+        return copy
+
+    @staticmethod
+    def written():
+        table = Table("t")
+        table.write_records([rec(3, 0), rec(3, 10), rec(2, 20), rec(3, 30),
+                             rec(1, 5, it="c5.large", zone="b")])
+        return table
+
+    def test_rebuilds_stats_and_the_latest_view(self):
+        table = self.written()
+        copy = self.installed_copy(table)
+        assert copy.stats.series_count == table.stats.series_count == 2
+        assert copy.stats.change_points_stored == \
+            table.stats.change_points_stored == 4
+        assert copy.latest("sps") == table.latest("sps")
+        dims = {"it": "m5.large", "region": "us-east-1", "zone": "a"}
+        for t in (0, 15, 25, 35):
+            assert copy.value_at("sps", dims, t) == \
+                table.value_at("sps", dims, t)
+
+    def test_later_writes_dedup_against_installed_series(self):
+        copy = self.installed_copy(self.written())
+        assert not copy.write(rec(3, 40))  # 3 is already the latest value
+        assert copy.write(rec(2, 50))
+        assert copy.stats.change_points_stored == 5
