@@ -100,12 +100,19 @@ def _cmd_collect(args: argparse.Namespace) -> int:
                      f"breaker_trips={merged.breaker_trips}")
         print(line)
         service.cloud.clock.advance_minutes(args.interval_minutes)
-    # per-table ingest stats (the archive's stats() adds a "lake" summary
-    # key when durable; the store's view is tables only)
-    for table, stats in service.archive.store.stats().items():
+    # per-table ingest stats: the differ has already dropped unchanged
+    # rows, so a table only sees change points; the reduction is the
+    # "round diff:" line below
+    archive = service.archive
+    for table, stats in archive.store.stats().items():
         print(f"{table}: {stats['records_written']} written -> "
-              f"{stats['change_points_stored']} stored "
-              f"(dedup {stats['dedup_ratio']:.3f})")
+              f"{stats['change_points_stored']} stored")
+    avoided = archive.rows_merged - archive.rows_ingested
+    ratio = (archive.rows_merged / archive.rows_ingested
+             if archive.rows_ingested else 0.0)
+    print(f"round diff: {archive.rows_merged} rows merged, "
+          f"{archive.rows_ingested} ingested hot "
+          f"({avoided} avoided, {ratio:.1f}x reduction)")
     if service.chaos_enabled:
         for source, stats in sorted(service.resilience_stats().items()):
             print(f"resilience[{source}]: retries={stats['retries']} "
@@ -125,17 +132,10 @@ def _cmd_collect(args: argparse.Namespace) -> int:
               f"wal {stats['wal_bytes_written']}B, "
               f"segments {stats['live_segment_bytes']}B live "
               f"(amplification {stats['write_amplification']:.2f}x)")
-        census = service.archive.lake.census()
-        archive = service.archive
-        avoided = archive.rows_merged - archive.rows_ingested
-        ratio = (archive.rows_merged / archive.rows_ingested
-                 if archive.rows_ingested else 0.0)
+        census = archive.lake.census()
         print(f"lake: {census['partitions']} partition(s) over "
               f"{census['days']} day(s), {census['rounds']} round(s), "
               f"{census['bytes']}B cold")
-        print(f"lake diff: {archive.rows_merged} rows merged, "
-              f"{archive.rows_ingested} ingested hot "
-              f"({avoided} avoided, {ratio:.1f}x reduction)")
     _print_content_digest(service.archive.store)
     service.close()
     return 0
@@ -336,58 +336,20 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_code_list(raw, what):
-    """Validated comma-separated rule codes, or an error string."""
-    from .devtools import registered_codes
-
-    codes = [c.strip() for c in raw.split(",") if c.strip()]
-    unknown = sorted(set(codes) - set(registered_codes()))
-    if unknown:
-        return None, (f"unknown {what} code(s): {', '.join(unknown)} "
-                      f"(registered: {', '.join(registered_codes())})")
-    return codes, None
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
-    import dataclasses
-
-    from .devtools import (
-        ConfigError,
-        lint_paths,
-        load_config,
-        write_report,
-    )
-    from .devtools.config import find_pyproject
+    from .devtools import lint_paths, registered_codes, write_report
 
     codes = None
-    if args.rules:
-        codes, error = _parse_code_list(args.rules, "rule")
-        if error:
-            print(error, file=sys.stderr)
-            return 2
-
-    paths = args.paths or ["src/repro"]
-    pyproject = args.config or find_pyproject(paths[0])
-    try:
-        config = load_config(pyproject)
-    except (ConfigError, OSError) as exc:
-        print(f"bad spotlint config {pyproject}: {exc}", file=sys.stderr)
-        return 2
-    # --select / --ignore override the [tool.spotlint] config wholesale
     if args.select:
-        selected, error = _parse_code_list(args.select, "select")
-        if error:
-            print(error, file=sys.stderr)
+        codes = [c.strip() for c in args.select.split(",") if c.strip()]
+        unknown = sorted(set(codes) - set(registered_codes()))
+        if unknown:
+            print(f"unknown rule code(s): {', '.join(unknown)} "
+                  f"(registered: {', '.join(registered_codes())})",
+                  file=sys.stderr)
             return 2
-        config = dataclasses.replace(config, select=tuple(selected))
-    if args.ignore:
-        ignored, error = _parse_code_list(args.ignore, "ignore")
-        if error:
-            print(error, file=sys.stderr)
-            return 2
-        config = dataclasses.replace(config, ignore=tuple(ignored))
     try:
-        result = lint_paths(paths, config, codes)
+        result = lint_paths(args.paths or ["src/repro"], codes=codes)
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -503,20 +465,12 @@ def build_parser() -> argparse.ArgumentParser:
                       help="files or directories (default: src/repro)")
     lint.add_argument("--format", choices=("text", "json"), default="text")
     lint.add_argument("--select", default=None,
-                      help="comma-separated rule codes to enable, "
-                           "overriding [tool.spotlint] select")
-    lint.add_argument("--ignore", default=None,
-                      help="comma-separated rule codes to disable, "
-                           "overriding [tool.spotlint] ignore")
+                      help="comma-separated rule codes to run "
+                           "(default: all)")
     lint.add_argument("--sanitize", action="store_true",
                       help="also run a probe (frontend workers serving "
                            "while collection rounds commit) under the "
                            "runtime concurrency sanitizer (SAN001/SAN002)")
-    lint.add_argument("--rules", default=None,
-                      help="comma-separated rule codes (default: all)")
-    lint.add_argument("--config", default=None,
-                      help="pyproject.toml to read [tool.spotlint] from "
-                           "(default: nearest to the linted path)")
     lint.add_argument("--show-suppressed", action="store_true",
                       help="also list suppressed findings (text format)")
     lint.set_defaults(func=_cmd_lint)

@@ -20,14 +20,14 @@ executes a seeded collection round twice and byte-compares the archive
 snapshots.
 """
 
-from .config import ConfigError, LintConfig, config_from_table, load_config
+from .config import LintConfig
 from .engine import discover_files, lint_paths, lint_source
 from .findings import Finding, LintResult
 from .registry import FileContext, Rule, make_rules, registered_codes, rule
 from .reporters import render_json, render_text, write_report
 
 __all__ = [
-    "ConfigError", "LintConfig", "config_from_table", "load_config",
+    "LintConfig",
     "discover_files", "lint_paths", "lint_source",
     "Finding", "LintResult",
     "FileContext", "Rule", "make_rules", "registered_codes", "rule",

@@ -295,10 +295,6 @@ class CallGraph:
     def functions_in_module(self, module: str) -> List[FunctionInfo]:
         return [self.functions[q] for q in self._by_module.get(module, [])]
 
-    def function_for_node(self, node: ast.AST) -> Optional[FunctionInfo]:
-        qual = self._node_to_function.get(id(node))
-        return self.functions.get(qual) if qual else None
-
     def functions_matching(self, suffix: str) -> List[str]:
         """Qualnames ending with ``suffix`` as whole dotted segments."""
         dotted = f".{suffix}"
@@ -489,7 +485,7 @@ class CallGraph:
         """Local names in ``module`` bound to a watched global.
 
         Covers the module's own watched globals plus imported aliases of
-        other modules' watched globals; ``extra`` adds config-listed
+        other modules' watched globals; ``extra`` adds caller-listed
         dotted names ("pkg.mod.NAME").  Returns local name -> origin
         ("pkg.mod.NAME") for messages.
         """

@@ -1,30 +1,27 @@
-"""spotlint configuration, read from ``[tool.spotlint]`` in pyproject.toml.
+"""spotlint configuration: the one built-in copy of every lint setting.
 
-Three levels of control:
+* :data:`DEFAULT_CLOCKED_PACKAGES` -- the packages DET001/CLK001 patrol;
+* :data:`DEFAULT_LAYERING_DAG` and :data:`DEFAULT_SHARED_MODULES` -- the
+  package DAG LAY001 enforces;
+* :data:`DEFAULT_PER_PACKAGE_DISABLE` -- rules disabled for a whole
+  subpackage when the package's *design* makes the rule inapplicable
+  (for example ``multicloud`` adapters ARE each vendor's raw access
+  surface, so the quota-bypass rule does not apply there).
 
-* ``select`` -- the globally enabled rule codes (default: every registered
-  rule);
-* per-rule option tables (``[tool.spotlint.det001]`` etc.) -- knobs such as
-  which packages a rule patrols or the layering DAG;
-* ``[tool.spotlint.per-package]`` -- disable specific rules for a whole
-  subpackage when the package's *design* makes the rule inapplicable (for
-  example ``multicloud`` adapters ARE each vendor's raw access surface, so
-  the quota-bypass rule does not apply there).
-
-The defaults below mirror the shipped pyproject so the linter also works on
-a bare checkout of ``src/`` with no config file in sight.
+Rules are picked with ``repro lint --select`` (:func:`make_rules`);
+:class:`LintConfig` exists so tests can lint a fixture under a different
+DAG or package set.
 """
 
 from __future__ import annotations
 
-import tomllib
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Tuple
 
 #: Packages in which DET001/CLK001 require the simulation Clock instead of
 #: the host wall clock.
-DEFAULT_CLOCKED_PACKAGES: Tuple[str, ...] = ("cloudsim", "timeseries", "core")
+DEFAULT_CLOCKED_PACKAGES: Tuple[str, ...] = (
+    "cloudsim", "timeseries", "core", "storage", "lake")
 
 #: Top-level helper modules importable from every layer (they sit below the
 #: leaves and import nothing from the package tree themselves).
@@ -32,21 +29,26 @@ DEFAULT_SHARED_MODULES: Tuple[str, ...] = ("_util", "scoring")
 
 #: The package DAG from DESIGN.md's system inventory: each package maps to
 #: the packages it may import from.  ``cloudsim``, ``solver``, ``timeseries``
-#: and ``mlcore`` are leaves; ``core`` assembles them; analysis, experiments,
-#: apps and multicloud sit above core; devtools is the dev harness on top.
+#: and ``mlcore`` substitute external systems and are leaves; ``storage``
+#: and ``lake`` persist the store; ``core`` assembles them; analysis,
+#: experiments, apps and multicloud sit above core; devtools is the dev
+#: harness on top.
 DEFAULT_LAYERING_DAG: Dict[str, Tuple[str, ...]] = {
     "cloudsim": (),
     "solver": (),
     "timeseries": (),
     "mlcore": (),
-    "core": ("cloudsim", "solver", "timeseries", "mlcore"),
+    "storage": ("timeseries",),
+    "lake": ("timeseries", "storage"),
+    "core": ("cloudsim", "solver", "timeseries", "mlcore", "storage",
+             "lake"),
     "analysis": ("core", "cloudsim", "solver", "timeseries", "mlcore"),
     "experiments": ("analysis", "core", "cloudsim", "solver", "timeseries",
                     "mlcore"),
     "apps": ("analysis", "core", "cloudsim", "solver", "timeseries",
              "mlcore"),
     "multicloud": ("core", "cloudsim", "solver", "timeseries", "mlcore"),
-    "devtools": ("core", "cloudsim", "timeseries"),
+    "devtools": ("core", "cloudsim", "timeseries", "storage", "lake"),
 }
 
 DEFAULT_PER_PACKAGE_DISABLE: Dict[str, Tuple[str, ...]] = {
@@ -59,134 +61,15 @@ DEFAULT_PER_PACKAGE_DISABLE: Dict[str, Tuple[str, ...]] = {
 
 @dataclass(frozen=True)
 class LintConfig:
-    """Resolved spotlint configuration."""
+    """The settings the rules read (defaults: the shipped ones above)."""
 
-    select: Optional[Tuple[str, ...]] = None
-    ignore: Tuple[str, ...] = ()
     clocked_packages: Tuple[str, ...] = DEFAULT_CLOCKED_PACKAGES
     shared_modules: Tuple[str, ...] = DEFAULT_SHARED_MODULES
     layering_dag: Mapping[str, Tuple[str, ...]] = field(
         default_factory=lambda: dict(DEFAULT_LAYERING_DAG))
     per_package_disable: Mapping[str, Tuple[str, ...]] = field(
         default_factory=lambda: dict(DEFAULT_PER_PACKAGE_DISABLE))
-    rule_options: Mapping[str, Mapping[str, object]] = field(
-        default_factory=dict)
 
     def rule_enabled(self, code: str, package: str = "") -> bool:
-        """Is ``code`` active globally and for ``package``?"""
-        if self.select is not None and code not in self.select:
-            return False
-        if code in self.ignore:
-            return False
-        disabled = self.per_package_disable.get(package, ())
-        return code not in disabled
-
-    def disabled_for_package(self, package: str) -> FrozenSet[str]:
-        return frozenset(self.per_package_disable.get(package, ()))
-
-
-class ConfigError(ValueError):
-    """Raised when [tool.spotlint] is present but malformed."""
-
-
-def _str_tuple(value: object, where: str) -> Tuple[str, ...]:
-    if not isinstance(value, (list, tuple)) or not all(
-            isinstance(v, str) for v in value):
-        raise ConfigError(f"{where} must be a list of strings, got {value!r}")
-    return tuple(value)
-
-
-def load_config(pyproject: Union[str, Path, None] = None) -> LintConfig:
-    """Load spotlint configuration from a pyproject.toml.
-
-    Missing file or missing ``[tool.spotlint]`` table -> built-in defaults.
-    A present-but-malformed table raises :class:`ConfigError` so broken
-    config never silently reverts to defaults.
-    """
-    if pyproject is None:
-        return LintConfig()
-    path = Path(pyproject)
-    if not path.exists():
-        return LintConfig()
-    with path.open("rb") as fh:
-        data = tomllib.load(fh)
-    table = data.get("tool", {}).get("spotlint")
-    if table is None:
-        return LintConfig()
-    return config_from_table(table)
-
-
-def config_from_table(table: Mapping[str, object]) -> LintConfig:
-    """Build a :class:`LintConfig` from a parsed ``[tool.spotlint]`` table."""
-    if not isinstance(table, Mapping):
-        raise ConfigError("[tool.spotlint] must be a table")
-
-    select: Optional[Tuple[str, ...]] = None
-    if "select" in table:
-        select = _str_tuple(table["select"], "tool.spotlint.select")
-
-    ignore: Tuple[str, ...] = ()
-    if "ignore" in table:
-        ignore = _str_tuple(table["ignore"], "tool.spotlint.ignore")
-
-    clocked = DEFAULT_CLOCKED_PACKAGES
-    det_table = table.get("det001", {})
-    if not isinstance(det_table, Mapping):
-        raise ConfigError("[tool.spotlint.det001] must be a table")
-    if "packages" in det_table:
-        clocked = _str_tuple(det_table["packages"],
-                             "tool.spotlint.det001.packages")
-
-    shared = DEFAULT_SHARED_MODULES
-    dag: Dict[str, Tuple[str, ...]] = dict(DEFAULT_LAYERING_DAG)
-    layering = table.get("layering", {})
-    if not isinstance(layering, Mapping):
-        raise ConfigError("[tool.spotlint.layering] must be a table")
-    if "shared" in layering:
-        shared = _str_tuple(layering["shared"],
-                            "tool.spotlint.layering.shared")
-    if "dag" in layering:
-        raw_dag = layering["dag"]
-        if not isinstance(raw_dag, Mapping):
-            raise ConfigError("[tool.spotlint.layering.dag] must be a table")
-        dag = {
-            str(pkg): _str_tuple(allowed,
-                                 f"tool.spotlint.layering.dag.{pkg}")
-            for pkg, allowed in raw_dag.items()
-        }
-
-    per_package: Dict[str, Tuple[str, ...]] = dict(DEFAULT_PER_PACKAGE_DISABLE)
-    raw_pp = table.get("per-package", None)
-    if raw_pp is not None:
-        if not isinstance(raw_pp, Mapping):
-            raise ConfigError("[tool.spotlint.per-package] must be a table")
-        per_package = {}
-        for pkg, entry in raw_pp.items():
-            if isinstance(entry, Mapping):
-                codes = entry.get("disable", ())
-            else:
-                codes = entry
-            per_package[str(pkg)] = _str_tuple(
-                codes, f"tool.spotlint.per-package.{pkg}")
-
-    options = {
-        key: value for key, value in table.items()
-        if isinstance(value, Mapping)
-        and key not in ("layering", "per-package")
-    }
-    return LintConfig(select=select, ignore=ignore,
-                      clocked_packages=clocked,
-                      shared_modules=shared, layering_dag=dag,
-                      per_package_disable=per_package, rule_options=options)
-
-
-def find_pyproject(start: Union[str, Path]) -> Optional[Path]:
-    """The nearest pyproject.toml at or above ``start``."""
-    here = Path(start).resolve()
-    if here.is_file():
-        here = here.parent
-    for candidate in (here, *here.parents):
-        pyproject = candidate / "pyproject.toml"
-        if pyproject.exists():
-            return pyproject
-    return None
+        """Is ``code`` active for ``package``?"""
+        return code not in self.per_package_disable.get(package, ())

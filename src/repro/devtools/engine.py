@@ -11,8 +11,8 @@ Linting is a two-pass pipeline since spotconc:
 
 Usage::
 
-    from repro.devtools import lint_paths, load_config
-    result = lint_paths(["src/repro"], load_config("pyproject.toml"))
+    from repro.devtools import lint_paths
+    result = lint_paths(["src/repro"])
     for finding in result.findings:
         print(finding.location(), finding.message)
 """
@@ -66,17 +66,6 @@ class _ParsedFile:
     lines: List[str]
 
 
-def _enabled_codes(rules: Sequence[Rule],
-                   config: LintConfig) -> List[str]:
-    """The codes that can actually fire under ``config`` (select/ignore).
-
-    ``rules_run`` must not claim a rule ran when ``--select``/``--ignore``
-    kept it from ever being dispatched; per-package disables still count
-    as "ran" because they apply to a subset of files only.
-    """
-    return [r.code for r in rules if config.rule_enabled(r.code)]
-
-
 def lint_source(source: str, *, path: str = "<string>",
                 module: str = "module", package: str = "",
                 config: Optional[LintConfig] = None,
@@ -87,7 +76,7 @@ def lint_source(source: str, *, path: str = "<string>",
     """
     config = config or LintConfig()
     rules = list(rules) if rules is not None else make_rules()
-    result = LintResult(rules_run=_enabled_codes(rules, config))
+    result = LintResult(rules_run=[r.code for r in rules])
     parsed = _parse_one(source, path, module, package, result)
     project = CallGraph.build(
         [(f.path, f.module, f.package, f.tree) for f in ([parsed] if parsed
@@ -105,7 +94,7 @@ def lint_paths(paths: Iterable[Union[str, Path]],
     """Lint every ``.py`` file under the given files/directories."""
     config = config or LintConfig()
     rules = make_rules(codes)
-    result = LintResult(rules_run=_enabled_codes(rules, config))
+    result = LintResult(rules_run=[r.code for r in rules])
     parsed_files: List[_ParsedFile] = []
     for file_path in discover_files(paths):
         module, package = module_identity(file_path)

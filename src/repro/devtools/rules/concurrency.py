@@ -289,9 +289,7 @@ class GlobalGuardRule(Rule):
         graph = ctx.project
         if graph is None:
             return
-        options = ctx.config.rule_options.get("conc003", {})
-        extra = tuple(options.get("globals", ()))
-        watched = graph.watched_names_for(ctx.module, extra=extra)
+        watched = graph.watched_names_for(ctx.module)
         module_info = graph.modules.get(ctx.module)
         class_names = module_info.class_names if module_info else set()
         aliases = module_info.aliases if module_info else {}

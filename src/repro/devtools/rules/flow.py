@@ -18,7 +18,7 @@ what fires.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator, Tuple
 
 from ..astutil import chain_suffix_matches
 from ..findings import Finding
@@ -35,12 +35,15 @@ APPLY_SUFFIXES: Tuple[Tuple[str, ...], ...] = (
 #: WAL logging methods that establish the gate.
 WAL_GATES = frozenset({"log_points", "log_create_table", "log_eviction"})
 
+#: Packages whose collection code must log before it applies.
+PACKAGES: Tuple[str, ...] = ("core",)
+
 #: Qualname suffixes marking collection-side entry points.  The archive's
 #: ``append`` is named explicitly: the call graph never resolves a bare
 #: ``.append(`` (a builtin-collection method name) through a receiver.
 #: It only buffers rows; ``commit_round`` applies them, and is named too
 #: because a scheduler tick reaches it through an unresolvable callback.
-DEFAULT_ENTRIES: Tuple[str, ...] = (
+ENTRIES: Tuple[str, ...] = (
     "collect", "collect_once", "run_sps_round", "SpotLakeArchive.append",
     "SpotLakeArchive.commit_round",
 )
@@ -54,18 +57,13 @@ class LogThenApplyRule(Rule):
                    "preceding WAL logging call")
 
     def applies_to(self, ctx: FileContext) -> bool:
-        options = ctx.config.rule_options.get("flow001", {})
-        packages = tuple(options.get("packages", ("core",)))
-        return ctx.package in packages
+        return ctx.package in PACKAGES
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         graph = ctx.project
         if graph is None:
             return
-        options = ctx.config.rule_options.get("flow001", {})
-        entry_suffixes: Sequence[str] = tuple(
-            options.get("entries", DEFAULT_ENTRIES))
-        entries = [qual for suffix in entry_suffixes
+        entries = [qual for suffix in ENTRIES
                    for qual in graph.functions_matching(suffix)]
         reachable = graph.reachable(entries)
         for fn in graph.functions_in_module(ctx.module):

@@ -29,7 +29,7 @@ class LayeringRule(Rule):
     code = "LAY001"
     name = "layering"
     description = ("cross-package import violating the declared package "
-                   "DAG (see [tool.spotlint.layering.dag])")
+                   "DAG (devtools.config.DEFAULT_LAYERING_DAG)")
 
     def applies_to(self, ctx: FileContext) -> bool:
         # Top-level modules (cli, _util, scoring, __init__) are the
@@ -42,7 +42,7 @@ class LayeringRule(Rule):
             yield ctx.finding(
                 self, ctx.tree,
                 f"package {ctx.package!r} is not declared in the layering "
-                "DAG; add it to [tool.spotlint.layering.dag]")
+                "DAG; add it to devtools.config.DEFAULT_LAYERING_DAG")
             return
         allowed = set(dag[ctx.package]) | {ctx.package}
         for node in ast.walk(ctx.tree):

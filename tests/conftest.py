@@ -73,9 +73,9 @@ def conc_sanitizer():
 def _spotconc_autosanitize():
     """Whole-suite sanitizer sweep, gated on SPOTCONC_SANITIZE=1.
 
-    The CI ``conc``, ``frontend``, ``lake`` and ``analytics`` jobs run
-    their suites with the sanitizer wrapped around every test; local
-    runs pay nothing.
+    CI's ``test`` job runs tier-1 once with the sanitizer wrapped around
+    every test; local runs pay nothing unless they set the variable.  A
+    module that installs sanitizers of its own overrides this fixture.
     """
     import os
 

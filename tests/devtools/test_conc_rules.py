@@ -3,14 +3,11 @@
 import textwrap
 
 from repro.devtools import lint_source, make_rules
-from repro.devtools.config import LintConfig
 
 
-def lint(source, codes, module="repro.core.snippet", package="core",
-         config=None):
+def lint(source, codes, module="repro.core.snippet", package="core"):
     return lint_source(textwrap.dedent(source), module=module,
-                       package=package, config=config,
-                       rules=make_rules(codes))
+                       package=package, rules=make_rules(codes))
 
 
 class TestConc001SharedWrite:
@@ -195,17 +192,6 @@ class TestConc003GlobalGuard:
                 CACHE[key] = value
             """, ["CONC003"])
         assert result.findings == []
-
-    def test_config_extra_globals(self):
-        config = LintConfig(rule_options={
-            "conc003": {"globals": ["repro.core.snippet.registry"]}})
-        result = lint("""
-            registry = {}
-
-            def register(key, value):
-                registry[key] = value
-            """, ["CONC003"], config=config)
-        assert [f.rule for f in result.findings] == ["CONC003"]
 
 
 class TestFlow001LogThenApply:

@@ -1,101 +1,12 @@
-"""Config loader: pyproject parsing, defaults, per-package tables."""
+"""LintConfig: the built-in settings and the per-package disables."""
 
 import textwrap
 
-import pytest
-
-from repro.devtools import ConfigError, LintConfig, config_from_table, load_config
+from repro.devtools import LintConfig, lint_source, make_rules
 from repro.devtools.config import (
     DEFAULT_CLOCKED_PACKAGES,
     DEFAULT_LAYERING_DAG,
-    find_pyproject,
 )
-
-
-def write_pyproject(tmp_path, body):
-    path = tmp_path / "pyproject.toml"
-    path.write_text(textwrap.dedent(body), encoding="utf-8")
-    return path
-
-
-class TestLoadConfig:
-    def test_missing_file_gives_defaults(self, tmp_path):
-        config = load_config(tmp_path / "nope.toml")
-        assert config.select is None
-        assert config.clocked_packages == DEFAULT_CLOCKED_PACKAGES
-        assert dict(config.layering_dag) == DEFAULT_LAYERING_DAG
-
-    def test_missing_table_gives_defaults(self, tmp_path):
-        path = write_pyproject(tmp_path, """
-            [project]
-            name = "something"
-            """)
-        config = load_config(path)
-        assert config.select is None
-        assert config.rule_enabled("QUO001", "core")
-        # shipped default: multicloud adapters are the vendor surface
-        assert not config.rule_enabled("QUO001", "multicloud")
-
-    def test_full_table(self, tmp_path):
-        path = write_pyproject(tmp_path, """
-            [tool.spotlint]
-            select = ["DET001", "LAY001"]
-
-            [tool.spotlint.det001]
-            packages = ["cloudsim"]
-
-            [tool.spotlint.layering]
-            shared = ["_util"]
-
-            [tool.spotlint.layering.dag]
-            cloudsim = []
-            core = ["cloudsim"]
-
-            [tool.spotlint.per-package]
-            core = { disable = ["DET001"] }
-            """)
-        config = load_config(path)
-        assert config.select == ("DET001", "LAY001")
-        assert config.clocked_packages == ("cloudsim",)
-        assert config.shared_modules == ("_util",)
-        assert dict(config.layering_dag) == {"cloudsim": (),
-                                             "core": ("cloudsim",)}
-        assert config.rule_enabled("DET001", "cloudsim")
-        assert not config.rule_enabled("DET001", "core")
-        assert not config.rule_enabled("QUO001", "anywhere")  # not selected
-
-    def test_malformed_select_raises(self, tmp_path):
-        path = write_pyproject(tmp_path, """
-            [tool.spotlint]
-            select = 5
-            """)
-        with pytest.raises(ConfigError):
-            load_config(path)
-
-    def test_malformed_dag_raises(self):
-        with pytest.raises(ConfigError):
-            config_from_table({"layering": {"dag": {"core": "cloudsim"}}})
-
-    def test_per_package_bare_list_form(self):
-        config = config_from_table(
-            {"per-package": {"apps": ["QUO001", "DET003"]}})
-        assert config.disabled_for_package("apps") == {"QUO001", "DET003"}
-
-
-class TestFindPyproject:
-    def test_walks_up_from_nested_dir(self, tmp_path):
-        path = write_pyproject(tmp_path, "[tool.spotlint]\n")
-        nested = tmp_path / "src" / "repro"
-        nested.mkdir(parents=True)
-        assert find_pyproject(nested) == path
-
-    def test_none_when_absent(self, tmp_path):
-        deep = tmp_path / "a" / "b"
-        deep.mkdir(parents=True)
-        found = find_pyproject(deep)
-        # may discover an unrelated pyproject above tmp_path, but never
-        # one inside the empty tree
-        assert found is None or tmp_path not in found.parents
 
 
 class TestLintConfigApi:
@@ -104,7 +15,31 @@ class TestLintConfigApi:
         assert config.rule_enabled("DET001", "cloudsim")
         assert config.rule_enabled("ANYTHING", "core")
 
+    def test_defaults_are_the_built_in_settings(self):
+        config = LintConfig()
+        assert config.clocked_packages == DEFAULT_CLOCKED_PACKAGES
+        assert dict(config.layering_dag) == DEFAULT_LAYERING_DAG
+        # the persistence layers are clocked and layered like the rest
+        assert {"storage", "lake"} <= set(config.clocked_packages)
+        assert DEFAULT_LAYERING_DAG["lake"] == ("timeseries", "storage")
+
+    def test_multicloud_is_exempt_from_quo001(self):
+        config = LintConfig()
+        assert config.rule_enabled("QUO001", "core")
+        # multicloud adapters are each vendor's raw dataset surface
+        assert not config.rule_enabled("QUO001", "multicloud")
+
     def test_select_narrows_globally(self):
-        config = LintConfig(select=("DET002",))
-        assert config.rule_enabled("DET002", "core")
-        assert not config.rule_enabled("DET001", "core")
+        source = textwrap.dedent("""
+            import random
+            import time
+
+            def stamp():
+                return time.time(), random.random()
+            """)
+        full = lint_source(source, module="repro.core.x", package="core")
+        assert {f.rule for f in full.findings} == {"DET001", "DET002"}
+        narrowed = lint_source(source, module="repro.core.x", package="core",
+                               rules=make_rules(["DET002"]))
+        assert narrowed.rules_run == ["DET002"]
+        assert [f.rule for f in narrowed.findings] == ["DET002"]

@@ -3,27 +3,28 @@
 This is the test the whole subsystem exists for -- any wall-clock leak,
 unseeded draw, quota bypass or layering violation introduced by a future
 PR fails the suite here, with the offending file:line in the report.
+Every check runs on the built-in configuration (``LintConfig()``); no
+file beside the tree configures the linter.
 """
 
 from pathlib import Path
 
-from repro.devtools import lint_paths, load_config, registered_codes
+from repro.devtools import LintConfig, lint_paths, registered_codes
 from repro.devtools.reporters import render_text
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src" / "repro"
-PYPROJECT = REPO_ROOT / "pyproject.toml"
 
 
 def test_src_tree_is_spotlint_clean():
     assert SRC.is_dir(), f"missing source tree {SRC}"
-    result = lint_paths([SRC], load_config(PYPROJECT))
+    result = lint_paths([SRC], LintConfig())
     assert result.files_checked > 50
     assert result.clean, "\n" + render_text(result)
 
 
 def test_every_shipped_rule_ran():
-    result = lint_paths([SRC / "cli.py"], load_config(PYPROJECT))
+    result = lint_paths([SRC / "cli.py"], LintConfig())
     assert set(result.rules_run) == set(registered_codes())
     assert len(result.rules_run) >= 6
     # the spotconc interprocedural rules patrol the whole tree
@@ -39,7 +40,7 @@ def test_layering_dag_matches_design_inventory():
     ("not declared"), and a stale DAG entry would silently allow imports
     from a package that no longer exists.
     """
-    config = load_config(PYPROJECT)
+    config = LintConfig()
     on_disk = {p.name for p in SRC.iterdir()
                if p.is_dir() and (p / "__init__.py").exists()}
     assert set(config.layering_dag) == on_disk

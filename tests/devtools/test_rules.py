@@ -2,6 +2,8 @@
 
 import textwrap
 
+import pytest
+
 from repro.devtools import LintConfig, lint_source, make_rules
 
 
@@ -38,6 +40,17 @@ class TestDET001WallClock:
             def stamp():
                 return datetime.now().timestamp()
             """, package="timeseries", codes=["DET001"])
+        assert codes_of(result) == ["DET001"]
+
+    @pytest.mark.parametrize("package", ["storage", "lake"])
+    def test_positive_in_the_persistence_packages(self, package):
+        # the built-in config patrols the WAL / segment and lake layers
+        result = lint("""
+            import time
+
+            def stamp():
+                return time.monotonic()
+            """, package=package, codes=["DET001"])
         assert codes_of(result) == ["DET001"]
 
     def test_negative_sim_clock_and_conversions(self):

@@ -14,6 +14,16 @@ from repro.devtools.sanitizer import (
 )
 
 
+@pytest.fixture(autouse=True)
+def _spotconc_autosanitize():
+    """Opt this module out of the suite-wide SPOTCONC_SANITIZE=1 sweep.
+
+    These tests install sanitizers of their own and make deliberately
+    unguarded writes; a second, suite-wide sanitizer would report them.
+    """
+    yield
+
+
 def run_thread(fn):
     thread = threading.Thread(target=fn)
     thread.start()

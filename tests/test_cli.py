@@ -41,6 +41,16 @@ class TestCommands:
         assert "round 0" in out and "round 1" in out
         assert len(content_digest_lines(out)) == 1
 
+    def test_collect_reports_the_round_diff_in_memory(self, capsys):
+        assert main(["collect", "--types", "m5.large", "c5.xlarge",
+                     "--rounds", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        diff = [line for line in lines if line.startswith("round diff: ")]
+        assert len(diff) == 1
+        assert "rows merged" in diff[0] and "x reduction" in diff[0]
+        # a table sees only the differ's change points: no dedup ratio
+        assert not [line for line in lines if "dedup" in line]
+
     def test_collect_refuses_unknown_types(self, capsys):
         assert main(["collect", "--types", "m5.large", "nope.xlarge"]) == 2
         assert "unknown instance type(s): nope.xlarge" in \
@@ -231,15 +241,15 @@ class TestLintCommand:
         assert payload["findings"][0]["rule"] == "DET002"
 
     def test_rules_filter(self, dirty_file, capsys):
-        # only DET003 requested -> the DET002 violation is out of scope
-        assert main(["lint", str(dirty_file), "--rules", "DET003"]) == 0
+        # only DET003 selected -> the DET002 violation is out of scope
+        assert main(["lint", str(dirty_file), "--select", "DET003"]) == 0
         payload_ok = capsys.readouterr().out
         assert "spotlint: clean" in payload_ok
         assert main(["lint", str(dirty_file),
-                     "--rules", "DET002,DET003"]) == 1
+                     "--select", "DET002,DET003"]) == 1
 
     def test_unknown_rule_is_usage_error(self, dirty_file, capsys):
-        assert main(["lint", str(dirty_file), "--rules", "NOPE99"]) == 2
+        assert main(["lint", str(dirty_file), "--select", "NOPE99"]) == 2
         assert "unknown rule code" in capsys.readouterr().err
 
     def test_missing_path_is_usage_error(self, tmp_path, capsys):
