@@ -2,10 +2,15 @@
 
 The real SpotLake exposes its archive through API Gateway, which
 multiplexes many tenants onto the Lambda fleet and throttles them with
-per-key usage plans.  This module reproduces that front half (ROADMAP
-item 1): a :class:`ServingFrontend` owns a worker pool that drains a
-bounded admission queue into the single-dispatch
-:class:`~.serving.ApiGateway`, with three admission gates in front of it:
+per-key usage plans.  This module reproduces that front half: a
+:class:`ServingFrontend` bounds how many requests are inside the
+single-dispatch :class:`~.serving.ApiGateway` at once (``workers``).  A
+synchronous :meth:`~ServingFrontend.request` runs on its caller's thread
+within that bound, as a Lambda invocation serves the request that
+started it; async :meth:`~ServingFrontend.submit` calls, and sync
+requests that find no free slot or a non-empty queue, wait in a bounded
+admission queue that a worker pool drains.  Three admission gates stand
+in front of both paths:
 
 1. **authentication** -- requests carry an API key; unknown keys are
    401s and never touch a handler;
@@ -37,11 +42,12 @@ how other tenants' requests interleave.  Queue-occupancy shedding is the
 one gate outside this envelope (it depends on drain speed); tests pin it
 by filling the queue before :meth:`ServingFrontend.start`.
 
-Thread-safety: the queue, the shed state machine, and the frontend
-counters serialize on ``_admission_lock``; per-tenant throttle state on
-the tenant's lock; everything downstream (cache, tables, metrics) on the
-locks audited in their own modules.  The suite under ``tests/serving/``
-runs with ``SPOTCONC_SANITIZE=1`` to keep that claim honest.
+Thread-safety: the queue, the slot count, the shed state machine, and
+the frontend counters serialize on ``_admission_lock``; per-tenant
+throttle state on the tenant's lock; everything downstream (cache,
+tables, metrics) on the locks audited in their own modules.  The suite
+under ``tests/serving/`` runs with ``SPOTCONC_SANITIZE=1`` to keep that
+claim honest.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
 
 from .metrics import MetricsRegistry
 from .serving import ApiGateway, Response
@@ -275,10 +281,12 @@ class ServingFrontend:
         for tenant in tenants:
             self.add_tenant(tenant)
         self._known_routes = frozenset(gateway.routes())
-        # queue + shed state machine + counters all serialize on this
-        # condition (its name keeps the guard visible to spotconc)
+        # queue + slot count + shed state machine + counters all serialize
+        # on this condition (its name keeps the guard visible to spotconc)
         self._admission_lock = threading.Condition()
-        self._queue: Deque[Tuple[FrontendTicket, Tenant, str]] = deque()
+        self._queue: Deque[Tuple[FrontendTicket, Tenant]] = deque()
+        # requests inside ``gateway.get``, on workers and callers alike
+        self._executing = 0
         self._state = ACCEPTING
         self._shed_until = 0.0
         self._stopping = False
@@ -345,25 +353,61 @@ class ServingFrontend:
         timestamp; it drives every throttle decision (see the module
         docstring's determinism contract).
         """
-        ticket = FrontendTicket(path, dict(params or {}))
+        outcome = self._admit(api_key, path, params, arrival_time,
+                              inline=False)
+        if isinstance(outcome, Response):
+            ticket = FrontendTicket(path, dict(params or {}))
+            ticket.resolve(outcome)
+            return ticket
+        return outcome
+
+    def request(self, api_key: str, path: str,
+                params: Optional[Dict[str, str]] = None,
+                arrival_time: float = 0.0,
+                timeout: Optional[float] = 30.0) -> Response:
+        """Synchronous request: served on the calling thread when it can be.
+
+        The same gates as :meth:`submit`.  An admitted request runs here,
+        with no ticket and no hand-off, when the pool is started, nothing
+        is queued ahead of it and a ``workers`` slot is free; otherwise it
+        queues like a submit and waits up to ``timeout`` for a worker.
+        """
+        outcome = self._admit(api_key, path, params, arrival_time,
+                              inline=True)
+        if isinstance(outcome, Tenant):
+            return self._serve(path, params, outcome)
+        if isinstance(outcome, Response):
+            return outcome
+        return outcome.result(timeout)
+
+    def _admit(self, api_key: str, path: str,
+               params: Optional[Dict[str, str]], arrival_time: float,
+               inline: bool) -> Union[Response, FrontendTicket, Tenant]:
+        """The three gates (401 / 429 / 503), then a slot or the queue.
+
+        Returns the rejection :class:`Response`, the queued ticket, or --
+        only when ``inline`` and a slot could be taken at once -- the
+        admitted tenant, whose request the caller must now :meth:`_serve`.
+        """
         route = path if path in self._known_routes else "<unknown>"
-        with self._admission_lock:
-            self.stats.submitted += 1
         tenant = self._tenants.get(api_key)
         if tenant is None:
             with self._admission_lock:
+                self.stats.submitted += 1
                 self.stats.unauthorized += 1
-            return self._reject(ticket, route, None, 401,
+            return self._reject(route, None, 401,
                                 {"error": "unknown or missing api key"})
         admitted, retry_after = tenant.admit(arrival_time)
         if not admitted:
             with self._admission_lock:
+                self.stats.submitted += 1
                 self.stats.rate_limited += 1
             return self._reject(
-                ticket, route, tenant.name, 429,
+                route, tenant.name, 429,
                 {"error": f"tenant {tenant.name!r} rate limited",
                  "retry_after": retry_after})
         with self._admission_lock:
+            self.stats.submitted += 1
             self._maybe_resume(arrival_time)
             if self._state == SHEDDING or len(self._queue) >= self.queue_depth:
                 if self._state != SHEDDING:
@@ -374,32 +418,43 @@ class ServingFrontend:
                 retry_after = self._shed_until - arrival_time
                 if self._breaker_cooldown is not None:
                     retry_after = max(retry_after, self._breaker_cooldown())
-                overloaded = True
             else:
-                self._queue.append((ticket, tenant, route))
                 self.stats.accepted += 1
-                self._admission_lock.notify()
-                overloaded = False
-        if overloaded:
-            return self._reject(
-                ticket, route, tenant.name, 503,
-                {"error": "overloaded, shedding load",
-                 "retry_after": retry_after})
-        return ticket
+                slot_free = self._executing < self.workers
+                if inline and slot_free and not self._queue \
+                        and self._pool is not None:
+                    self._executing += 1
+                    return tenant
+                ticket = FrontendTicket(path, dict(params or {}))
+                self._queue.append((ticket, tenant))
+                if slot_free:
+                    self._admission_lock.notify()
+                return ticket
+        return self._reject(
+            route, tenant.name, 503,
+            {"error": "overloaded, shedding load",
+             "retry_after": retry_after})
 
-    def request(self, api_key: str, path: str,
-                params: Optional[Dict[str, str]] = None,
-                arrival_time: float = 0.0,
-                timeout: Optional[float] = 30.0) -> Response:
-        """Synchronous submit + wait."""
-        return self.submit(api_key, path, params, arrival_time).result(timeout)
+    def _serve(self, path: str, params: Optional[Dict[str, str]],
+               tenant: Tenant) -> Response:
+        """The serve step, inside a slot :meth:`_admit` or a worker took.
 
-    def _reject(self, ticket: FrontendTicket, route: str,
-                tenant_name: Optional[str], status: int,
-                body: dict) -> FrontendTicket:
+        Giving the slot back wakes a worker when requests are queued: a
+        queued request may be waiting on this slot, not on a worker.
+        """
+        try:
+            return self.gateway.get(path, params, tenant=tenant.name)
+        finally:
+            with self._admission_lock:
+                self.stats.served += 1
+                self._executing -= 1
+                if self._queue:
+                    self._admission_lock.notify()
+
+    def _reject(self, route: str, tenant_name: Optional[str], status: int,
+                body: dict) -> Response:
         self.metrics.observe_rejection(route, status, tenant=tenant_name)
-        ticket.resolve(Response(status, body))
-        return ticket
+        return Response(status, body)
 
     def _maybe_resume(self, now: float) -> None:
         """Leave SHEDDING once cooled down *and* drained.
@@ -419,16 +474,13 @@ class ServingFrontend:
     def _worker_loop(self) -> None:
         while True:
             with self._admission_lock:
-                while not self._queue and not self._stopping:
+                while not (self._queue and self._executing < self.workers):
+                    if self._stopping and not self._queue:
+                        return
                     self._admission_lock.wait()
-                if not self._queue and self._stopping:
-                    return
-                ticket, tenant, _route = self._queue.popleft()
-            response = self.gateway.get(ticket.path, ticket.params,
-                                        tenant=tenant.name)
-            ticket.resolve(response)
-            with self._admission_lock:
-                self.stats.served += 1
+                ticket, tenant = self._queue.popleft()
+                self._executing += 1
+            ticket.resolve(self._serve(ticket.path, ticket.params, tenant))
 
     # -- observability -----------------------------------------------------
 

@@ -84,7 +84,8 @@ class ServiceConfig:
     #: rounds run on the calling thread); kept only because
     #: ``benchmarks/e2e`` passes ``workers=2``.
     workers: int = 1
-    #: serving worker threads behind the admission-controlled frontend.
+    #: requests inside the gateway at once behind the admission-controlled
+    #: frontend (callers and its worker threads alike).
     frontend_workers: int = 4
 
     def __post_init__(self) -> None:

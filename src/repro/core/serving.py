@@ -76,10 +76,15 @@ class Response:
 
     def json(self) -> str:
         # allow_nan=False guarantees we never emit the bare NaN/Infinity
-        # literals standards-compliant parsers reject; _sanitize maps any
-        # non-finite measure to null first so serialization cannot fail.
-        return json.dumps(_sanitize(self.body), sort_keys=True,
-                          allow_nan=False)
+        # literals standards-compliant parsers reject.  Almost no body
+        # holds one, so render it as is; only when that refuses does
+        # _sanitize copy the body with each non-finite float as null
+        # (json already renders tuples as arrays: the bytes are equal).
+        try:
+            return json.dumps(self.body, sort_keys=True, allow_nan=False)
+        except ValueError:
+            return json.dumps(_sanitize(self.body), sort_keys=True,
+                              allow_nan=False)
 
 
 class BadRequest(ValueError):

@@ -480,31 +480,22 @@ class CallGraph:
                              if info.watched_globals}
         return self._watched
 
-    def watched_names_for(self, module: str,
-                          extra: Sequence[str] = ()) -> Dict[str, str]:
+    def watched_names_for(self, module: str) -> Dict[str, str]:
         """Local names in ``module`` bound to a watched global.
 
         Covers the module's own watched globals plus imported aliases of
-        other modules' watched globals; ``extra`` adds caller-listed
-        dotted names ("pkg.mod.NAME").  Returns local name -> origin
+        other modules' watched globals.  Returns local name -> origin
         ("pkg.mod.NAME") for messages.
         """
         info = self.modules.get(module)
         if info is None:
             return {}
         watched = self.watched_globals()
-        extra_set = set(extra)
         out: Dict[str, str] = {}
         for name in info.watched_globals:
             out[name] = f"{module}.{name}"
         for local, target in info.aliases.items():
             owner, _, attr = target.rpartition(".")
-            if not owner:
-                continue
-            if attr in watched.get(owner, {}) or target in extra_set:
+            if attr in watched.get(owner, {}):
                 out[local] = target
-        for dotted in extra_set:
-            owner, _, attr = dotted.rpartition(".")
-            if owner == module:
-                out[attr] = dotted
         return out

@@ -215,9 +215,3 @@ class TestWatchedGlobals:
         })
         names = graph.watched_names_for("repro.core.b")
         assert names == {"S": "repro.core.a.STATS"}
-
-    def test_extra_config_names(self):
-        graph = build(**{"repro.core.a": "X = 1\n"})
-        names = graph.watched_names_for("repro.core.a",
-                                        extra=("repro.core.a.X",))
-        assert names == {"X": "repro.core.a.X"}

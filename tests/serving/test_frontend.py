@@ -7,7 +7,9 @@ determinism contract).
 """
 
 import hashlib
+import sys
 import threading
+import time
 
 import pytest
 
@@ -290,3 +292,214 @@ class TestTenantAccounting:
         assert snap["state"] == ACCEPTING
         assert snap["workers"] == 2
         assert snap["tenants"] == {"dash": {"admitted": 0, "rejected": 0}}
+
+
+def blocking_route(gateway, path="/block", hold=10.0):
+    """Register ``path`` on ``gateway``: each call records its thread and
+    the peak number of calls inside at once, then waits up to ``hold``
+    seconds for ``release``.
+
+    Register before building the frontend, which reads the route set.
+    """
+    state = {"inside": 0, "peak": 0, "entered": 0, "threads": []}
+    lock = threading.Lock()
+    release = threading.Event()
+
+    def handler(params):
+        with lock:
+            state["inside"] += 1
+            state["entered"] += 1
+            state["peak"] = max(state["peak"], state["inside"])
+            state["threads"].append(threading.get_ident())
+        try:
+            release.wait(hold)
+        finally:
+            with lock:
+                state["inside"] -= 1
+        return {"count": 0}
+
+    gateway._routes[path] = handler
+    return state, release
+
+
+def wait_for(predicate, timeout=10.0):
+    """Poll until ``predicate()`` holds (the tests pin the outcome, not
+    its timing)."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
+
+
+class TestCallerRuns:
+    """A synchronous request runs on its caller's thread when a slot is
+    free; the ``workers`` bound covers callers and workers alike."""
+
+    def _overload(self, service, sync):
+        """One slot, one queue place: the first request holds the slot,
+        the second queues, the third is shed.  Returns the statuses and
+        the frontend's counters once both admitted requests are served."""
+        state, release = blocking_route(service.gateway)
+        frontend = service.frontend(tenants=[generous_tenant()], workers=1,
+                                    queue_depth=1)
+        statuses = {}
+
+        def call(name):
+            if sync:
+                response = frontend.request("key-dash", "/block",
+                                            timeout=10.0)
+            else:
+                response = frontend.submit("key-dash", "/block").result(10.0)
+            statuses[name] = response.status
+
+        with frontend:
+            first = threading.Thread(target=call, args=("first",))
+            first.start()
+            wait_for(lambda: state["entered"] == 1)
+            second = threading.Thread(target=call, args=("second",))
+            second.start()
+            wait_for(lambda: frontend.snapshot()["queue_depth"] == 1)
+            call("third")
+            release.set()
+            for thread in (first, second):
+                thread.join(10.0)
+                assert not thread.is_alive()
+        assert state["peak"] == 1
+        return statuses, frontend.stats.as_dict()
+
+    def test_caller_runs_then_queues_then_sheds(self, service):
+        statuses, counters = self._overload(service, sync=True)
+        assert statuses == {"first": 200, "second": 200, "third": 503}
+        assert counters["served"] == 2
+        # the same counters as the same sequence through the worker pool
+        pooled = build_serving_service()
+        try:
+            assert counters == self._overload(pooled, sync=False)[1]
+        finally:
+            pooled.close()
+
+    def test_request_runs_on_the_calling_thread(self, service):
+        state, release = blocking_route(service.gateway)
+        release.set()
+        with service.frontend(tenants=[generous_tenant()],
+                              workers=2) as frontend:
+            assert frontend.request("key-dash", "/block").status == 200
+            assert frontend.submit("key-dash", "/block").result(10.0) \
+                .status == 200
+        caller, worker = state["threads"]
+        assert caller == threading.get_ident()
+        assert worker != caller
+
+    def test_request_before_start_queues_for_a_worker(self, service):
+        state, release = blocking_route(service.gateway)
+        release.set()
+        frontend = service.frontend(tenants=[generous_tenant()], workers=1)
+        statuses = []
+        caller = threading.Thread(target=lambda: statuses.append(
+            frontend.request("key-dash", "/block", timeout=10.0).status))
+        caller.start()
+        wait_for(lambda: frontend.snapshot()["queue_depth"] == 1)
+        with frontend:
+            caller.join(10.0)
+        assert not caller.is_alive()
+        assert statuses == [200]
+        assert state["threads"][0] != caller.ident
+
+    def test_never_more_than_workers_inside_the_gateway(self, service):
+        state, release = blocking_route(service.gateway)
+        frontend = service.frontend(tenants=[generous_tenant()], workers=2,
+                                    queue_depth=64)
+        statuses = []
+        lock = threading.Lock()
+
+        def caller(i):
+            response = frontend.request("key-dash", "/block",
+                                        arrival_time=float(i), timeout=10.0)
+            with lock:
+                statuses.append(response.status)
+
+        with frontend:
+            callers = [threading.Thread(target=caller, args=(i,))
+                       for i in range(6)]
+            for thread in callers:
+                thread.start()
+            tickets = [frontend.submit("key-dash", "/block",
+                                       arrival_time=float(6 + i))
+                       for i in range(2)]
+            wait_for(lambda: frontend.snapshot()["queue_depth"] == 6)
+            assert state["inside"] == 2
+            release.set()
+            for thread in callers:
+                thread.join(10.0)
+                assert not thread.is_alive()
+            statuses += [t.result(10.0).status for t in tickets]
+        assert statuses == [200] * 8
+        assert state["peak"] == 2
+        assert frontend.stats.served == 8
+
+    def test_slot_bound_holds_under_a_short_switch_interval(self, service):
+        # more callers than cores and workers, sync and async mixed, the
+        # interpreter switching threads every few bytecodes, each call
+        # sleeping a millisecond inside: a lost slot or counter update
+        # breaks the peak or the totals
+        state, _release = blocking_route(service.gateway, hold=0.001)
+        frontend = service.frontend(tenants=[generous_tenant()], workers=3,
+                                    queue_depth=1024)
+        statuses = []
+        lock = threading.Lock()
+
+        def client(cid):
+            mine = []
+            for i in range(25):
+                if (cid + i) % 3:
+                    response = frontend.request("key-dash", "/block",
+                                                timeout=10.0)
+                else:
+                    response = frontend.submit("key-dash",
+                                               "/block").result(10.0)
+                mine.append(response.status)
+            with lock:
+                statuses.extend(mine)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with frontend:
+                clients = [threading.Thread(target=client, args=(cid,))
+                           for cid in range(8)]
+                for thread in clients:
+                    thread.start()
+                for thread in clients:
+                    thread.join(30.0)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert statuses == [200] * 200
+        assert state["peak"] <= 3
+        counters = frontend.stats.as_dict()
+        assert (counters["submitted"], counters["accepted"],
+                counters["served"]) == (200, 200, 200)
+        assert frontend.snapshot()["queue_depth"] == 0
+
+    def test_request_and_submit_render_the_same_bytes(self, service):
+        requests = build_workload(service)
+        digests = set()
+        for workers in (1, 2, 4):
+            with service.frontend(tenants=[generous_tenant()],
+                                  workers=workers) as frontend:
+                for send in (
+                        lambda i, path, params: frontend.request(
+                            "key-dash", path, params, arrival_time=float(i)),
+                        lambda i, path, params: frontend.submit(
+                            "key-dash", path, params,
+                            arrival_time=float(i)).result(30.0)):
+                    service.metrics.reset()
+                    records = [(response.status, response.json())
+                               for response in (
+                                   send(i, path, params)
+                                   for i, (path, params)
+                                   in enumerate(requests))]
+                    assert all(status == 200 for status, _ in records)
+                    digests.add(hashlib.sha256(
+                        repr(records).encode()).hexdigest())
+        assert len(digests) == 1
