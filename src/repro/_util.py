@@ -9,72 +9,12 @@ simulation (same seed) observe the identical world.  Python's builtin
 from __future__ import annotations
 
 import hashlib
-import os
 import struct
-import tempfile
-from contextlib import contextmanager
-from pathlib import Path
-from typing import Iterable, Iterator, TextIO, Union
+from typing import Iterable
 
 import numpy as np
 
 _MAX64 = float(2**64)
-
-
-def fsync_directory(directory: Union[str, Path]) -> None:
-    """Flush a directory's entry table to stable storage.
-
-    ``os.replace`` makes a rename atomic for concurrent *readers*, but
-    the new directory entry itself is not durable until the directory is
-    fsynced -- a power loss right after the rename can roll it back.
-    Platforms whose directories cannot be opened for fsync (notably
-    Windows) are skipped; they provide no equivalent primitive.
-    """
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
-@contextmanager
-def atomic_open(path: Union[str, Path], encoding: str = "utf-8",
-                binary: bool = False,
-                sync_directory: bool = False) -> Iterator[TextIO]:
-    """Open ``path`` for writing with all-or-nothing visibility.
-
-    The content is streamed into a temporary file in the same directory
-    and published with ``os.replace`` only when the body completes, so a
-    crash (or exception) mid-write can never truncate or corrupt the
-    previous version of the file.  On failure the temporary is removed.
-    ``binary`` opens the temporary in ``"wb"`` mode; ``sync_directory``
-    additionally fsyncs the parent directory after the rename so the
-    publish itself survives power loss (see :func:`fsync_directory`).
-    """
-    path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent,
-                                    prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        if binary:
-            fh = os.fdopen(fd, "wb")
-        else:
-            fh = os.fdopen(fd, "w", encoding=encoding)
-        with fh:
-            yield fh
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp_name, path)
-        if sync_directory:
-            fsync_directory(path.parent)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
 
 
 def stable_hash(*parts: object) -> int:

@@ -38,18 +38,13 @@ from .errors import (
 from .faults import (
     CHAOS_PROFILES,
     ChaosProfile,
-    CrashInjector,
-    CrashPoint,
     FAULT_KINDS,
     FaultInjector,
     FaultPlan,
     FaultWindow,
-    FiredCrash,
     InjectedFault,
-    SimulatedCrash,
     make_fault,
     resolve_profile,
-    seeded_crash_point,
 )
 from .lifecycle import (
     LifecycleEvent,
@@ -79,8 +74,6 @@ __all__ = [
     "CHAOS_PROFILES", "ChaosProfile", "FAULT_KINDS", "FaultInjector",
     "FaultPlan", "FaultWindow", "InjectedFault", "make_fault",
     "resolve_profile",
-    "CrashInjector", "CrashPoint", "FiredCrash", "SimulatedCrash",
-    "seeded_crash_point",
     "LifecycleEvent", "RequestSimulator", "RequestState", "SpotRequest",
     "STATE_DESCRIPTIONS", "ALLOWED_TRANSITIONS",
     "SpotMarket", "reclaim_ratio_from_u",

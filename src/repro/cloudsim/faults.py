@@ -20,10 +20,10 @@ apply here as everywhere in ``cloudsim``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
-from .._util import stable_hash, stable_uniform
+from .._util import stable_uniform
 from .accounts import Account
 from .clock import SimulationClock
 from .errors import (
@@ -196,108 +196,6 @@ class FaultInjector:
             assert account is not None
             account.expire_credentials()
         raise make_fault(kind, operation)
-
-
-class SimulatedCrash(RuntimeError):
-    """Deterministic process abort injected at a storage crash window.
-
-    Raised by :class:`CrashInjector` from inside the storage engine's
-    crash hooks; it models the collection host dying mid-write (the
-    paper's "system management issues", taken to the worst case).  It is
-    deliberately *not* a :class:`TransientError`: the resilience layer
-    must never retry past a crash -- the harness catches it, restarts,
-    and recovers from disk.
-    """
-
-    def __init__(self, window: str, hit: int):
-        super().__init__(f"simulated crash at {window!r} (hit {hit})")
-        self.window = window
-        self.hit = hit
-
-
-@dataclass(frozen=True)
-class CrashPoint:
-    """One scheduled process abort inside the storage engine.
-
-    ``window`` names a crash window (see ``repro.storage.CRASH_WINDOWS``)
-    and ``hit`` selects which occurrence of it aborts (0 = the first).
-    For the ``wal.flush`` window the abort is a *torn write*:
-    ``torn_fraction`` of the in-flight group-commit batch reaches the
-    file before the process dies, exercising the log's torn-tail
-    recovery path.
-    """
-
-    window: str
-    hit: int = 0
-    torn_fraction: float = 0.5
-
-
-@dataclass(frozen=True)
-class FiredCrash:
-    """Log entry for an injected crash (for tests and reports)."""
-
-    window: str
-    hit: int
-    torn_bytes: Optional[int] = None
-
-
-class CrashInjector:
-    """Implements the storage engine's crash-hook protocol.
-
-    Install via ``engine.crash_hook = CrashInjector([point, ...])`` (the
-    writer shares the hook object).  Each window keeps its own hit
-    counter, so a plan can target e.g. the third checkpoint publish
-    independently of how many WAL flushes preceded it.
-    """
-
-    def __init__(self, points: Sequence[CrashPoint] = ()):
-        self.points = tuple(points)
-        self.fired: List[FiredCrash] = []
-        self._hits: Dict[str, int] = {}
-
-    def _next_hit(self, window: str) -> int:
-        hit = self._hits.get(window, 0)
-        self._hits[window] = hit + 1
-        return hit
-
-    def _match(self, window: str, hit: int) -> Optional[CrashPoint]:
-        for point in self.points:
-            if point.window == window and point.hit == hit:
-                return point
-        return None
-
-    # -- the storage engine's hook protocol --------------------------------
-
-    def before(self, window: str) -> None:
-        hit = self._next_hit(window)
-        if self._match(window, hit) is not None:
-            self.fired.append(FiredCrash(window, hit))
-            raise SimulatedCrash(window, hit)
-
-    def torn_write(self, window: str, size: int) -> Optional[int]:
-        hit = self._next_hit(window)
-        point = self._match(window, hit)
-        if point is None:
-            return None
-        torn = max(0, min(size, int(size * point.torn_fraction)))
-        self.fired.append(FiredCrash(window, hit, torn_bytes=torn))
-        return torn
-
-    def crash(self, window: str) -> None:
-        raise SimulatedCrash(window, self._hits.get(window, 1) - 1)
-
-
-def seeded_crash_point(seed: int, window: str, max_hits: int) -> CrashPoint:
-    """A deterministic crash point for one window of one seeded run.
-
-    The hit index and torn fraction are stable hashes of (seed, window),
-    so a chaos sweep over windows exercises a different-but-reproducible
-    abort location each seed.  ``max_hits`` bounds the hit index to the
-    number of times the run is expected to reach the window.
-    """
-    hit = stable_hash("crash-hit", seed, window) % max(1, max_hits)
-    fraction = stable_uniform("crash-torn", seed, window)
-    return CrashPoint(window=window, hit=hit, torn_fraction=fraction)
 
 
 def make_fault(kind: str, operation: str) -> CloudError:

@@ -49,6 +49,7 @@ from ..lake import (
 )
 from ..lake.schema import Point
 from ..storage import StorageEngine
+from ..storage.durable import PLAIN, DurableIO
 from ..timeseries import (
     QueryCache,
     Record,
@@ -114,15 +115,14 @@ class DurableTiers(MemoryTiers):
     commit, so neither tier can stand alone."""
 
     def __init__(self, data_dir: Union[str, Path], checkpoint_every: int,
-                 crash_hook, differ: RoundDiffer):
-        self.engine = StorageEngine(data_dir, crash_hook=crash_hook)
+                 io: DurableIO, differ: RoundDiffer):
+        self.engine = StorageEngine(data_dir, io=io)
         self.checkpoint_every = checkpoint_every
         # a restarted archive adopts whatever the last committed round
         # left behind; a fresh directory recovers an empty store
         self.store = self.engine.recovered.store
         self.engine.attach(self.store)
-        self.lake = SpotDataLake(Path(data_dir) / LAKE_DIR_NAME,
-                                 crash_hook=crash_hook)
+        self.lake = SpotDataLake(Path(data_dir) / LAKE_DIR_NAME, io=io)
         # rounds land in the lake before the hot WAL's group commit: drop
         # any round the crashed run archived but never committed (it is
         # re-collected deterministically)
@@ -171,7 +171,6 @@ class DurableTiers(MemoryTiers):
 
     def close(self) -> None:
         self.lake.close()
-        self.engine.close()
 
     def evicted_through(self, table_name: str) -> Optional[float]:
         return self.engine.evicted_through(table_name)
@@ -204,11 +203,11 @@ class SpotLakeArchive:
                  cache: bool = True,
                  data_dir: Optional[Union[str, Path]] = None,
                  checkpoint_every: int = 4,
-                 crash_hook=None):
+                 io: DurableIO = PLAIN):
         self._merger = RoundMerger()
         self._differ = RoundDiffer()
         self._tiers = MemoryTiers() if data_dir is None else DurableTiers(
-            data_dir, checkpoint_every, crash_hook, self._differ)
+            data_dir, checkpoint_every, io, self._differ)
         self.store = self._tiers.store
         #: the durable WAL engine and cold lake (None in the memory shape)
         self.engine, self.lake = self._tiers.engine, self._tiers.lake

@@ -21,15 +21,15 @@ Corrupt or version-skewed cache files are ignored, never fatal.
 from __future__ import annotations
 
 import json
-import os
 import threading
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .._util import atomic_open, stable_hash
+from .._util import stable_hash
 from ..cloudsim.ec2_api import MAX_SPS_RESULTS
 # re-exported: the zero-warm-solve contract is asserted against these
 # counters, and layering lets devtools reach the solver only through core
 from ..solver import STATS as SOLVER_STATS  # noqa: F401
+from ..storage.durable import PLAIN, DurableIO
 from .query_planner import PackMemo, QueryPlan, SpsQuery, pack_offering
 
 #: On-disk format version; bump on any incompatible change.
@@ -139,7 +139,7 @@ class PlanCache:
 
     # -- on disk -------------------------------------------------------------
 
-    def save(self, path: str) -> None:
+    def save(self, path: str, io: DurableIO = PLAIN) -> None:
         """Write the per-type groups to ``path`` (atomic replace)."""
         with self._lock:
             payload = {
@@ -147,8 +147,8 @@ class PlanCache:
                 "entries": {sig: [list(group) for group in groups]
                             for sig, groups in sorted(self._groups.items())},
             }
-            with atomic_open(path) as handle:
-                json.dump(payload, handle, separators=(",", ":"))
+            io.atomic_write(path, json.dumps(
+                payload, separators=(",", ":")).encode("utf-8"))
             self._dirty = False
 
     def load(self, path: str) -> int:

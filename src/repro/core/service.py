@@ -29,6 +29,7 @@ from ..cloudsim import (
     resolve_profile,
 )
 from ..scoring import interruption_free_score
+from ..storage.durable import PLAIN, DurableIO
 from ..timeseries import RetentionPolicy
 from .archive import ADVISOR_TABLE, PRICE_TABLE, SPS_TABLE, SpotLakeArchive
 from .collectors import (
@@ -78,8 +79,6 @@ class ServiceConfig:
     #: durable shape evicted history remains queryable from the cold
     #: tier through the same ``history`` routes.
     retention_max_age: Optional[float] = None
-    #: storage crash-hook (doublerun --durability installs a CrashInjector).
-    storage_crash_hook: Optional[object] = None
     #: not a knob: any value >= 1 is accepted and selects nothing (SPS
     #: rounds run on the calling thread); kept only because
     #: ``benchmarks/e2e`` passes ``workers=2``.
@@ -101,7 +100,8 @@ class SpotLakeService:
     """The assembled data archive service."""
 
     def __init__(self, config: Optional[ServiceConfig] = None,
-                 cloud: Optional[SimulatedCloud] = None):
+                 cloud: Optional[SimulatedCloud] = None,
+                 io: DurableIO = PLAIN):
         self.config = config or ServiceConfig()
         self.cloud = cloud or SimulatedCloud(seed=self.config.seed)
         if self.config.instance_types is not None:
@@ -121,7 +121,7 @@ class SpotLakeService:
             retention=retention,
             data_dir=self.config.data_dir,
             checkpoint_every=self.config.checkpoint_every,
-            crash_hook=self.config.storage_crash_hook)
+            io=io)
 
         profile = resolve_profile(self.config.chaos_profile)
         if profile.total_rate > 0.0:
@@ -136,7 +136,7 @@ class SpotLakeService:
         if self.config.instance_types is not None:
             wanted = set(self.config.instance_types)
             offering_map = {t: rz for t, rz in offering_map.items() if t in wanted}
-        self.plan: QueryPlan = self._build_plan(offering_map)
+        self.plan: QueryPlan = self._build_plan(offering_map, io)
 
         self.accounts = AccountPool(AccountPool.size_for(
             self.plan.optimized_query_count))
@@ -178,7 +178,7 @@ class SpotLakeService:
             return None
         return str(Path(self.config.data_dir) / "plan-cache.json")
 
-    def _build_plan(self, offering_map) -> QueryPlan:
+    def _build_plan(self, offering_map, io: DurableIO) -> QueryPlan:
         """Build the packed plan through the shared plan cache.
 
         The cache only skips solver work: its plans equal
@@ -193,7 +193,7 @@ class SpotLakeService:
             cache.load(path)
         plan = cache.plan(offering_map)
         if path is not None and cache.dirty:
-            cache.save(path)
+            cache.save(path, io)
         return plan
 
     # -- lifecycle ---------------------------------------------------------------

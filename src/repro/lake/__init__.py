@@ -33,7 +33,6 @@ from .schema import (
     SpsRow,
 )
 from .store import (
-    LAKE_CRASH_WINDOWS,
     LAKE_DIR_NAME,
     LAKE_FORMAT,
     LAKE_MANIFEST_NAME,
@@ -47,7 +46,7 @@ __all__ = [
     "ADVISOR_TABLE", "AdvisorRow", "DATASETS", "DIM_REGION", "DIM_TYPE",
     "DIM_ZONE", "Dataset", "FederatedHistory", "FederatedPlan",
     "IF_SCORE_MEASURE", "INTERRUPTION_RATIO_MEASURE", "KeyMemo",
-    "LAKE_CRASH_WINDOWS", "LAKE_DIR_NAME", "LAKE_FORMAT",
+    "LAKE_DIR_NAME", "LAKE_FORMAT",
     "LAKE_MANIFEST_NAME", "LakeFormatError", "LakePartition",
     "MERGED_TABLES", "MergedRound", "PRICE_MEASURE", "PRICE_TABLE",
     "PriceRow", "RoundDiff", "RoundDiffer", "RoundMerger",

@@ -43,14 +43,11 @@ Index, directory and decoded columns are derived from the immutable
 file, built once on first use, and dropped with the cursor they hang
 off.
 
-Publish protocol (crash windows mirror the storage engine's checkpoint):
-
-1. ``lake.segment``  -- before the partition file is written: a crash
-   here leaves no trace.
-2. ``lake.manifest`` -- partition durable, manifest not yet replaced: a
-   crash leaves an orphan file the next publish garbage-collects (or the
-   re-collected round atomically overwrites).
-3. ``lake.publish``  -- manifest live, orphans not yet collected.
+Publish protocol: the partition file, then the manifest, each through
+the durable seam's ``atomic_write`` (a new day's directories through its
+``makedirs``), then orphan collection.  A crash before the manifest's
+rename leaves an orphan file (or a stale temporary) that the next
+publish collects, or that the re-collected round atomically overwrites.
 
 The manifest (``LAKE_MANIFEST``) is the root of trust: only partitions
 it lists exist.  Because rounds are appended to the lake *before* the
@@ -80,7 +77,6 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .._util import atomic_open
 from ..storage.columnar import (
     ColumnarFormatError,
     Selection,
@@ -94,7 +90,7 @@ from ..storage.columnar import (
 from ..timeseries.record import Record, SeriesKey, Value
 from ..timeseries.store import update_series_digest
 from ..timeseries.vector import TierColumns
-from ..storage.wal import NoopCrashHook
+from ..storage.durable import PLAIN, DurableIO, is_temporary
 from .merge import MergedRound
 from .schema import (
     DATASETS,
@@ -110,10 +106,6 @@ from .schema import (
     SAVINGS_MEASURE,
     SPS_MEASURE,
 )
-
-#: Lake crash windows, in the order one round commit reaches them
-#: (armed by ``doublerun --durability``).
-LAKE_CRASH_WINDOWS = ("lake.segment", "lake.manifest", "lake.publish")
 
 LAKE_DIR_NAME = "lake"
 LAKE_MANIFEST_NAME = "LAKE_MANIFEST"
@@ -365,10 +357,10 @@ class _OpenPartition:
 class SpotDataLake:
     """The cold tier under one ``data_dir/lake`` root."""
 
-    def __init__(self, root: Union[str, Path], crash_hook=None):
+    def __init__(self, root: Union[str, Path], io: DurableIO = PLAIN):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.crash_hook = crash_hook or NoopCrashHook()
+        self.io = io
+        io.makedirs(self.root)
         self._lock = threading.Lock()
         #: manifest version as last read from / written to disk
         self._version = 0
@@ -407,45 +399,30 @@ class SpotDataLake:
             raise LakeFormatError(f"undecodable lake manifest: {exc}") \
                 from None
 
-    def _write_manifest(self, partitions: Sequence[LakePartition],
-                        version: int) -> None:
-        payload = {
-            "format": LAKE_FORMAT,
-            "version": version,
-            "partitions": [p.as_dict() for p in partitions],
-        }
-        with atomic_open(self._manifest_path(),
-                         sync_directory=True) as fh:
-            json.dump(payload, fh, sort_keys=True,
-                      separators=(",", ":"))
-            fh.write("\n")
-
-    def _publish(self, partitions: Sequence[LakePartition],
-                 crash_hooks: bool) -> None:
+    def _publish(self, partitions: Sequence[LakePartition]) -> None:
         """Write + publish a new manifest, then collect orphan files."""
-        if crash_hooks:
-            self.crash_hook.before("lake.manifest")
         version = self._version + 1
-        self._write_manifest(partitions, version)
+        raw = json.dumps({"format": LAKE_FORMAT, "version": version,
+                          "partitions": [p.as_dict() for p in partitions]},
+                         sort_keys=True, separators=(",", ":"))
+        self.io.atomic_write(self._manifest_path(),
+                             (raw + "\n").encode("utf-8"))
         self._version = version
         self._partitions = tuple(partitions)
-        if crash_hooks:
-            self.crash_hook.before("lake.publish")
         self._invalidate_cursors()
         self._collect_orphans()
 
     def _collect_orphans(self) -> None:
-        """Delete ``.seg`` files the live manifest does not reference."""
+        """Delete unreferenced ``.seg`` files and stale temporaries."""
         live = {p.path for p in self._partitions}
         for dirpath, dirnames, filenames in os.walk(self.root):
             dirnames.sort()
             rel_dir = Path(dirpath).relative_to(self.root).as_posix()
             for name in sorted(filenames):
-                if not name.endswith(".seg"):
-                    continue
                 rel = name if rel_dir == "." else f"{rel_dir}/{name}"
-                if rel not in live:
-                    os.unlink(Path(dirpath) / name)
+                if (name.endswith(".seg") and rel not in live) or \
+                        is_temporary(name):
+                    self.io.unlink(Path(dirpath) / name)
 
     # -- introspection -------------------------------------------------------
 
@@ -583,17 +560,14 @@ class SpotDataLake:
         blob = encode_segment(LAKE_TABLE, int(merged.time), 0, items)
         rel = f"{day}/round-{_stamp_text(merged.time)}.seg"
         with self._lock:
-            self.crash_hook.before("lake.segment")
             target = self.root / rel
-            target.parent.mkdir(parents=True, exist_ok=True)
-            with atomic_open(target, binary=True,
-                             sync_directory=True) as fh:
-                fh.write(blob)
+            self.io.makedirs(target.parent)
+            self.io.atomic_write(target, blob)
             partition = LakePartition(
                 kind="round", path=rel, start=start, end=end,
                 rounds=(float(merged.time),), rows=rows, bytes=len(blob),
                 sha256=hashlib.sha256(blob).hexdigest())
-            self._publish([*self._partitions, partition], crash_hooks=True)
+            self._publish([*self._partitions, partition])
         for table, landed in stored.items():
             width = len(DATASETS[table].dims)
             held[table].update(r[:width] for r in landed)
@@ -659,7 +633,7 @@ class SpotDataLake:
                         out.append(replacements[part.day])
                     continue
                 out.append(part)
-            self._publish(out, crash_hooks=False)
+            self._publish(out)
             return {
                 "days_compacted": len(replacements),
                 "partitions_merged": sum(len(p) for p in groups.values()),
@@ -680,9 +654,8 @@ class SpotDataLake:
         blob = encode_columns(LAKE_TABLE, int(rounds[0]), 1, folded)
         rel = f"{day}/day-{_stamp_text(rounds[0])}.seg"
         target = self.root / rel
-        target.parent.mkdir(parents=True, exist_ok=True)
-        with atomic_open(target, binary=True, sync_directory=True) as fh:
-            fh.write(blob)
+        self.io.makedirs(target.parent)
+        self.io.atomic_write(target, blob)
         return LakePartition(
             kind="day", path=rel,
             start=min(p.start for p in parts),

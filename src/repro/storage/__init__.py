@@ -6,7 +6,7 @@ small dictionary header and packed columns; any other format version is
 refused) behind an
 atomically-published MANIFEST, size-tiered compaction with retention
 folded into merges, and crash recovery that reconstructs byte-identical
-``Table`` state.
+``Table`` state, every file operation through one seam (``durable``).
 """
 
 from .columnar import ColumnarFormatError, SegmentCursor, encode_segment
@@ -16,7 +16,8 @@ from .compaction import (
     compact_table,
     trim_series,
 )
-from .engine import CRASH_WINDOWS, StorageEngine
+from .durable import DurableIO, RecordingIO, SimulatedCrash
+from .engine import StorageEngine
 from .recovery import RecoveredState, recover
 from .segments import (
     CorruptManifestError,
@@ -36,7 +37,6 @@ from .segments import (
 from .wal import (
     CorruptWalError,
     DEFAULT_SEGMENT_BYTES,
-    NoopCrashHook,
     WalReplay,
     WalWriter,
     read_wal,
@@ -46,13 +46,13 @@ __all__ = [
     "ColumnarFormatError", "SegmentCursor", "encode_segment",
     "CompactionStats", "DEFAULT_TIER_FANOUT", "compact_table",
     "trim_series",
-    "CRASH_WINDOWS", "StorageEngine",
+    "DurableIO", "RecordingIO", "SimulatedCrash", "StorageEngine",
     "RecoveredState", "recover",
     "CorruptManifestError", "CorruptSegmentError", "MANIFEST_NAME",
     "Manifest", "SEGMENT_FORMAT", "SegmentMeta", "TableManifest",
     "load_manifest", "read_segment",
     "sanitize_table_component", "segment_file_name",
     "store_manifest", "write_segment",
-    "CorruptWalError", "DEFAULT_SEGMENT_BYTES", "NoopCrashHook", "WalReplay",
+    "CorruptWalError", "DEFAULT_SEGMENT_BYTES", "WalReplay",
     "WalWriter", "read_wal",
 ]

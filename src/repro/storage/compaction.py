@@ -20,12 +20,13 @@ up -- classic size-tiered compaction, with two SpotLake-specific twists:
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..timeseries.compression import ChangePointSeries
 from ..timeseries.record import SeriesKey
+from .durable import PLAIN, DurableIO
 from .segments import (
     SegmentMeta,
     TableManifest,
@@ -42,20 +43,13 @@ class CompactionStats:
     """Work accounting for one checkpoint's compaction pass."""
 
     merges: int = 0
-    segments_merged: int = 0
-    segments_created: int = 0
     bytes_written: int = 0
     points_dropped: int = 0
-    #: files superseded by merges, deleted after the manifest publishes
-    obsolete_files: List[str] = field(default_factory=list)
 
     def merge_into(self, other: "CompactionStats") -> None:
         self.merges += other.merges
-        self.segments_merged += other.segments_merged
-        self.segments_created += other.segments_created
         self.bytes_written += other.bytes_written
         self.points_dropped += other.points_dropped
-        self.obsolete_files.extend(other.obsolete_files)
 
 
 def trim_series(series: ChangePointSeries, cutoff: Optional[float]) -> int:
@@ -76,10 +70,9 @@ def trim_series(series: ChangePointSeries, cutoff: Optional[float]) -> int:
 
 def merge_tier(directory: Path, table: str, metas: List[SegmentMeta],
                segment_id: int, level: int, cutoff: Optional[float],
-               ) -> Tuple[SegmentMeta, CompactionStats]:
+               io: DurableIO = PLAIN) -> Tuple[SegmentMeta, CompactionStats]:
     """Merge one level's segments into a single next-level segment."""
-    stats = CompactionStats(merges=1, segments_merged=len(metas),
-                            obsolete_files=[m.file for m in metas])
+    stats = CompactionStats(merges=1)
     merged: Dict[SeriesKey, ChangePointSeries] = {}
     # newest first so the first version seen of each key wins
     for meta in sorted(metas, key=lambda m: m.segment_id, reverse=True):
@@ -90,21 +83,21 @@ def merge_tier(directory: Path, table: str, metas: List[SegmentMeta],
         stats.points_dropped += trim_series(series, cutoff)
     items = sorted(merged.items(),
                    key=lambda kv: (kv[0].measure_name, kv[0].dimensions))
-    new_meta = write_segment(directory, segment_id, table, level, items)
-    stats.segments_created += 1
+    new_meta = write_segment(directory, segment_id, table, level, items, io)
     stats.bytes_written += new_meta.bytes
     return new_meta, stats
 
 
 def compact_table(directory: Path, table: str, manifest: TableManifest,
                   next_segment_id, tier_fanout: int = DEFAULT_TIER_FANOUT,
+                  io: DurableIO = PLAIN,
                   ) -> CompactionStats:
     """Run size-tiered merges on one table until every tier is slim.
 
     ``next_segment_id`` is a callable allocating monotonically increasing
     segment ids (shared across tables by the engine).  The table's
-    segment list is rewritten in place; superseded files are reported in
-    the returned stats for post-publish deletion, not deleted here.
+    segment list is rewritten in place; superseded files stay on disk
+    until the engine's garbage pass, after the manifest publishes.
     """
     total = CompactionStats()
     while True:
@@ -122,7 +115,7 @@ def compact_table(directory: Path, table: str, manifest: TableManifest,
         victims = by_level[level]
         new_meta, stats = merge_tier(
             directory, table, victims, next_segment_id(), level + 1,
-            manifest.evicted_through)
+            manifest.evicted_through, io)
         total.merge_into(stats)
         survivors = [m for m in manifest.segments if m not in victims]
         manifest.segments = sorted(survivors + [new_meta],

@@ -22,11 +22,11 @@ memtable -- there is no second copy of the data).  The write protocol:
    size-tiered compaction, publishes a new manifest and garbage-collects
    the log.
 
-Crash windows (exercised by ``cloudsim.faults.CrashInjector`` and the
-``doublerun --durability`` harness) cover every step: a torn WAL flush,
-a crash after commit, mid-checkpoint before/after the manifest publish,
-and mid-GC.  Recovery from any of them reconstructs the exact state of
-the last committed round (see ``recovery.py``).
+Every file operation goes through the durable seam (``durable.py``) and
+is a crash point of ``doublerun --durability``.  Process death loses at
+most the round in flight; a WAL segment is fsynced only once finished,
+so power loss rolls back to that point or the end of the log's torn
+prefix past it -- always a committed round (see ``recovery.py``).
 """
 
 from __future__ import annotations
@@ -47,37 +47,20 @@ from .segments import (
     store_manifest,
     write_segment,
 )
-from .wal import (
-    DEFAULT_SEGMENT_BYTES,
-    NoopCrashHook,
-    WalWriter,
-    _ENCODER,
-    wal_file_name,
-)
-
-#: Every named crash window, in the order a round reaches them.
-CRASH_WINDOWS = (
-    "wal.flush",            # torn write during the group-commit flush
-    "wal.commit",           # after the batch is durable, before bookkeeping
-    "checkpoint.segments",  # before dirty series flush to L0 segments
-    "checkpoint.manifest",  # new manifest written but not yet published
-    "checkpoint.publish",   # manifest live, garbage not yet collected
-    "checkpoint.gc",        # before old WAL/segment files are deleted
-)
+from .durable import PLAIN, DurableIO, is_temporary
+from .wal import WalWriter, _ENCODER, wal_file_number
 
 
 class StorageEngine:
     """Durable write-ahead-logged storage under one data directory."""
 
     def __init__(self, data_dir: Union[str, Path], *,
-                 wal_segment_bytes: int = DEFAULT_SEGMENT_BYTES,
                  tier_fanout: int = DEFAULT_TIER_FANOUT,
-                 fsync: bool = False,
-                 crash_hook: Optional[NoopCrashHook] = None):
+                 io: DurableIO = PLAIN):
         self.data_dir = Path(data_dir)
-        self.data_dir.mkdir(parents=True, exist_ok=True)
+        self.io = io
+        io.makedirs(self.data_dir)
         self.tier_fanout = tier_fanout
-        self.crash_hook = crash_hook or NoopCrashHook()
 
         #: state reconstructed from disk at open (fresh dirs recover empty)
         self.recovered: RecoveredState = recover(self.data_dir)
@@ -106,9 +89,8 @@ class StorageEngine:
         number = self.recovered.max_wal_number or self._manifest.next_wal_number
         self._writer = WalWriter(
             self.data_dir, number=number,
-            next_seq=self.recovered.last_seq + 1,
-            segment_bytes=wal_segment_bytes, fsync=fsync,
-            crash_hook=self.crash_hook)
+            next_seq=self.recovered.last_seq + 1, io=io)
+        self._collect_garbage(self._manifest)  # what a crash left behind
         self.checkpoints = 0
         self.compaction_stats = CompactionStats()
         self.segment_bytes_written = 0
@@ -258,18 +240,20 @@ class StorageEngine:
             segment_id = manifest.next_segment_id
             manifest.next_segment_id += 1
             meta = write_segment(self.data_dir, segment_id, table_name, 0,
-                                 items)
+                                 items, self.io)
             manifest.tables[table_name].segments.append(meta)
             self.segment_bytes_written += meta.bytes
 
     def _collect_garbage(self, manifest: Manifest) -> None:
+        """Delete unlisted segments, log files a checkpoint folded (below
+        ``next_wal_number``) and stale temporaries."""
         live = set(manifest.live_files())
         for entry in sorted(os.listdir(self.data_dir)):
-            if is_segment_file_name(entry) and entry not in live:
-                os.unlink(self.data_dir / entry)
-            elif entry.startswith("wal-") and entry.endswith(".log") and \
-                    entry != wal_file_name(self._writer.number):
-                os.unlink(self.data_dir / entry)
+            number = wal_file_number(entry)
+            folded = number is not None and number < manifest.next_wal_number
+            orphan = is_segment_file_name(entry) and entry not in live
+            if folded or orphan or is_temporary(entry):
+                self.io.unlink(self.data_dir / entry)
 
     def checkpoint(self, time: float) -> Manifest:
         """Fold the committed log into segments and publish a manifest.
@@ -281,7 +265,6 @@ class StorageEngine:
             raise RuntimeError(
                 "checkpoint requires a committed round boundary "
                 f"({self._writer.pending} uncommitted records pending)")
-        self.crash_hook.before("checkpoint.segments")
 
         store = self.store
         manifest = Manifest(
@@ -315,7 +298,7 @@ class StorageEngine:
 
         for name in sorted(manifest.tables):
             stats = compact_table(self.data_dir, name, manifest.tables[name],
-                                  next_segment_id, self.tier_fanout)
+                                  next_segment_id, self.tier_fanout, self.io)
             self.segment_bytes_written += stats.bytes_written
             self.compaction_stats.merge_into(stats)
 
@@ -323,9 +306,7 @@ class StorageEngine:
         # file and every superseded log file is safe to delete
         self._writer.roll()
         manifest.next_wal_number = self._writer.number
-        store_manifest(self.data_dir, manifest, self.crash_hook)
-
-        self.crash_hook.before("checkpoint.gc")
+        store_manifest(self.data_dir, manifest, self.io)
         self._collect_garbage(manifest)
         self._manifest = manifest
         # clear in place: log_points' template state holds references to
@@ -340,9 +321,6 @@ class StorageEngine:
         return manifest
 
     # -- lifecycle / introspection -----------------------------------------
-
-    def close(self) -> None:
-        self._writer.close()
 
     @property
     def manifest(self) -> Manifest:

@@ -120,9 +120,9 @@ def recover(directory: Path) -> RecoveredState:
     """Reconstruct the store (and engine bookkeeping) from a data dir.
 
     Safe on a fresh (or not-yet-created) directory (empty store), after
-    any crash window (the manifest protocol and WAL torn-tail rules
-    guarantee a consistent prefix), and idempotent: recovering twice
-    yields identical state.
+    a crash at any durable operation (the manifest protocol and WAL
+    torn-tail rules guarantee a committed prefix), and idempotent:
+    recovering twice yields identical state.
     """
     directory = Path(directory)
     if not directory.exists():
@@ -136,7 +136,8 @@ def recover(directory: Path) -> RecoveredState:
         last_commit_time=manifest.last_commit_time)
     _install_tables(store, manifest, directory)
 
-    replay = read_wal(directory, after_seq=manifest.last_applied_seq)
+    replay = read_wal(directory, after_seq=manifest.last_applied_seq,
+                      first_number=manifest.next_wal_number)
     _replay_tail(store, state, replay.operations)
     state.last_seq = max(state.last_seq, replay.last_seq)
     state.rounds_committed += replay.rounds

@@ -18,9 +18,10 @@ JSON-lines v1) is refused as corrupt before a byte is decoded.
 The ``MANIFEST`` names the live segment set (per table, with retention
 configuration and ingestion counters) plus the log horizon
 (``last_applied_seq``): everything a cold start needs before replaying
-the WAL tail.  It is published via temp file + ``os.replace`` followed
-by a *directory fsync* -- readers see either the old or the new version,
-never a torn one, and the publish itself survives power loss -- and each
+the WAL tail.  Segments and manifest alike are published through the
+durable seam's ``atomic_write`` (temp file + fsync + rename + directory
+fsync) -- readers see either the old or the new version, never a torn
+one, and the publish itself survives power loss -- and each
 segment carries its SHA-256 in the manifest so recovery detects bit rot
 or half-written leftovers from a crashed checkpoint (which are simply
 not referenced and therefore invisible).
@@ -30,16 +31,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .._util import atomic_open, fsync_directory
 from ..timeseries.compression import ChangePointSeries
 from ..timeseries.record import SeriesKey
 from .columnar import ColumnarFormatError, SegmentCursor, encode_segment
-from .wal import NoopCrashHook
+from .durable import PLAIN, DurableIO
 
 MANIFEST_NAME = "MANIFEST"
 MANIFEST_FORMAT = 1
@@ -118,18 +117,15 @@ class CorruptManifestError(ValueError):
 
 def write_segment(directory: Path, segment_id: int, table: str, level: int,
                   items: Sequence[Tuple[SeriesKey, ChangePointSeries]],
-                  ) -> SegmentMeta:
+                  io: DurableIO = PLAIN) -> SegmentMeta:
     """Publish one segment file; ``items`` must be sorted by series key.
 
     The file is published atomically with a directory fsync, and the
     returned meta carries the SHA-256 over the exact bytes on disk.
     """
-    directory = Path(directory)
     name = segment_file_name(segment_id, table, level)
     raw = encode_segment(table, segment_id, level, items)
-    with atomic_open(directory / name, binary=True,
-                     sync_directory=True) as fh:
-        fh.write(raw)
+    io.atomic_write(Path(directory) / name, raw)
     return SegmentMeta(name, segment_id, table, level, len(items),
                        len(raw), hashlib.sha256(raw).hexdigest())
 
@@ -276,30 +272,9 @@ def load_manifest(directory: Path) -> Optional[Manifest]:
 
 
 def store_manifest(directory: Path, manifest: Manifest,
-                   crash_hook: Optional[NoopCrashHook] = None) -> None:
-    """Atomically publish a new manifest version.
-
-    The temp file is fsynced, renamed over ``MANIFEST``, and then the
-    *directory* is fsynced: without that last step the rename lives only
-    in the in-memory directory cache and a power loss just after publish
-    could resurrect the previous manifest version.
-
-    Crash windows: ``checkpoint.manifest`` fires before the ``os.replace``
-    (the new version is invisible; recovery uses the previous one) and
-    ``checkpoint.publish`` fires once the rename is durable (the new
-    version is live but WAL/segment garbage collection has not run;
-    recovery tolerates the stale files).
-    """
-    hook = crash_hook or NoopCrashHook()
-    directory = Path(directory)
-    path = directory / MANIFEST_NAME
-    tmp = directory / (MANIFEST_NAME + ".tmp")
+                   io: DurableIO = PLAIN) -> None:
+    """Atomically and durably publish a new manifest version: a crash
+    before ``atomic_write``'s rename leaves the previous version live,
+    and its directory fsync keeps a power loss from resurrecting it."""
     body = json.dumps(manifest.as_dict(), sort_keys=True, indent=1) + "\n"
-    with tmp.open("w", encoding="utf-8") as fh:
-        fh.write(body)
-        fh.flush()
-        os.fsync(fh.fileno())
-    hook.before("checkpoint.manifest")
-    os.replace(tmp, path)
-    fsync_directory(directory)
-    hook.before("checkpoint.publish")
+    io.atomic_write(Path(directory) / MANIFEST_NAME, body.encode("utf-8"))

@@ -27,7 +27,9 @@ import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
+
+from .durable import PLAIN, DurableIO
 
 #: WAL file naming: ``wal-<number 8 digits>.log``.
 WAL_PREFIX = "wal-"
@@ -99,43 +101,33 @@ def decode_line(line: bytes) -> Optional[dict]:
     return record
 
 
-class NoopCrashHook:
-    """Default crash hook: never crashes, never tears a write."""
-
-    def before(self, window: str) -> None:
-        """Called at a named crash window; may raise to abort the process."""
-
-    def torn_write(self, window: str, size: int) -> Optional[int]:
-        """Bytes of an in-flight flush to persist; None = write all."""
-        return None
-
-    def crash(self, window: str) -> None:
-        """Abort after a torn write was persisted; must raise."""
-        raise RuntimeError(f"crash hook armed a torn write at {window!r} "
-                           "but declined to crash")
-
-
 class WalWriter:
     """Group-committing appender over the segmented log.
 
-    ``append`` only buffers; ``commit`` makes the batch durable (flush +
-    optional fsync) behind the crash hook's ``wal.flush`` (torn write)
-    and ``wal.commit`` (post-durability) windows.
+    ``append`` only buffers; ``commit`` hands the batch to the durable
+    seam as one append, not fsynced: the WAL survives process death,
+    and power loss rolls back to the last finished (fsynced) segment or
+    to the end of the log's torn prefix past it (see DESIGN.md).
     """
 
     def __init__(self, directory: Path, number: int = 1, next_seq: int = 1,
                  segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-                 fsync: bool = False, crash_hook: Optional[NoopCrashHook] = None):
+                 io: DurableIO = PLAIN):
         self.directory = Path(directory)
-        self.number = number
         self.next_seq = next_seq
         self.segment_bytes = segment_bytes
-        self.fsync = fsync
-        self.crash_hook = crash_hook or NoopCrashHook()
+        self.io = io
         self.bytes_written = 0
         self.records_written = 0
         self._buffer: List[bytes] = []
-        self._fh = open(self.directory / wal_file_name(number), "ab")
+        self._open(number)
+
+    def _open(self, number: int) -> None:
+        """Make ``number`` the active segment (appending, never
+        clobbering committed records)."""
+        self.number = number
+        self._path = self.directory / wal_file_name(number)
+        self.io.append(self._path, b"")
 
     @property
     def pending(self) -> int:
@@ -170,49 +162,30 @@ class WalWriter:
         self.next_seq = seq
         return seq - 1
 
-    def _make_durable(self, data: bytes) -> None:
-        hook = self.crash_hook
-        torn = hook.torn_write("wal.flush", len(data))
-        if torn is not None:
-            self._fh.write(data[:max(0, min(torn, len(data)))])
-            self._fh.flush()
-            if self.fsync:
-                os.fsync(self._fh.fileno())
-            hook.crash("wal.flush")
-        self._fh.write(data)
-        self._fh.flush()
-        if self.fsync:
-            os.fsync(self._fh.fileno())
-
     def commit(self, round_index: int, time: float) -> int:
-        """Durably flush the buffered batch under one commit marker.
+        """Append the buffered batch under one commit marker.
 
-        Returns the commit marker's sequence number.  On a crash-hook
-        abort the buffer is preserved in memory (the process is assumed
-        dead; tests inspect it) and whatever prefix reached the file is
-        exactly what replay will discard.
+        Returns the commit marker's sequence number.  If the process dies
+        mid-append the buffer is left in memory (tests inspect it) and
+        whatever prefix reached the file is exactly what replay discards.
         """
         marker_seq = self.append({"op": "commit", "round": round_index,
                                   "time": time})
         data = b"".join(self._buffer)
-        self._make_durable(data)
-        self.crash_hook.before("wal.commit")
+        self.io.append(self._path, data)
         self.bytes_written += len(data)
         self.records_written += len(self._buffer)
         self._buffer = []
-        if self._fh.tell() >= self.segment_bytes:
+        if self._path.stat().st_size >= self.segment_bytes:
             self.roll()
         return marker_seq
 
     def roll(self) -> int:
-        """Close the active segment and open the next-numbered one."""
-        self._fh.close()
-        self.number += 1
-        self._fh = open(self.directory / wal_file_name(self.number), "ab")
+        """Start the next-numbered segment once the finished one is
+        durable, so power loss keeps the log a prefix."""
+        self.io.fsync(self._path)
+        self._open(self.number + 1)
         return self.number
-
-    def close(self) -> None:
-        self._fh.close()
 
 
 @dataclass
@@ -237,18 +210,22 @@ class WalReplay:
         return len(self.commits)
 
 
-def read_wal(directory: Path, after_seq: int = 0) -> WalReplay:
+def read_wal(directory: Path, after_seq: int = 0,
+             first_number: int = 1) -> WalReplay:
     """Replay the log, returning only batch-atomic committed operations.
 
-    Records with ``seq <= after_seq`` (already folded into segments by a
-    checkpoint) are skipped.  Sequence numbers must increase by exactly
-    one between consecutive surviving records; any gap, and any invalid
-    line that is *not* at the very tail of the newest segment, raises
+    Records with ``seq <= after_seq`` (folded into segments by a
+    checkpoint) are skipped, and so are files numbered below
+    ``first_number`` (folded whole; one a power loss resurrected may be
+    torn).  Sequence numbers must increase by exactly one between
+    consecutive surviving records; any gap, and any invalid line that is
+    *not* at the very tail of the newest segment, raises
     :class:`CorruptWalError`.
     """
     directory = Path(directory)
     replay = WalReplay(last_seq=after_seq)
-    files = list_wal_files(directory)
+    files = [(number, path) for number, path in list_wal_files(directory)
+             if number >= first_number]
     if not files:
         return replay
     replay.max_file_number = files[-1][0]

@@ -152,7 +152,6 @@ class TestDurabilityInvariants:
                 engine.commit_round(float(round_index))
                 if checkpoint and round_index % 2 == 0:
                     engine.checkpoint(float(round_index))
-            engine.close()
 
             recovered = recover(base / "data").store
             assert recovered.content_digests() == store.content_digests()

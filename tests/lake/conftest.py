@@ -10,7 +10,10 @@ module scope) so ``SPOTCONC_SANITIZE=1`` runs track every lock.
 
 from __future__ import annotations
 
+from typing import List
+
 from repro.core.archive import SpotLakeArchive
+from repro.lake import LAKE_MANIFEST_NAME
 
 #: Simulation epoch (2022-01-01 UTC), matching the cloudsim clock.
 EPOCH = 1640995200.0
@@ -42,3 +45,21 @@ def drive_round(archive: SpotLakeArchive, r: int, types: int = 6,
     archive.append("price", price)
     archive.commit_round(t)
     return t
+
+
+#: The lake publish protocol's steps: writing the round's partition file,
+#: replacing the manifest, and what follows the manifest once it is live.
+LAKE_STEPS = ("lake.segment", "lake.manifest", "lake.publish")
+
+
+def lake_step_cuts(log: list, step: str) -> List[int]:
+    """Indices of the durable operations at which ``step`` begins."""
+    renames = [i for i, op in enumerate(log) if op.kind == "rename"
+               and op.target.name == LAKE_MANIFEST_NAME]
+    if step == "lake.segment":
+        return [i for i, op in enumerate(log) if op.kind == "create"
+                and op.path.name.startswith(".round-")]
+    if step == "lake.manifest":
+        return renames
+    # past the rename and its directory fsync
+    return [i + 2 for i in renames if i + 2 < len(log)]

@@ -19,7 +19,6 @@ from repro.core.serving import ApiGateway
 from repro.lake import (
     FederatedHistory,
     IF_SCORE_MEASURE,
-    LAKE_CRASH_WINDOWS,
     LAKE_DIR_NAME,
     PRICE_MEASURE,
     SPS_MEASURE,
@@ -27,7 +26,8 @@ from repro.lake import (
 )
 from repro.timeseries import RetentionPolicy
 
-from .conftest import EPOCH, REGION, drive_round
+from .conftest import (EPOCH, LAKE_STEPS, REGION, drive_round,
+                       lake_step_cuts)
 
 INTERVAL = 600.0
 
@@ -152,29 +152,28 @@ def test_federated_walk_matches_reference(retention_rounds, churn, limit):
         shutil.rmtree(base, ignore_errors=True)
 
 
-@pytest.mark.parametrize("window", LAKE_CRASH_WINDOWS)
+@pytest.mark.parametrize("window", LAKE_STEPS)
 def test_lake_crash_window_recovers_byte_identical(tmp_path, window):
     """Crash inside each lake publish step; recovery trims and re-lands."""
-    from repro.cloudsim.faults import (
-        CrashInjector,
-        SimulatedCrash,
-        seeded_crash_point,
-    )
-    from repro.storage import recover
+    from repro._util import stable_hash
+    from repro.storage import RecordingIO, SimulatedCrash, recover
 
     rounds = 5
+    recorder = RecordingIO()
     reference = SpotLakeArchive(data_dir=tmp_path / "reference",
-                                checkpoint_every=2)
+                                checkpoint_every=2, io=recorder)
     ref_lake = {0: reference.lake.digest()}
     for committed in range(1, rounds + 1):
         drive_round(reference, committed - 1, types=3)
         ref_lake[committed] = reference.lake.digest()
     reference.close()
 
-    point = seeded_crash_point(0, window, rounds)
+    # a seeded occurrence of the step; the victim makes the same operations
+    cuts = lake_step_cuts(recorder.log, window)
     crash_dir = tmp_path / "victim"
-    victim = SpotLakeArchive(data_dir=crash_dir, checkpoint_every=2,
-                             crash_hook=CrashInjector([point]))
+    victim = SpotLakeArchive(
+        data_dir=crash_dir, checkpoint_every=2,
+        io=RecordingIO(cut=cuts[stable_hash(window) % len(cuts)]))
     with pytest.raises(SimulatedCrash):
         for r in range(rounds):
             drive_round(victim, r, types=3)

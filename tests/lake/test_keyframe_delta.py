@@ -23,7 +23,6 @@ from repro.core.serving import ApiGateway
 from repro.lake import (
     DATASETS,
     IF_SCORE_MEASURE,
-    LAKE_CRASH_WINDOWS,
     PRICE_MEASURE,
     SPS_MEASURE,
     SpotDataLake,
@@ -32,7 +31,8 @@ from repro.lake import (
 from repro.storage import SegmentCursor
 from repro.timeseries import RetentionPolicy
 
-from .conftest import EPOCH, REGION, drive_round
+from .conftest import (EPOCH, LAKE_STEPS, REGION, drive_round,
+                       lake_step_cuts)
 
 INTERVAL = 600.0
 MIDNIGHT = EPOCH + 86400.0
@@ -379,17 +379,22 @@ class TestQuietRounds:
         finally:
             archive.close()
 
-    @pytest.mark.parametrize("window", LAKE_CRASH_WINDOWS)
+    @pytest.mark.parametrize("window", LAKE_STEPS)
     def test_quiet_rounds_reach_every_lake_crash_window(self, tmp_path,
                                                         window):
-        from repro.cloudsim.faults import (
-            CrashInjector,
-            CrashPoint,
-            SimulatedCrash,
-        )
-        archive = SpotLakeArchive(
-            data_dir=tmp_path,
-            crash_hook=CrashInjector([CrashPoint(window, hit=2)]))
+        from repro.storage import RecordingIO, SimulatedCrash
+        recorder = RecordingIO()
+        archive = SpotLakeArchive(data_dir=tmp_path / "dry", io=recorder)
+        drive_round(archive, 0, churn=10_000)
+        drive_round(archive, 1, churn=10_000)
+        quiet = len(recorder.log)
+        drive_round(archive, 2, churn=10_000)
+        archive.close()
+        # the zero-change round makes every step of the publish too
+        cut = min(i for i in lake_step_cuts(recorder.log, window)
+                  if i >= quiet)
+        archive = SpotLakeArchive(data_dir=tmp_path / "cut",
+                                  io=RecordingIO(cut=cut))
         try:
             drive_round(archive, 0, churn=10_000)
             drive_round(archive, 1, churn=10_000)

@@ -54,7 +54,6 @@ class TestRecoveryParity:
         engine, store = build_engine(data)
         create_table(engine, store, "t")
         run_rounds(engine, store, 3)
-        engine.close()
         state = recover(data)
         assert state.rounds_committed == 3
         assert not state.data_loss
@@ -65,7 +64,6 @@ class TestRecoveryParity:
         engine, store = build_engine(data)
         create_table(engine, store, "t")
         run_rounds(engine, store, 6, checkpoint_every=2)
-        engine.close()
         state = recover(data)
         assert state.rounds_committed == 6
         assert_stores_identical(store, state.store)
@@ -78,7 +76,6 @@ class TestRecoveryParity:
         engine, store = build_engine(data)
         create_table(engine, store, "t")
         run_rounds(engine, store, 4, checkpoint_every=3)
-        engine.close()
         assert_stores_identical(recover(data).store,
                                 recover(data).store)
 
@@ -95,7 +92,6 @@ class TestRecoveryParity:
         run_rounds(engine, store, 2)
         reference = recover(data)  # state as of round 2
         write(engine, store, "t", 9, 999.0)  # in-flight, never committed
-        engine.close()
         state = recover(data)
         assert state.rounds_committed == 2
         assert_stores_identical(reference.store, state.store)
@@ -107,7 +103,6 @@ class TestRetentionDurability:
         engine, store = build_engine(data)
         create_table(engine, store, "t", RetentionPolicy(150.0))
         run_rounds(engine, store, 2, checkpoint_every=1)
-        engine.close()
         state = recover(data)
         assert state.store.policy("t").max_age_seconds == 150.0
 
@@ -122,7 +117,6 @@ class TestRetentionDurability:
         table.evict_before(150.0, trimmed)
         engine.mark_dirty("t", trimmed)
         engine.commit_round(400.0)
-        engine.close()
         state = recover(data)
         assert_stores_identical(store, state.store)
 
@@ -141,7 +135,6 @@ class TestRetentionDurability:
         engine.commit_round(400.0)
         engine.checkpoint(400.0)
         assert engine.manifest.tables["t"].evicted_through == 150.0
-        engine.close()
         state = recover(data)
         assert_stores_identical(store, state.store)
 
@@ -152,12 +145,10 @@ class TestRestart:
         engine, store = build_engine(data)
         create_table(engine, store, "t")
         run_rounds(engine, store, 3, checkpoint_every=2)
-        engine.close()
 
         engine2, store2 = build_engine(data)
         assert engine2.rounds_committed == 3
         run_rounds(engine2, store2, 2, start_round=3, checkpoint_every=2)
-        engine2.close()
         state = recover(data)
         assert state.rounds_committed == 5
         assert_stores_identical(store2, state.store)
@@ -168,7 +159,6 @@ class TestRestart:
         create_table(engine, store, "t")
         run_rounds(engine, store, 2, checkpoint_every=1)
         written = store.table("t").stats.records_written
-        engine.close()
         _, store2 = build_engine(data)
         assert store2.table("t").stats.records_written == written
 
@@ -204,7 +194,6 @@ class TestEngineContract:
             for i, r in enumerate(records)]
         assert list(engine._writer._buffer)[-len(records):] == canonical
         engine.commit_round(10.0)
-        engine.close()
 
     def test_dirty_tracking_survives_checkpoint_with_cached_series(
             self, tmp_path):
@@ -222,7 +211,6 @@ class TestEngineContract:
         engine.commit_round(11.0)
         manifest = engine.checkpoint(11.0)
         assert len(manifest.tables["t"].segments) >= 1
-        engine.close()
         state = recover(data)
         assert_stores_identical(store, state.store)
 
@@ -248,7 +236,6 @@ class TestEngineContract:
             by_level.setdefault(meta.level, []).append(meta)
         assert all(len(metas) < 2 for metas in by_level.values())
         assert engine.compaction_stats.merges > 0
-        engine.close()
         state = recover(data)
         assert_stores_identical(store, state.store)
 

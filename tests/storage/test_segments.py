@@ -5,13 +5,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.cloudsim import CrashInjector, CrashPoint, SimulatedCrash
+from repro.devtools.doublerun import MODELS, crash_state, materialize
 from repro.storage import (
     CorruptManifestError,
     CorruptSegmentError,
     MANIFEST_NAME,
     Manifest,
+    RecordingIO,
     SegmentMeta,
+    SimulatedCrash,
     TableManifest,
     load_manifest,
     read_segment,
@@ -21,7 +23,6 @@ from repro.storage import (
     store_manifest,
     write_segment,
 )
-from repro.storage import segments as segments_module
 from repro.timeseries import Record, Table
 from repro.timeseries.record import SeriesKey
 
@@ -240,31 +241,33 @@ class TestManifest:
         store_manifest(tmp_path, old)
         new = build_manifest(tmp_path)
         new.version = 4
-        hook = CrashInjector([CrashPoint("checkpoint.manifest", hit=0)])
+        # operations: create temp, fsync, rename, fsync directory
         with pytest.raises(SimulatedCrash):
-            store_manifest(tmp_path, new, hook)
+            store_manifest(tmp_path, new, RecordingIO(cut=2))
         assert load_manifest(tmp_path).version == 3  # old manifest intact
 
     def test_crash_after_publish_shows_new_version(self, tmp_path):
         store_manifest(tmp_path, build_manifest(tmp_path))
         new = build_manifest(tmp_path)
         new.version = 4
-        hook = CrashInjector([CrashPoint("checkpoint.publish", hit=0)])
         with pytest.raises(SimulatedCrash):
-            store_manifest(tmp_path, new, hook)
+            store_manifest(tmp_path, new, RecordingIO(cut=3))
         assert load_manifest(tmp_path).version == 4
 
-    def test_directory_fsynced_before_publish_window(self, tmp_path,
-                                                     monkeypatch):
+    def test_directory_fsynced_before_publish_window(self, tmp_path):
         # regression: the rename used to be published without fsyncing
-        # the directory, so a power loss inside the checkpoint.publish
-        # window could resurrect the previous manifest version
-        synced = []
-        monkeypatch.setattr(segments_module, "fsync_directory",
-                            lambda d: synced.append(Path(d)))
-        hook = CrashInjector([CrashPoint("checkpoint.publish", hit=0)])
-        with pytest.raises(SimulatedCrash):
-            store_manifest(tmp_path, build_manifest(tmp_path), hook)
-        # by the time the publish window fires, the rename is durable
-        assert synced == [tmp_path]
-        assert load_manifest(tmp_path).version == 3
+        # the directory, so a power loss right after the publish could
+        # resurrect the previous manifest version
+        recorder = RecordingIO()
+        store_manifest(tmp_path, build_manifest(tmp_path), recorder)
+        log = recorder.log
+        assert [(op.kind, op.path) for op in log[-2:]] == [
+            ("rename", tmp_path / f".{MANIFEST_NAME}.tmp"),
+            ("fsync_dir", tmp_path)]
+        # by the time the publish returns, the rename is durable; cut
+        # before the directory fsync, power loss keeps no manifest
+        for cut, version in ((len(log), 3), (len(log) - 1, None)):
+            crashed = materialize(crash_state(log, tmp_path, cut, MODELS[1]),
+                                  tmp_path / f"crash-{cut}")
+            loaded = load_manifest(crashed)
+            assert (loaded and loaded.version) == version

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.storage import CorruptWalError, WalWriter, read_wal
+from repro.devtools.doublerun import MODELS, crash_state, materialize
+from repro.storage import CorruptWalError, RecordingIO, WalWriter, read_wal
 from repro.storage.wal import (
     decode_line,
     encode_record,
@@ -68,7 +69,6 @@ class TestGroupCommit:
         write_op(writer, 2)
         write_op(writer, 3)
         # simulate a crash before commit: the batch never reached disk
-        writer.close()
         replay = read_wal(tmp_path)
         assert [op["value"] for op in replay.operations] == [1]
         assert replay.uncommitted_records == 0  # never written at all
@@ -80,7 +80,6 @@ class TestGroupCommit:
         writer.commit(1, 10.0)
         write_op(writer, 2)
         marker_seq = writer.commit(2, 20.0)
-        writer.close()
         path = tmp_path / wal_file_name(1)
         lines = path.read_bytes().splitlines(keepends=True)
         path.write_bytes(b"".join(lines[:-1]))  # drop the round-2 marker
@@ -106,7 +105,6 @@ class TestTornTail:
         writer = WalWriter(tmp_path)
         write_op(writer, 1)
         writer.commit(1, 10.0)
-        writer.close()
         path = tmp_path / wal_file_name(1)
         with path.open("ab") as fh:
             fh.write(encode_record(3, {"op": "write"})[:10])  # torn write
@@ -120,7 +118,6 @@ class TestTornTail:
         writer.commit(1, 10.0)
         write_op(writer, 2)
         writer.commit(2, 20.0)
-        writer.close()
         path = tmp_path / wal_file_name(1)
         lines = path.read_bytes().splitlines(keepends=True)
         corrupt = bytearray(lines[1])
@@ -135,7 +132,6 @@ class TestTornTail:
         writer.commit(1, 10.0)
         write_op(writer, 2)
         writer.commit(2, 20.0)
-        writer.close()
         path = tmp_path / wal_file_name(1)
         lines = path.read_bytes().splitlines(keepends=True)
         del lines[1]  # excise a middle record; later seqs now gap
@@ -150,7 +146,6 @@ class TestSegmentation:
         for value in range(8):
             write_op(writer, value)
             writer.commit(value + 1, float(value))
-        writer.close()
         files = list_wal_files(tmp_path)
         assert len(files) > 1
         replay = read_wal(tmp_path)
@@ -158,17 +153,34 @@ class TestSegmentation:
         assert replay.rounds == 8
         assert replay.max_file_number == files[-1][0]
 
+    def test_power_loss_leaves_a_committed_prefix(self, tmp_path):
+        # a roll fsyncs the finished file: otherwise a power loss can tear
+        # an older file ahead of valid records in a newer one
+        log_dir = tmp_path / "log"
+        log_dir.mkdir()
+        recorder = RecordingIO()
+        writer = WalWriter(log_dir, segment_bytes=200, io=recorder)
+        for value in range(8):
+            write_op(writer, value)
+            writer.commit(value + 1, float(value))
+            recorder.fsync_dir(log_dir)  # as a checkpoint's publish does
+        log = recorder.log
+        for cut in range(len(log) + 1):
+            crashed = materialize(crash_state(log, log_dir, cut, MODELS[1]),
+                                  tmp_path / "crash")
+            replay = read_wal(crashed)
+            assert [op["value"] for op in replay.operations] == \
+                list(range(replay.rounds)), cut
+
     def test_reopen_appends_instead_of_clobbering(self, tmp_path):
         writer = WalWriter(tmp_path)
         write_op(writer, 1)
         writer.commit(1, 10.0)
-        writer.close()
         replay = read_wal(tmp_path)
         writer = WalWriter(tmp_path, number=replay.max_file_number,
                            next_seq=replay.last_seq + 1)
         write_op(writer, 2)
         writer.commit(2, 20.0)
-        writer.close()
         replay = read_wal(tmp_path)
         assert [op["value"] for op in replay.operations] == [1, 2]
         assert replay.rounds == 2

@@ -1,11 +1,10 @@
-"""Tests for the deterministic hashing helpers and atomic file writes."""
+"""Tests for the deterministic hashing helpers."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro._util import (
-    atomic_open,
     clip01,
     stable_choice,
     stable_hash,
@@ -85,20 +84,3 @@ class TestClip01:
 
     def test_identity_inside(self):
         assert clip01(0.42) == 0.42
-
-
-class TestAtomicOpen:
-    def test_failed_write_leaves_the_original_and_no_temp_file(self,
-                                                                tmp_path):
-        path = tmp_path / "f.txt"
-        path.write_text("original")
-
-        class Boom(RuntimeError):
-            pass
-
-        with pytest.raises(Boom):
-            with atomic_open(path) as fh:
-                fh.write("partial")
-                raise Boom
-        assert path.read_text() == "original"
-        assert list(tmp_path.iterdir()) == [path]  # no temp debris
